@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .hermite import HermiteRule, hermite_scaled_table, hermite_orthonormal_table
+from .hermite import hermite_scaled_table, hermite_orthonormal_table
 from .mhf import (
     MhfBasis,
     MhfRule,
@@ -75,10 +75,6 @@ class LagrangeBasis:
             domain="unit",
             nodes_x=rule.nodes,
         )
-
-    @classmethod
-    def from_hermite_rule(cls, rule: HermiteRule) -> "LagrangeBasis":
-        return cls(nodes_t=rule.nodes, weights=_bary_weights(rule.nodes))
 
 
 def _bary_weights(t: np.ndarray) -> np.ndarray:

@@ -10,7 +10,14 @@ change of variables, so their node values must agree to solver tolerance -
 a property the test suite leans on heavily.
 
 Nonlinear systems go through a damped Newton iteration with the exact
-Jacobian lam*I - W diag(dpsi/du) E and initial guess g/lam.
+Jacobian lam*I - W diag(dpsi/du) E and initial guess g/lam.  In one
+dimension W and E are dense and each step is a dense LU solve.  In two
+dimensions the kernel and the grids are tensor products, so only the
+per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
+Wx Psi Wy^T and Ex U Ey^T in O(N^3), and each Newton step is solved by
+GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
+(Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
+dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.
 
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
@@ -24,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -45,6 +52,7 @@ __all__ = [
     "SolverError",
     "NonConvergenceError",
     "SolverConfig",
+    "NewtonResult",
     "NystromMatrix",
     "Solution",
     "assemble_nystrom",
@@ -61,8 +69,16 @@ METHOD_MHF = "mhf"
 METHOD_SMOOTHED = "smoothed"
 
 MAX_N_1D = 400
-MAX_N_2D = 48
+MAX_N_2D = 80
 NODE_GAP = 1e-12
+# GMRES on the 2D Newton steps: stop at the larger of GMRES_RTOL * |rhs| and
+# GMRES_ATOL_FACTOR * newton_tol (2-norms), so the last steps are exact to
+# well below the Newton tolerance; the preconditioned iteration needs a few
+# to a few tens of iterations, far inside GMRES_RESTART * GMRES_MAX_CYCLES.
+GMRES_RTOL = 1e-10
+GMRES_ATOL_FACTOR = 0.1
+GMRES_RESTART = 30
+GMRES_MAX_CYCLES = 4
 
 
 class AssemblyError(RuntimeError):
@@ -137,7 +153,8 @@ class NystromMatrix:
 
     Rows follow collocation points, columns quadrature points; in two
     dimensions both indices are composite (x-major / s-major flattening) so
-    weights is always a plain dense matrix.
+    weights is always a plain dense matrix (in 2D the Kronecker product of
+    the per-axis factors, formed for the caller only).
     """
 
     weights: np.ndarray
@@ -157,6 +174,8 @@ class Solution:
     newton_iters: int
     final_residual: float
     residual_history: tuple
+    step_scales: tuple  # accepted damping scale per Newton iteration
+    krylov_iters: tuple  # GMRES iterations per Newton step; empty for dense LU
 
 
 def _logsig(t: np.ndarray) -> np.ndarray:
@@ -212,7 +231,7 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
             theta = gap ** -kernel.mu[axis]
         else:
             theta = np.log(gap)
-        if kernel.smooth_factor is not None and problem.dimension == 1:
+        if kernel.smooth_factor is not None:
             theta = theta * np.asarray(kernel.smooth_factor(s, x), dtype=float)
     if not np.all(np.isfinite(theta)):
         i, k = np.unravel_index(int(np.argmax(~np.isfinite(theta))), theta.shape)
@@ -275,19 +294,42 @@ def _interp_matrix(config: SolverConfig, rule_c: MhfRule, rule_q: MhfRule) -> np
 
 @dataclass
 class _Discretization:
+    """The discrete system lam*u - W psi(E u) = g, kept as per-axis factors.
+
+    w and e hold one dense factor per axis; in two dimensions W = w[0] (x) w[1]
+    and E = e[0] (x) e[1] are never formed.  quad_coords broadcast against the
+    values on the quadrature grid (a column and a row in 2D); u and g are flat,
+    x-major in 2D.
+    """
+
     dimension: int
     lam: float
     g: np.ndarray
-    w: np.ndarray
-    e: np.ndarray
+    w: tuple
+    e: tuple
     quad_coords: tuple
     colloc_points: tuple
     interp_from_values: Callable
     shape: tuple
 
 
+def _kron_apply(factors: tuple, v: np.ndarray) -> np.ndarray:
+    """A v for one factor; (Ax (x) Ay) v as Ax V Ay^T for two, V the matrix of v."""
+    if len(factors) == 1:
+        return factors[0] @ v
+    ax, ay = factors
+    return ax @ np.reshape(v, (ax.shape[1], ay.shape[1])) @ ay.T
+
+
+def _integral_term(problem: ProblemSpec, w: tuple, e: tuple, quad_coords: tuple,
+                   u: np.ndarray) -> np.ndarray:
+    """W psi(E u) at the collocation nodes, flat."""
+    psi = np.asarray(problem.nonlinearity.psi(*quad_coords, _kron_apply(e, u)), dtype=float)
+    return np.ravel(_kron_apply(w, psi))
+
+
 def _synthesize_forcing(problem: ProblemSpec, u_nodes: np.ndarray,
-                        w: np.ndarray, e: np.ndarray, quad_coords: tuple) -> np.ndarray:
+                        w: tuple, e: tuple, quad_coords: tuple) -> np.ndarray:
     """Forcing consistent with the discrete operator for a known solution.
 
     g = lam*u - W psi(E u) makes the exact node values an exact solution of
@@ -296,9 +338,7 @@ def _synthesize_forcing(problem: ProblemSpec, u_nodes: np.ndarray,
     error (which decays only slowly for the singular kernels and would
     otherwise dominate every experiment).
     """
-    psi = problem.nonlinearity.psi
-    uq = e @ u_nodes
-    return problem.lam * u_nodes - w @ np.asarray(psi(*quad_coords, uq), dtype=float)
+    return problem.lam * u_nodes - _integral_term(problem, w, e, quad_coords, u_nodes)
 
 
 def _exact_nodes_1d(problem: ProblemSpec, rule: MhfRule) -> np.ndarray:
@@ -315,11 +355,12 @@ def _build_1d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
     rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=config.n))
     rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=config.ni_value))
     theta = _theta_matrix(problem, rule_q, rule_c)
-    w = theta * _quad_coeffs(rule_q, config.method)[None, :]
-    e = _interp_matrix(config, rule_c, rule_q)
+    w = (theta * _quad_coeffs(rule_q, config.method)[None, :],)
+    e = (_interp_matrix(config, rule_c, rule_q),)
+    quad_coords = (rule_q.nodes,)
     if problem.exact_solution is not None:
         g = _synthesize_forcing(
-            problem, _exact_nodes_1d(problem, rule_c), w, e, (rule_q.nodes,)
+            problem, _exact_nodes_1d(problem, rule_c), w, e, quad_coords
         )
     else:
         g = forcing_values(problem, rule_c.nodes, complements=rule_c.nodes_complement)
@@ -334,7 +375,7 @@ def _build_1d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
         g=g,
         w=w,
         e=e,
-        quad_coords=(rule_q.nodes,),
+        quad_coords=quad_coords,
         colloc_points=(rule_c.nodes,),
         interp_from_values=interp,
         shape=(config.n + 1,),
@@ -343,35 +384,30 @@ def _build_1d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
 
 def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
     config.check_dimension(2)
+    if problem.kernel.smooth_factor is not None:
+        raise AssemblyError(
+            f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
+            "by the factored solver, which needs a kernel that separates per axis"
+        )
     a1 = config.alpha
     a2 = config.alpha2 if config.alpha2 is not None else config.alpha
-    rule_cx = mhf_gauss_rule(MhfBasis(alpha=a1, degree=config.n))
-    rule_cy = mhf_gauss_rule(MhfBasis(alpha=a2, degree=config.n))
-    rule_qx = mhf_gauss_rule(MhfBasis(alpha=a1, degree=config.ni_value))
-    rule_qy = mhf_gauss_rule(MhfBasis(alpha=a2, degree=config.ni_value))
+    # rules and cardinal matrices per distinct map scale: both axes share
+    # them by default; the kernel factors differ when the exponents do
+    axes = {}
+    for a in {a1, a2}:
+        rule_c = mhf_gauss_rule(MhfBasis(alpha=a, degree=config.n))
+        rule_q = mhf_gauss_rule(MhfBasis(alpha=a, degree=config.ni_value))
+        axes[a] = (rule_c, rule_q, _interp_matrix(config, rule_c, rule_q))
+    (rule_cx, rule_qx, ex), (rule_cy, rule_qy, ey) = axes[a1], axes[a2]
 
-    wx = _theta_matrix(problem, rule_qx, rule_cx, axis=0) * _quad_coeffs(
-        rule_qx, config.method
-    )[None, :]
-    wy = _theta_matrix(problem, rule_qy, rule_cy, axis=1) * _quad_coeffs(
-        rule_qy, config.method
-    )[None, :]
-    w = np.kron(wx, wy)
-    sf, tf = [a.ravel() for a in np.meshgrid(rule_qx.nodes, rule_qy.nodes, indexing="ij")]
-    if problem.kernel.smooth_factor is not None:
-        xf, yf = [
-            a.ravel() for a in np.meshgrid(rule_cx.nodes, rule_cy.nodes, indexing="ij")
-        ]
-        w = w * np.asarray(
-            problem.kernel.smooth_factor(
-                sf[None, :], tf[None, :], xf[:, None], yf[:, None]
-            ),
-            dtype=float,
-        )
-    e = np.kron(
-        _interp_matrix(config, rule_cx, rule_qx),
-        _interp_matrix(config, rule_cy, rule_qy),
+    w = (
+        _theta_matrix(problem, rule_qx, rule_cx, axis=0)
+        * _quad_coeffs(rule_qx, config.method)[None, :],
+        _theta_matrix(problem, rule_qy, rule_cy, axis=1)
+        * _quad_coeffs(rule_qy, config.method)[None, :],
     )
+    e = (ex, ey)
+    quad_coords = (rule_qx.nodes[:, None], rule_qy.nodes[None, :])
     if problem.exact_solution is not None:
         if problem.exact_solution_c is not None:
             u_nodes = np.asarray(
@@ -388,7 +424,7 @@ def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
                 problem.exact_solution(rule_cx.nodes[:, None], rule_cy.nodes[None, :]),
                 dtype=float,
             )
-        g = _synthesize_forcing(problem, u_nodes.ravel(), w, e, (sf, tf))
+        g = _synthesize_forcing(problem, u_nodes.ravel(), w, e, quad_coords)
     else:
         g = forcing_grid(
             problem,
@@ -410,7 +446,7 @@ def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
         g=g,
         w=w,
         e=e,
-        quad_coords=(sf, tf),
+        quad_coords=quad_coords,
         colloc_points=(rule_cx.nodes, rule_cy.nodes),
         interp_from_values=interp,
         shape=(nx, nx),
@@ -424,86 +460,221 @@ def _build(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
 
 
 def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatrix:
-    """Quadrature-weighted kernel matrix for the problem at this config."""
+    """Quadrature-weighted kernel matrix for the problem at this config.
+
+    In two dimensions the dense Kronecker product is formed here, on request;
+    the solvers only ever apply its factors.
+    """
     disc = _build(problem, config)
     return NystromMatrix(
-        weights=disc.w,
+        weights=disc.w[0] if disc.dimension == 1 else np.kron(*disc.w),
         colloc_points=disc.colloc_points,
-        quad_points=disc.quad_coords,
+        quad_points=tuple(a.ravel() for a in np.broadcast_arrays(*disc.quad_coords)),
         dimension=disc.dimension,
     )
 
 
 def _residual_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
-    psi = problem.nonlinearity.psi
-
     def residual(u: np.ndarray) -> np.ndarray:
-        uq = disc.e @ u
-        return disc.lam * u - disc.g - disc.w @ np.asarray(
-            psi(*disc.quad_coords, uq), dtype=float
+        return disc.lam * u - disc.g - _integral_term(
+            problem, disc.w, disc.e, disc.quad_coords, u
         )
 
     return residual
 
 
+class _Operator:
+    """Square linear operator given by its action, with an optional preconditioner.
+
+    scipy's iterative solvers accept any object with shape, dtype and matvec,
+    so scipy.sparse.linalg is imported only when a 2D Newton step is solved.
+    """
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, size: int, matvec: Callable, precond=None):
+        self.shape = (size, size)
+        self.matvec = matvec
+        self.precond = precond
+
+
+class _FastDiagonalization:
+    """Inverse of lam*I - c (Wx Ex) (x) (Wy Ey) (Lynch, Rice & Thomas 1964).
+
+    With A = Q L Q^-1 for each axis product, the inverse is
+    (Qx (x) Qy) diag(1 / (lam - c lx_i ly_j)) (Qx (x) Qy)^-1, applied per
+    axis.  The eigendecompositions are made once per solve; c may change with
+    every Newton step.  Complex eigenpairs are carried in complex arithmetic
+    and the result, real in exact arithmetic, is taken as its real part.
+    """
+
+    def __init__(self, disc: _Discretization):
+        self.lam = disc.lam
+        (lx, qx), (ly, qy) = (np.linalg.eig(w @ e) for w, e in zip(disc.w, disc.e))
+        try:
+            self.backward = (np.linalg.inv(qx), np.linalg.inv(qy))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"preconditioner axis factor is not diagonalizable: {exc}"
+            ) from exc
+        self.forward = (qx, qy)
+        self.products = lx[:, None] * ly[None, :]
+
+    def inverse(self, c: float) -> _Operator:
+        scale = 1.0 / (self.lam - c * self.products)
+
+        def apply(r: np.ndarray) -> np.ndarray:
+            t = scale * _kron_apply(self.backward, r)
+            return np.ravel(_kron_apply(self.forward, t).real)
+
+        return _Operator(scale.size, apply)
+
+
+def _factored_jacobian(disc: _Discretization, d: np.ndarray,
+                       fast: _FastDiagonalization) -> _Operator:
+    """J v = lam v - Wx (d o (Ex V Ey^T)) Wy^T, applied per axis.
+
+    Its preconditioner is the fast-diagonalization inverse at c = mean(d),
+    which is J^-1 itself when d is constant (the identity nonlinearity).
+    """
+
+    def jv(v: np.ndarray) -> np.ndarray:
+        v = np.ravel(v)
+        return disc.lam * v - np.ravel(_kron_apply(disc.w, d * _kron_apply(disc.e, v)))
+
+    return _Operator(disc.g.size, jv, fast.inverse(float(np.mean(d))))
+
+
 def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
+    """u -> Jacobian: a dense matrix in 1D, a preconditioned _Operator in 2D."""
     dpsi = problem.nonlinearity.dpsi_du
-    eye = np.eye(disc.w.shape[0])
+    if disc.dimension == 1:
+        (w,), (e,) = disc.w, disc.e
+        eye = np.eye(w.shape[0])
 
-    def jacobian(u: np.ndarray) -> np.ndarray:
-        uq = disc.e @ u
-        d = np.asarray(dpsi(*disc.quad_coords, uq), dtype=float)
-        return disc.lam * eye - (disc.w * d[None, :]) @ disc.e
+        def jacobian(u: np.ndarray) -> np.ndarray:
+            d = np.asarray(dpsi(*disc.quad_coords, e @ u), dtype=float)
+            return disc.lam * eye - (w * d[None, :]) @ e
 
-    return jacobian
+        return jacobian
+    fast = _FastDiagonalization(disc)
+
+    def factored(u: np.ndarray) -> _Operator:
+        uq = _kron_apply(disc.e, u)
+        d = np.broadcast_to(np.asarray(dpsi(*disc.quad_coords, uq), dtype=float), uq.shape)
+        return _factored_jacobian(disc, d, fast)
+
+    return factored
+
+
+def _dense_step(jac, rhs: np.ndarray):
+    """Newton step from a dense Jacobian by LU; there are no Krylov iterations."""
+    return np.linalg.solve(np.atleast_2d(np.asarray(jac, dtype=float)), rhs), None
+
+
+def _gmres_step(config: SolverConfig) -> Callable:
+    """Newton step from a factored 2D Jacobian by preconditioned GMRES.
+
+    An unconverged GMRES return raises SolverError; an inexact step is never
+    taken.
+    """
+    atol = GMRES_ATOL_FACTOR * config.newton_tol
+
+    def step(jac: _Operator, rhs: np.ndarray):
+        from scipy.sparse.linalg import gmres
+
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
+        v, info = gmres(
+            jac,
+            rhs,
+            rtol=GMRES_RTOL,
+            atol=atol,
+            restart=GMRES_RESTART,
+            maxiter=GMRES_MAX_CYCLES,
+            M=jac.precond,
+            callback=count,
+            callback_type="pr_norm",
+        )
+        if info != 0:
+            krylov = float(np.linalg.norm(rhs - jac.matvec(v)) / np.linalg.norm(rhs))
+            raise SolverError(
+                f"GMRES did not converge at n={config.n}: relative Krylov residual "
+                f"{krylov:.2e} after {iters} iterations (info={info})"
+            )
+        return v, iters
+
+    return step
+
+
+class NewtonResult(NamedTuple):
+    """Final iterate of newton_driver with its per-iteration record."""
+
+    x: np.ndarray
+    iters: int
+    history: list
+    step_scales: list
+    krylov_iters: list
 
 
 def newton_driver(residual, jacobian, x0, tol: float = 1e-12,
-                  max_iter: int = 50, damping: str = "halving"):
+                  max_iter: int = 50, damping: str = "halving",
+                  solve_step: Callable = _dense_step) -> NewtonResult:
     """Damped Newton iteration on a residual map.
 
-    Full steps are halved (at most 30 times) until the max-norm of the
-    residual strictly decreases; failure to decrease, or running out of
-    iterations, raises NonConvergenceError carrying the monotone residual
-    history.  Returns (x, iterations, history).
+    Each step solves jacobian(x) step = -f(x) as solve_step(jacobian(x), -f),
+    which returns the step and its Krylov iteration count, or None for a
+    direct solve; the default factors a dense Jacobian.  Full steps are
+    halved (at most 30 times) until the max-norm of the residual strictly
+    decreases; failure to decrease, or running out of iterations, raises
+    NonConvergenceError carrying the monotone residual history.  Returns the
+    iterate, the iteration count, the residual history, the accepted scale
+    of every step and the Krylov iterations of every step.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     f = np.atleast_1d(np.asarray(residual(x), dtype=float))
     norm = float(np.max(np.abs(f)))
-    history = [norm]
+    history, scales, krylov = [norm], [], []
     for it in range(1, max_iter + 1):
         if norm <= tol:
-            return x, it - 1, history
-        jac = np.atleast_2d(np.asarray(jacobian(x), dtype=float))
+            return NewtonResult(x, it - 1, history, scales, krylov)
         try:
-            step = np.linalg.solve(jac, -f)
+            step, k = solve_step(jacobian(x), -f)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Jacobian at iteration {it}: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"Newton iteration {it}: {exc}") from exc
+        if k is not None:
+            krylov.append(k)
+        scale = 1.0
         if damping == "none":
             x = x + step
             f = np.atleast_1d(np.asarray(residual(x), dtype=float))
             norm = float(np.max(np.abs(f)))
-            history.append(norm)
-            continue
-        scale = 1.0
-        for _ in range(31):
-            trial = x + scale * step
-            f_trial = np.atleast_1d(np.asarray(residual(trial), dtype=float))
-            norm_trial = float(np.max(np.abs(f_trial)))
-            if norm_trial < norm:
-                break
-            scale *= 0.5
         else:
-            raise NonConvergenceError(
-                f"Newton stalled at iteration {it}: residual {norm:.3e} cannot "
-                f"decrease after 30 halvings",
-                best=x,
-                history=history,
-            )
-        x, f, norm = trial, f_trial, norm_trial
+            for _ in range(31):
+                trial = x + scale * step
+                f_trial = np.atleast_1d(np.asarray(residual(trial), dtype=float))
+                norm_trial = float(np.max(np.abs(f_trial)))
+                if norm_trial < norm:
+                    break
+                scale *= 0.5
+            else:
+                raise NonConvergenceError(
+                    f"Newton stalled at iteration {it}: residual {norm:.3e} cannot "
+                    f"decrease after 30 halvings",
+                    best=x,
+                    history=history,
+                )
+            x, f, norm = trial, f_trial, norm_trial
         history.append(norm)
+        scales.append(scale)
     if norm <= tol:
-        return x, max_iter, history
+        return NewtonResult(x, max_iter, history, scales, krylov)
     raise NonConvergenceError(
         f"Newton did not reach tolerance {tol:.1e} in {max_iter} iterations "
         f"(final residual {norm:.3e})",
@@ -513,7 +684,8 @@ def newton_driver(residual, jacobian, x0, tol: float = 1e-12,
 
 
 def _finish(problem: ProblemSpec, config: SolverConfig, disc: _Discretization,
-            u: np.ndarray, iters: int, history) -> Solution:
+            u: np.ndarray, iters: int = 0, history=(), step_scales=(),
+            krylov_iters=()) -> Solution:
     residual = _residual_fn(disc, problem)
     final = float(np.max(np.abs(residual(u))))
     if final > config.newton_tol:
@@ -531,15 +703,39 @@ def _finish(problem: ProblemSpec, config: SolverConfig, disc: _Discretization,
         newton_iters=iters,
         final_residual=final,
         residual_history=tuple(history),
+        step_scales=tuple(step_scales),
+        krylov_iters=tuple(krylov_iters),
     )
 
 
+def _solve_newton(problem: ProblemSpec, config: SolverConfig,
+                  disc: _Discretization) -> Solution:
+    """Damped Newton from g / lam: dense LU steps in 1D, GMRES steps in 2D."""
+    result = newton_driver(
+        _residual_fn(disc, problem),
+        _jacobian_fn(disc, problem),
+        disc.g / disc.lam,
+        tol=config.newton_tol,
+        max_iter=config.newton_max_iter,
+        damping=config.damping,
+        solve_step=_dense_step if disc.dimension == 1 else _gmres_step(config),
+    )
+    return _finish(problem, config, disc, *result)
+
+
 def solve_linear(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    """Direct dense solve of (lam I - W E) u = g for identity nonlinearity."""
+    """Solve (lam I - W E) u = g for identity nonlinearity.
+
+    1D: direct dense LU.  2D: the factored Newton route, whose preconditioner
+    is exact here (dpsi/du = 1), so GMRES converges in one iteration.
+    """
     if not problem.nonlinearity.is_identity:
         raise ValueError("solve_linear requires the identity nonlinearity")
     disc = _build(problem, config)
-    a = disc.lam * np.eye(disc.w.shape[0]) - disc.w @ disc.e
+    if disc.dimension == 2:
+        return _solve_newton(problem, config, disc)
+    (w,), (e,) = disc.w, disc.e
+    a = disc.lam * np.eye(w.shape[0]) - w @ e
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -555,22 +751,12 @@ def solve_linear(problem: ProblemSpec, config: SolverConfig) -> Solution:
     u = scipy.linalg.lu_solve((lu, piv), disc.g)
     if not np.all(np.isfinite(u)):
         raise SolverError("linear solve produced non-finite node values")
-    return _finish(problem, config, disc, u, 0, ())
+    return _finish(problem, config, disc, u)
 
 
 def solve_nonlinear(problem: ProblemSpec, config: SolverConfig) -> Solution:
     """Damped Newton solve from the initial guess g / lam."""
-    disc = _build(problem, config)
-    x0 = disc.g / disc.lam
-    u, iters, history = newton_driver(
-        _residual_fn(disc, problem),
-        _jacobian_fn(disc, problem),
-        x0,
-        tol=config.newton_tol,
-        max_iter=config.newton_max_iter,
-        damping=config.damping,
-    )
-    return _finish(problem, config, disc, u, iters, history)
+    return _solve_newton(problem, config, _build(problem, config))
 
 
 def solve_2d(problem: ProblemSpec, config: SolverConfig) -> Solution:

@@ -1,10 +1,15 @@
 """Tests for the Nystrom assembly, Newton driver, and solve entry points."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import mhfie.solver
+from mhfie.approx import error_norms
 from mhfie.problem import (
     KernelSpec,
     Nonlinearity,
@@ -13,9 +18,11 @@ from mhfie.problem import (
     get_problem,
 )
 from mhfie.solver import (
+    MAX_N_2D,
     AssemblyError,
     NonConvergenceError,
     SolverConfig,
+    SolverError,
     assemble_nystrom,
     newton_driver,
     solve,
@@ -61,7 +68,8 @@ def test_config_dimension_limits():
     with pytest.raises(ValueError, match="exceeds"):
         SolverConfig(n=500).check_dimension(1)
     with pytest.raises(ValueError, match="exceeds"):
-        SolverConfig(n=64).check_dimension(2)
+        SolverConfig(n=MAX_N_2D + 1).check_dimension(2)
+    SolverConfig(n=MAX_N_2D).check_dimension(2)
     SolverConfig(n=64).check_dimension(1)
 
 
@@ -115,7 +123,7 @@ def test_assembly_rejects_nonfinite_kernel():
 
 def test_newton_driver_scalar_quadratic():
     # u = 1 + 0.1 u^2 has the root 5 (1 - sqrt(0.6))
-    x, iters, history = newton_driver(
+    x, iters, history, scales, krylov = newton_driver(
         lambda u: u - 1.0 - 0.1 * u * u,
         lambda u: np.array([[1.0 - 0.2 * float(u[0])]]),
         0.0,
@@ -125,13 +133,15 @@ def test_newton_driver_scalar_quadratic():
     assert iters <= 6
     assert history[-1] <= 1e-12
     assert all(a > b for a, b in zip(history, history[1:]))
+    assert scales == [1.0] * iters
+    assert krylov == []
 
 
 def test_newton_driver_linear_residual_one_step():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
     b = rng.standard_normal(4)
-    x, iters, _ = newton_driver(lambda u: a @ u - b, lambda u: a, np.zeros(4))
+    x, iters, *_ = newton_driver(lambda u: a @ u - b, lambda u: a, np.zeros(4))
     np.testing.assert_allclose(x, np.linalg.solve(a, b), rtol=1e-12)
     assert iters == 1
 
@@ -279,3 +289,130 @@ def test_entry_point_type_checks():
         solve_linear(get_problem("ex3-log"), SolverConfig(n=4))
     with pytest.raises(ValueError, match="two-dimensional"):
         solve_2d(get_problem("ex1-log"), SolverConfig(n=4))
+
+
+def test_newton_driver_records_step_scales():
+    # a full Newton step on arctan from 3 overshoots and grows the residual,
+    # so the first step must be halved twice; later steps are full
+    result = newton_driver(
+        lambda u: np.arctan(u),
+        lambda u: np.array([[1.0 / (1.0 + float(u[0]) ** 2)]]),
+        3.0,
+    )
+    assert abs(result.x[0]) <= 1e-12
+    assert result.step_scales[0] == 0.25
+    assert result.step_scales[1:] == [1.0] * (result.iters - 1)
+    assert len(result.history) == result.iters + 1
+    assert result.krylov_iters == []
+
+
+def test_solution_records_newton_steps():
+    one = solve(
+        ProblemSpec(
+            name="square-1d",
+            dimension=1,
+            lam=4.0,
+            kernel=KernelSpec(kind="log", dimension=1),
+            nonlinearity=Nonlinearity.square(1),
+            forcing=lambda x: 1.0 + x,
+        ),
+        SolverConfig(n=10, alpha=0.8),
+    )
+    assert one.newton_iters >= 2
+    assert one.step_scales == (1.0,) * one.newton_iters
+    assert one.krylov_iters == ()
+    two = solve(get_problem("ex3-alg"), SolverConfig(n=8, alpha=0.5))
+    assert len(two.step_scales) == len(two.krylov_iters) == two.newton_iters
+    assert all(1 <= k <= 20 for k in two.krylov_iters)
+
+
+def _identity_2d() -> ProblemSpec:
+    return ProblemSpec(
+        name="identity-2d",
+        dimension=2,
+        lam=3.0,
+        kernel=KernelSpec(kind="algebraic", mu=(0.3, 0.6), dimension=2),
+        nonlinearity=Nonlinearity.identity(2),
+        forcing=lambda x, y: np.cos(x) * (1.0 + y),
+    )
+
+
+def _dense_newton(problem, config, disc):
+    """Newton on the dense W and E = kron(Ex, Ey), as the solver did before."""
+    w = assemble_nystrom(problem, config).weights
+    e = np.kron(*disc.e)
+    s, t = (a.ravel() for a in np.broadcast_arrays(*disc.quad_coords))
+    nl = problem.nonlinearity
+    u = disc.g / disc.lam
+    for _ in range(config.newton_max_iter):
+        f = disc.lam * u - disc.g - w @ nl.psi(s, t, e @ u)
+        if np.max(np.abs(f)) <= config.newton_tol:
+            return u
+        jac = disc.lam * np.eye(u.size) - (w * nl.dpsi_du(s, t, e @ u)[None, :]) @ e
+        u = u + np.linalg.solve(jac, -f)
+    raise AssertionError("dense Newton did not converge")
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("name", ["ex3-log", "ex3-alg", "identity-2d"])
+def test_factored_two_dimensional_solve_matches_dense_newton(name, n, method):
+    prob = _identity_2d() if name == "identity-2d" else get_problem(name)
+    cfg = SolverConfig(n=n, alpha=0.5, method=method)
+    disc = mhfie.solver._build(prob, cfg)
+    ni = cfg.ni_value
+    for value in vars(disc).values():
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                assert arr.size <= (ni + 1) ** 2
+    sol = solve(prob, cfg)
+    np.testing.assert_allclose(
+        sol.node_values.ravel(), _dense_newton(prob, cfg, disc),
+        rtol=0.0, atol=10.0 * cfg.newton_tol,
+    )
+    if name == "identity-2d":
+        # dpsi/du = 1 makes the fast-diagonalization preconditioner exact
+        assert sol.krylov_iters == (1,) * sol.newton_iters
+
+
+@pytest.mark.parametrize("name", ["ex3-log", "ex3-alg"])
+def test_two_dimensional_solve_at_max_n(name):
+    prob = get_problem(name)
+    cfg = SolverConfig(n=MAX_N_2D, alpha=prob.default_alpha)
+    sol = solve(prob, cfg)
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    assert np.max(np.abs(sol.node_values - sol.node_values.T)) <= 1e-10
+    norms = error_norms(
+        sol.interpolant, prob.exact_solution, (cfg.alpha, cfg.alpha), dim=2,
+        degree=cfg.n,
+    )
+    ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    assert norms.err_inf < json.loads(ref.read_text())["err_inf"][name]["48"]
+    with pytest.raises(ValueError, match="exceeds"):
+        SolverConfig(n=MAX_N_2D + 1).check_dimension(2)
+
+
+def test_unconverged_gmres_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(
+        scipy.sparse.linalg, "gmres", lambda a, b, **kwargs: (np.zeros_like(b), 1)
+    )
+    message = r"Newton iteration 1: GMRES .* n=8: .*Krylov residual 1\.00e\+00"
+    with pytest.raises(SolverError, match=message):
+        solve(get_problem("ex3-alg"), SolverConfig(n=8, alpha=0.5))
+
+
+def test_two_dimensional_smooth_factor_is_rejected():
+    prob = ProblemSpec(
+        name="smooth-2d",
+        dimension=2,
+        lam=10.0,
+        kernel=KernelSpec(
+            kind="log",
+            smooth_factor=lambda s, t, x, y: 1.0 + s * t * x * y,
+            dimension=2,
+        ),
+        nonlinearity=Nonlinearity.square(2),
+        forcing=lambda x, y: np.ones_like(x * y),
+    )
+    with pytest.raises(AssemblyError, match="2D kernel smooth factors are not supported"):
+        solve(prob, SolverConfig(n=4, alpha=0.5))
