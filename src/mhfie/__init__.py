@@ -33,7 +33,6 @@ from .approx import (
     LagrangeBasis,
     MhfSeries,
     error_norms,
-    interp_eval,
     lagrange_basis,
     project,
     tensor_interpolant,
@@ -62,7 +61,6 @@ from .solver import (
     assemble_nystrom,
     newton_driver,
     solve,
-    solve_2d,
     solve_linear,
     solve_nonlinear,
     solve_smoothed,
@@ -93,7 +91,6 @@ __all__ = [
     "LagrangeBasis",
     "MhfSeries",
     "error_norms",
-    "interp_eval",
     "lagrange_basis",
     "project",
     "tensor_interpolant",
@@ -118,7 +115,6 @@ __all__ = [
     "assemble_nystrom",
     "newton_driver",
     "solve",
-    "solve_2d",
     "solve_linear",
     "solve_nonlinear",
     "solve_smoothed",

@@ -40,9 +40,10 @@ from .approx import (
     Interpolant1D,
     Interpolant2D,
     LagrangeBasis,
+    _damped_rows,
     tensor_interpolant,
 )
-from .mhf import MhfBasis, MhfRule, mhf_gauss_rule
+from .mhf import MhfBasis, MhfRule, mhf_gauss_rule, mhf_unit_weights
 from .problem import ProblemSpec, forcing_grid, forcing_values
 
 __all__ = [
@@ -60,7 +61,6 @@ __all__ = [
     "solve",
     "solve_linear",
     "solve_nonlinear",
-    "solve_2d",
     "solve_smoothed",
     "verify_residual",
 ]
@@ -178,31 +178,20 @@ class Solution:
     krylov_iters: tuple  # GMRES iterations per Newton step; empty for dense LU
 
 
-def _logsig(t: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -t)
-
-
 def _quad_coeffs(rule: MhfRule, method: str) -> np.ndarray:
     """Per-node coefficients chi_k / chi(s_k), by each method's own route.
 
-    mhf: log-space quotient of the mapped weight and the chi weight.
+    mhf: log-space quotient of the mapped weight and the chi weight
+    (mhf_unit_weights).
     smoothed: modified Hermite weights exp(log w_k + z_k^2) times the
     logistic Jacobian sigma'(z_k/alpha)/alpha.  Same numbers either way,
     which is exactly the point of the equivalence testing.
     """
-    alpha = rule.basis.alpha
     if method == METHOD_MHF:
-        t = rule.logits
-        return np.exp(
-            rule.hermite.log_weights
-            - math.log(alpha)
-            + (alpha * t) ** 2
-            + _logsig(t)
-            + _logsig(-t)
-        )
+        return mhf_unit_weights(rule)
     z = rule.hermite.nodes
     modified = np.exp(rule.hermite.log_weights + z * z)
-    return modified * rule.nodes * rule.nodes_complement / alpha
+    return modified * rule.nodes * rule.nodes_complement / rule.basis.alpha
 
 
 def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
@@ -239,44 +228,6 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
             f"kernel value is not finite at collocation node {i}, quadrature node {k}"
         )
     return theta
-
-
-def _damped_rows(nodes: np.ndarray, points: np.ndarray, scale: float) -> np.ndarray:
-    """Gaussian-damped cardinal rows l_j(t) * exp(scale^2*(t_j^2 - t^2)/2).
-
-    Plain cardinal functions at Hermite-type nodes are unusable on the
-    quadrature grid: past the outermost node (the interlacing rule always
-    has two such points) they grow without bound as the degree grows -
-    measured at 2e1 / 8.6e3 / 7.6e9 for degrees 8 / 16 / 32 even in exact
-    arithmetic - and even inside the span they reach ~1e10 near the edges
-    by degree 64, which poisons the conditioning of the collocation matrix.
-    The Gaussian-weighted cardinals fix both: they agree with the plain
-    ones at every node, stay uniformly modest over the whole line, and
-    reproduce the Gaussian-decaying functions this discretization
-    approximates.  Everything is accumulated in log magnitude so no
-    intermediate product overflows.
-    """
-    logd = np.empty(nodes.size)
-    sgnd = np.empty(nodes.size)
-    for j in range(nodes.size):
-        d = np.delete(nodes[j] - nodes, j)
-        logd[j] = np.log(np.abs(d)).sum()
-        sgnd[j] = np.prod(np.sign(d))
-    rows = np.empty((points.size, nodes.size))
-    half = 0.5 * scale * scale
-    for q, t in enumerate(points):
-        num = t - nodes
-        hit = np.abs(num) == 0.0
-        if np.any(hit):
-            rows[q] = np.where(hit, 1.0, 0.0)
-            continue
-        log_num = np.log(np.abs(num))
-        total = log_num.sum()
-        sgn_total = np.prod(np.sign(num))
-        rows[q] = (sgn_total * np.sign(num) * sgnd) * np.exp(
-            total - log_num - logd + half * (nodes * nodes - t * t)
-        )
-    return rows
 
 
 def _interp_matrix(config: SolverConfig, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
@@ -759,12 +710,6 @@ def solve_nonlinear(problem: ProblemSpec, config: SolverConfig) -> Solution:
     return _solve_newton(problem, config, _build(problem, config))
 
 
-def solve_2d(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    if problem.dimension != 2:
-        raise ValueError(f"problem {problem.name!r} is not two-dimensional")
-    return solve_nonlinear(problem, config)
-
-
 def solve_smoothed(problem: ProblemSpec, config: SolverConfig) -> Solution:
     """Solve with the smoothing-transformation discretization."""
     return solve(problem, replace(config, method=METHOD_SMOOTHED))
@@ -774,8 +719,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
     """Dispatch: direct solve for identity nonlinearity, Newton otherwise."""
     if problem.nonlinearity.is_identity:
         return solve_linear(problem, config)
-    if problem.dimension == 2:
-        return solve_2d(problem, config)
     return solve_nonlinear(problem, config)
 
 

@@ -26,7 +26,6 @@ from mhfie.solver import (
     assemble_nystrom,
     newton_driver,
     solve,
-    solve_2d,
     solve_linear,
     solve_nonlinear,
     solve_smoothed,
@@ -287,8 +286,6 @@ def test_verify_residual_is_independent_and_sharp():
 def test_entry_point_type_checks():
     with pytest.raises(ValueError, match="identity"):
         solve_linear(get_problem("ex3-log"), SolverConfig(n=4))
-    with pytest.raises(ValueError, match="two-dimensional"):
-        solve_2d(get_problem("ex1-log"), SolverConfig(n=4))
 
 
 def test_newton_driver_records_step_scales():
