@@ -171,9 +171,9 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> tuple:
 
     Hits are tested both in t and against the stored original nodes, so a
     point equal to a node is recognized even where the logit transform of it
-    rounds away from the stored logit.  Returns (c, rows, cols): the terms,
-    with the hit entries left finite, and (point, node) index pairs of the
-    hits, the x-hits last.
+    rounds away from the stored logit.  Returns (c, d, rows, cols): the
+    terms and the differences t - t_j, with the hit entries left finite,
+    and (point, node) index pairs of the hits, the x-hits last.
     """
     pts = np.atleast_1d(np.asarray(x, dtype=float))
     t = _transform_points(basis, pts)
@@ -184,7 +184,7 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> tuple:
     if basis.nodes_x is not None:
         x_rows, x_cols = _node_hits(basis.nodes_x, pts)
         rows, cols = np.concatenate([t_rows, x_rows]), np.concatenate([t_cols, x_cols])
-    return basis.weights[None, :] / d, rows, cols
+    return basis.weights[None, :] / d, d, rows, cols
 
 
 def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:
@@ -194,7 +194,7 @@ def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:
     evaluation at a node returns the unit row (and interpolants return the
     stored value) exactly.
     """
-    c, rows, cols = _cauchy_terms(basis, x)
+    c, _, rows, cols = _cauchy_terms(basis, x)
     out = c / np.sum(c, axis=1)[:, None]
     out[rows] = 0.0
     out[rows, cols] = 1.0
@@ -216,7 +216,7 @@ class Interpolant1D:
         A point equal to a node returns the stored value exactly.
         """
         values = np.asarray(self.values, dtype=float)
-        c, rows, cols = _cauchy_terms(self.basis, x)
+        c, _, rows, cols = _cauchy_terms(self.basis, x)
         out = (c @ values) / np.sum(c, axis=1)
         out[rows] = values[cols]
         return float(out[0]) if np.ndim(x) == 0 else out
@@ -226,14 +226,13 @@ class Interpolant1D:
 
         Differentiates the barycentric form in t, then applies the chain
         rule dt/dx = 1/(x(1-x)) on the unit domain.  Evaluation points must
-        avoid the interpolation nodes.
+        avoid the interpolation nodes; a point that equals a node in t or in
+        x raises ValueError.
         """
-        pts = np.atleast_1d(np.asarray(x, dtype=float))
-        t = _transform_points(self.basis, pts)
-        d = t[:, None] - self.basis.nodes_t[None, :]
-        if np.any(d == 0.0):
+        c, d, rows, _ = _cauchy_terms(self.basis, x)
+        if rows.size:
             raise ValueError("derivative evaluation at an interpolation node")
-        c = self.basis.weights[None, :] / d
+        pts = np.atleast_1d(np.asarray(x, dtype=float))
         denom = np.sum(c, axis=1)
         p = (c @ self.values) / denom
         dp = np.sum(c / d * (p[:, None] - self.values[None, :]), axis=1) / denom

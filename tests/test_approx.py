@@ -259,6 +259,17 @@ def test_derivative_evaluation_at_node_is_rejected():
         interp.eval_deriv(interp.basis.nodes_x[4])
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+@pytest.mark.parametrize("degree", [12, 47])
+def test_derivative_rejects_every_node(alpha, degree):
+    # at many nodes logit(x_j) rounds away from the stored t_j (7 of 13 at
+    # alpha 0.8, degree 12), so the test in t alone misses them
+    interp = mhf_interpolant(alpha, degree, lambda x: x)
+    for xj in interp.basis.nodes_x:
+        with pytest.raises(ValueError, match="node"):
+            interp.eval_deriv(xj)
+
+
 def test_derivative_matches_finite_difference():
     interp = mhf_interpolant(1.0, 24, lambda x: x * x)
     for x in (0.31, 0.5 + 1e-4, 0.82):

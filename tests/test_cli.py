@@ -7,6 +7,7 @@ import pytest
 
 from mhfie.cli import ConvergenceReport, main, run_convergence
 from mhfie.mhf import MhfBasis, mhf_gauss_rule
+from mhfie.solver import SolverError
 
 
 def read_csv(path):
@@ -197,8 +198,15 @@ def test_config_file_errors(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_solver_failure_exit_code(capsys):
-    # an unreachable tolerance must surface as exit 1, not a traceback
+def _failing_solve(problem, config):
+    raise SolverError(f"injected failure at n={config.n}")
+
+
+def test_solver_failure_exit_code(capsys, monkeypatch):
+    # a solver failure must surface as exit 1, not a traceback; the failure
+    # is injected, since an unreachable tolerance stops being unreachable
+    # whenever roundoff leaves an exactly zero residual
+    monkeypatch.setattr("mhfie.cli.solve", _failing_solve)
     rc = main(
         ["solve", "--problem", "ex2-sqrt", "--n", "8", "--newton-tol", "1e-30"]
     )
@@ -206,7 +214,8 @@ def test_solver_failure_exit_code(capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_converge_marks_failed_rows(tmp_path, capsys):
+def test_converge_marks_failed_rows(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mhfie.cli.solve", _failing_solve)
     out = tmp_path / "failed.csv"
     rc = main(
         ["converge", "--problem", "ex2-sqrt", "--n-list", "4,8",

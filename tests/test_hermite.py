@@ -152,11 +152,23 @@ def test_rule_moment_exactness():
 
 
 def test_rule_matches_numpy_hermgauss():
-    for degree in (5, 31, 64):
+    # every degree up to 70 covers both node-count parities of the
+    # half-size eigenproblem
+    for degree in range(71):
         rule = hermite_gauss_rule(degree)
         ref_nodes, ref_weights = np.polynomial.hermite.hermgauss(degree + 1)
         np.testing.assert_allclose(rule.nodes, ref_nodes, atol=5e-14)
         np.testing.assert_allclose(rule.weights, ref_weights, rtol=5e-12, atol=1e-300)
+
+
+def test_rule_nodes_ascend_with_exact_middle_node():
+    for degree in range(41):
+        rule = hermite_gauss_rule(degree)
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        np.testing.assert_array_equal(rule.weights, np.exp(rule.log_weights))
+        if degree % 2 == 0:
+            middle = rule.nodes[degree // 2]
+            assert middle == 0.0 and not np.signbit(middle)
 
 
 def test_log_weights_consistent_with_weights():
@@ -192,6 +204,18 @@ def test_rule_holds_up_to_max_degree(degree):
     assert rule.nodes[0] == pytest.approx(z0, rel=1e-15)
     # an absolute error of 2e-12 in log w_0 is a relative 2e-12 in w_0
     assert rule.log_weights[0] == pytest.approx(log_w0, abs=2e-12)
+
+
+@pytest.mark.parametrize("degree", [200, 765, 1000, MAX_RULE_DEGREE])
+def test_rule_nodes_are_roots_to_roundoff(degree):
+    # the Newton step h_{N+1} / (sqrt(2(N+1)) h_N), taken from the plain
+    # orthonormal table, must be at roundoff level: without the polish the
+    # eigenvalues alone leave steps of 2.5e-14 (degree 200) to 1.6e-13
+    rule = hermite_gauss_rule(degree)
+    z = rule.nodes[np.abs(rule.nodes) < 20.0]
+    table = hermite_orthonormal_table(degree + 1, z)
+    step = table[degree + 1] / (math.sqrt(2.0 * (degree + 1)) * table[degree])
+    assert np.max(np.abs(step)) < 1e-14
 
 
 def test_rule_rejects_out_of_range_degree():
