@@ -11,6 +11,7 @@ P^log_N = span{1, t, ..., t^N} exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 DUPLICATE_GAP = 1e-14
+# Degree-2N+16 rules kept for error_norms: one per size and map scale of a
+# convergence ladder, with room to spare.  A degree-2000 rule holds ~0.1 MB.
+_RULE_MEMO_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -352,9 +356,17 @@ def _infer_degree(approx) -> Optional[int]:
     return None
 
 
+@functools.lru_cache(maxsize=_RULE_MEMO_SIZE)
+def _norm_rule(alpha: float, degree: int) -> MhfRule:
+    """Memoized mapped rule; a miss reaches the builder through this module's
+    attribute mhf_gauss_rule.  Its arrays are read-only."""
+    return mhf_gauss_rule(MhfBasis(alpha=alpha, degree=degree))
+
+
 def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None) -> ErrorNorms:
     """Sup-norm error on the fixed grid and weighted L2 error by oversampled
-    quadrature (rule degree 2N+16).
+    quadrature (rule degree 2N+16, taken from a bounded memo of
+    _RULE_MEMO_SIZE rules keyed by (alpha, degree)).
 
     alpha is a scalar in one dimension, a pair in two; degree defaults to
     the approximant's own degree when it exposes one.
@@ -368,7 +380,7 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         grid = eval_grid_1d()
         diff_on = lambda x: np.asarray(ev(x), dtype=float) - np.asarray(exact(x), dtype=float)
         err_inf = float(np.max(np.abs(diff_on(grid))))
-        rule = mhf_gauss_rule(MhfBasis(alpha=float(alpha), degree=2 * degree + 16))
+        rule = _norm_rule(float(alpha), 2 * degree + 16)
         err_l2 = math.sqrt(max(0.0, mhf_quadrature(rule, lambda x: diff_on(x) ** 2)))
         return ErrorNorms(err_inf=err_inf, err_l2chi=err_l2)
     if dim == 2:
@@ -377,8 +389,7 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         grid_vals = approx.eval_grid(axis, axis)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         err_inf = float(np.max(np.abs(grid_vals - np.asarray(exact(gx, gy), dtype=float))))
-        rules = {a: mhf_gauss_rule(MhfBasis(alpha=a, degree=2 * degree + 16)) for a in {a1, a2}}
-        rule_x, rule_y = rules[a1], rules[a2]
+        rule_x, rule_y = (_norm_rule(a, 2 * degree + 16) for a in (a1, a2))
         qx, qy = np.meshgrid(rule_x.nodes, rule_y.nodes, indexing="ij")
         diff = approx.eval_grid(rule_x.nodes, rule_y.nodes) - np.asarray(
             exact(qx, qy), dtype=float

@@ -386,7 +386,7 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
         if y is not None:
             raise ValueError("one-dimensional problems take a single coordinate")
         x = float(x)
-        key = ("g1", x)
+        key = ("g1", x, tol)
         if key not in spec._cache:
             psi = spec.nonlinearity.psi
             integral = _kernel_action_1d(
@@ -410,10 +410,10 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
     ky = _axis_kernel(spec.kernel, 1)
     total = 0.0
     for r, (fa, fb) in enumerate(spec.psi_u_separable):
-        key_a = ("kx", r, x)
+        key_a = ("kx", r, x, tol)
         if key_a not in spec._cache:
             spec._cache[key_a] = _kernel_action_1d(kx, fa, x, tol=tol)
-        key_b = ("ky", r, y)
+        key_b = ("ky", r, y, tol)
         if key_b not in spec._cache:
             spec._cache[key_b] = _kernel_action_1d(ky, fb, y, tol=tol)
         total += spec._cache[key_a] * spec._cache[key_b]

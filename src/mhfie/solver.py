@@ -19,6 +19,14 @@ GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
 (Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
 dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.
 
+The collocation and quadrature rules, the quadrature coefficients and the
+damped cardinal matrix E of one axis depend only on (alpha, n, ni, method),
+never on the problem.  They are built once into a read-only axis plan and
+kept in a bounded least-recently-used memo (_PLAN_MEMO_SIZE plans), from
+which solve, assemble_nystrom and both axes of a 2D solve take them.
+verify_residual never reads the memo: it builds its plans anew, so its
+certificate stays independent of the arrays the solve used.
+
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
 _synthesize_forcing), so the reported errors isolate the approximation
@@ -28,6 +36,7 @@ callable are evaluated with that forcing at the collocation nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -79,6 +88,9 @@ GMRES_RTOL = 1e-10
 GMRES_ATOL_FACTOR = 0.1
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 4
+# Axis plans kept by the memo: a convergence ladder of 8 sizes on both routes.
+# A plan at MAX_N_1D holds about 1.3 MB (mostly E), so the memo at most ~21 MB.
+_PLAN_MEMO_SIZE = 16
 
 
 class AssemblyError(RuntimeError):
@@ -230,7 +242,7 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
     return theta
 
 
-def _interp_matrix(config: SolverConfig, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
+def _interp_matrix(method: str, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
     """Dense matrix of damped cardinal functions at the quadrature nodes.
 
     The mhf route works in the logit variable with damping scale alpha, the
@@ -238,9 +250,35 @@ def _interp_matrix(config: SolverConfig, rule_c: MhfRule, rule_q: MhfRule) -> np
     only by that affine change of variable, which the product form and the
     Gaussian factor both cancel, so the routes build identical matrices.
     """
-    if config.method == METHOD_MHF:
+    if method == METHOD_MHF:
         return _damped_rows(rule_c.logits, rule_q.logits, rule_c.basis.alpha)
     return _damped_rows(rule_c.hermite.nodes, rule_q.hermite.nodes, 1.0)
+
+
+class _AxisPlan(NamedTuple):
+    """Problem-independent parts of one axis; every array is read-only."""
+
+    rule_c: MhfRule
+    rule_q: MhfRule
+    coeffs: np.ndarray  # chi_k / chi(s_k) at the quadrature nodes
+    e: np.ndarray  # damped cardinals of rule_c at the nodes of rule_q
+    basis: LagrangeBasis
+
+
+def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
+    """Build the rules, quadrature coefficients and E of one axis anew."""
+    rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
+    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=ni))
+    coeffs = _quad_coeffs(rule_q, method)
+    e = _interp_matrix(method, rule_c, rule_q)
+    for arr in (coeffs, e):
+        arr.setflags(write=False)
+    return _AxisPlan(rule_c, rule_q, coeffs, e, LagrangeBasis.from_mhf_rule(rule_c))
+
+
+# The memoized plans.  A miss calls _build_axis_plan, which reaches the rule
+# builder through this module's attribute mhf_gauss_rule at call time.
+_axis_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_build_axis_plan)
 
 
 @dataclass
@@ -300,14 +338,13 @@ def _exact_nodes_1d(problem: ProblemSpec, rule: MhfRule) -> np.ndarray:
     return np.asarray(problem.exact_solution(rule.nodes), dtype=float)
 
 
-def _build_1d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
+def _build_1d(problem: ProblemSpec, config: SolverConfig,
+              plan_for: Callable) -> _Discretization:
     config.check_dimension(1)
-    alpha = config.alpha
-    rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=config.n))
-    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=config.ni_value))
-    theta = _theta_matrix(problem, rule_q, rule_c)
-    w = (theta * _quad_coeffs(rule_q, config.method)[None, :],)
-    e = (_interp_matrix(config, rule_c, rule_q),)
+    plan = plan_for(config.alpha, config.n, config.ni_value, config.method)
+    rule_c, rule_q = plan.rule_c, plan.rule_q
+    w = (_theta_matrix(problem, rule_q, rule_c) * plan.coeffs[None, :],)
+    e = (plan.e,)
     quad_coords = (rule_q.nodes,)
     if problem.exact_solution is not None:
         g = _synthesize_forcing(
@@ -315,10 +352,9 @@ def _build_1d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
         )
     else:
         g = forcing_values(problem, rule_c.nodes, complements=rule_c.nodes_complement)
-    basis = LagrangeBasis.from_mhf_rule(rule_c)
 
     def interp(values: np.ndarray) -> Interpolant1D:
-        return Interpolant1D(basis=basis, values=values)
+        return Interpolant1D(basis=plan.basis, values=values)
 
     return _Discretization(
         dimension=1,
@@ -333,7 +369,8 @@ def _build_1d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
     )
 
 
-def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
+def _build_2d(problem: ProblemSpec, config: SolverConfig,
+              plan_for: Callable) -> _Discretization:
     config.check_dimension(2)
     if problem.kernel.smooth_factor is not None:
         raise AssemblyError(
@@ -342,22 +379,17 @@ def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
         )
     a1 = config.alpha
     a2 = config.alpha2 if config.alpha2 is not None else config.alpha
-    # rules and cardinal matrices per distinct map scale: both axes share
-    # them by default; the kernel factors differ when the exponents do
-    axes = {}
-    for a in {a1, a2}:
-        rule_c = mhf_gauss_rule(MhfBasis(alpha=a, degree=config.n))
-        rule_q = mhf_gauss_rule(MhfBasis(alpha=a, degree=config.ni_value))
-        axes[a] = (rule_c, rule_q, _interp_matrix(config, rule_c, rule_q))
-    (rule_cx, rule_qx, ex), (rule_cy, rule_qy, ey) = axes[a1], axes[a2]
+    # one plan per distinct map scale: both axes share it by default; the
+    # kernel factors differ when the exponents do
+    plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in {a1, a2}}
+    px, py = plans[a1], plans[a2]
+    rule_cx, rule_qx, rule_cy, rule_qy = px.rule_c, px.rule_q, py.rule_c, py.rule_q
 
     w = (
-        _theta_matrix(problem, rule_qx, rule_cx, axis=0)
-        * _quad_coeffs(rule_qx, config.method)[None, :],
-        _theta_matrix(problem, rule_qy, rule_cy, axis=1)
-        * _quad_coeffs(rule_qy, config.method)[None, :],
+        _theta_matrix(problem, rule_qx, rule_cx, axis=0) * px.coeffs[None, :],
+        _theta_matrix(problem, rule_qy, rule_cy, axis=1) * py.coeffs[None, :],
     )
-    e = (ex, ey)
+    e = (px.e, py.e)
     quad_coords = (rule_qx.nodes[:, None], rule_qy.nodes[None, :])
     if problem.exact_solution is not None:
         if problem.exact_solution_c is not None:
@@ -384,8 +416,7 @@ def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
             x_complements=rule_cx.nodes_complement,
             y_complements=rule_cy.nodes_complement,
         ).ravel()
-    basis_x = LagrangeBasis.from_mhf_rule(rule_cx)
-    basis_y = LagrangeBasis.from_mhf_rule(rule_cy)
+    basis_x, basis_y = px.basis, py.basis
     nx = config.n + 1
 
     def interp(values: np.ndarray) -> Interpolant2D:
@@ -404,10 +435,13 @@ def _build_2d(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
     )
 
 
-def _build(problem: ProblemSpec, config: SolverConfig) -> _Discretization:
+def _build(problem: ProblemSpec, config: SolverConfig,
+           fresh: bool = False) -> _Discretization:
+    """The discrete system, its axis plans from the memo or, if fresh, built anew."""
+    plan_for = _build_axis_plan if fresh else _axis_plan
     if problem.dimension == 1:
-        return _build_1d(problem, config)
-    return _build_2d(problem, config)
+        return _build_1d(problem, config, plan_for)
+    return _build_2d(problem, config, plan_for)
 
 
 def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatrix:
@@ -725,10 +759,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
 def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> float:
     """Max-norm residual of node values against a freshly built operator.
 
-    Accepts a Solution or a bare node-value array; nothing is reused from
-    the solve, so this is the independent certificate check.
+    Accepts a Solution or a bare node-value array.  The rules, quadrature
+    coefficients and damped cardinal matrix are rebuilt here and never read
+    from the axis-plan memo the solves share, so nothing is reused from the
+    solve and this is the independent certificate check.
     """
-    disc = _build(problem, config)
+    disc = _build(problem, config, fresh=True)
     values = solution.node_values if isinstance(solution, Solution) else solution
     u = np.asarray(values, dtype=float).ravel()
     return float(np.max(np.abs(_residual_fn(disc, problem)(u))))

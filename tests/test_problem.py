@@ -206,7 +206,15 @@ def test_manufactured_forcing_caches_per_point():
     spec = constant_solution_problem("log")
     first = manufactured_forcing(spec, 0.4)
     assert manufactured_forcing(spec, 0.4) == first
-    assert ("g1", 0.4) in spec._cache
+    assert ("g1", 0.4, 1e-12) in spec._cache
+
+
+def test_manufactured_forcing_cache_is_per_tolerance():
+    spec = get_problem("ex1-log")
+    loose = manufactured_forcing(spec, 0.3, tol=1e-3)
+    tight = manufactured_forcing(spec, 0.3, tol=1e-12)
+    assert tight == manufactured_forcing(get_problem("ex1-log"), 0.3, tol=1e-12)
+    assert manufactured_forcing(spec, 0.3, tol=1e-3) == loose
 
 
 def test_second_kind_example_forcing_identity():

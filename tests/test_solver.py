@@ -2,12 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import mhfie.approx
 import mhfie.solver
 from mhfie.approx import error_norms
 from mhfie.problem import (
@@ -281,6 +283,89 @@ def test_verify_residual_is_independent_and_sharp():
     assert r_sol == r_arr
     assert r_sol <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol.node_values + 1e-3) > 1e-4
+
+
+def _read_only_arrays(obj) -> list:
+    """Every array a plan or rule holds, through nested tuples and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, tuple):
+        fields = obj
+    elif hasattr(obj, "__dataclass_fields__"):
+        fields = [getattr(obj, name) for name in obj.__dataclass_fields__]
+    else:
+        return []
+    return [arr for f in fields for arr in _read_only_arrays(f)]
+
+
+def _solve_and_norms(prob, cfg):
+    sol = solve(prob, cfg)
+    alpha = cfg.alpha if prob.dimension == 1 else (cfg.alpha, cfg.alpha)
+    norms = error_norms(sol.interpolant, prob.exact_solution, alpha,
+                        dim=prob.dimension, degree=cfg.n)
+    return sol, norms
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+@pytest.mark.parametrize("name, n", [("ex1-log", 24), ("ex2-sqrt", 24), ("ex3-alg", 8)])
+def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeypatch):
+    prob = get_problem(name)
+    cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
+    mhfie.solver._axis_plan.cache_clear()
+    mhfie.approx._norm_rule.cache_clear()
+    cold, cold_norms = _solve_and_norms(prob, cfg)
+
+    def no_rebuild(basis):
+        raise AssertionError(f"rule rebuilt at degree {basis.degree}")
+
+    monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_rebuild)
+    monkeypatch.setattr(mhfie.approx, "mhf_gauss_rule", no_rebuild)
+    warm, warm_norms = _solve_and_norms(prob, cfg)
+    assert np.array_equal(warm.node_values, cold.node_values)
+    assert warm.final_residual == cold.final_residual
+    assert warm_norms == cold_norms
+    plan = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, method)
+    rule = mhfie.approx._norm_rule(cfg.alpha, 2 * cfg.n + 16)
+    arrays = _read_only_arrays(plan) + _read_only_arrays(rule)
+    assert len(arrays) >= 20
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+def test_memos_hold_at_most_their_bounds():
+    prob = get_problem("ex1-log")
+    plans, rules = mhfie.solver._axis_plan, mhfie.approx._norm_rule
+    plans.cache_clear()
+    rules.cache_clear()
+    for n in range(2, 2 + mhfie.solver._PLAN_MEMO_SIZE + 4):
+        solve(prob, SolverConfig(n=n, alpha=prob.default_alpha))
+        assert plans.cache_info().currsize <= mhfie.solver._PLAN_MEMO_SIZE
+    assert plans.cache_info().currsize == mhfie.solver._PLAN_MEMO_SIZE
+    sol = solve(prob, SolverConfig(n=4, alpha=prob.default_alpha))
+    for degree in range(mhfie.approx._RULE_MEMO_SIZE + 4):
+        error_norms(sol.interpolant, prob.exact_solution, 0.5, degree=degree)
+        assert rules.cache_info().currsize <= mhfie.approx._RULE_MEMO_SIZE
+    assert rules.cache_info().currsize == mhfie.approx._RULE_MEMO_SIZE
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_residual_reads_no_memo(dim, monkeypatch):
+    # a memo that hands out a perturbed E makes solve solve another system;
+    # the certificate, built afresh, must see the difference.  The forcing is
+    # given, not synthesized, so it does not follow the perturbation.
+    def poisoned(*key):
+        plan = mhfie.solver._build_axis_plan(*key)
+        return plan._replace(e=plan.e * (1.0 + 1e-6))
+
+    monkeypatch.setattr(mhfie.solver, "_axis_plan", poisoned)
+    if dim == 1:
+        prob = replace(get_problem("ex2-sqrt"), exact_solution=None,
+                       exact_solution_c=None)
+    else:
+        prob = _identity_2d()
+    cfg = SolverConfig(n=16 if dim == 1 else 8, alpha=0.5)
+    sol = solve(prob, cfg)
+    assert sol.final_residual <= cfg.newton_tol
+    assert verify_residual(prob, cfg, sol) > cfg.newton_tol
 
 
 def test_entry_point_type_checks():
