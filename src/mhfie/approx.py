@@ -45,8 +45,9 @@ __all__ = [
 ]
 
 DUPLICATE_GAP = 1e-14
-# Degree-2N+16 rules kept for error_norms: one per size and map scale of a
-# convergence ladder, with room to spare.  A degree-2000 rule holds ~0.1 MB.
+# Degree-2N+16 rules kept for error_norms.  The bound caps memory: a
+# degree-2000 rule holds ~0.1 MB.  Only a process that repeats an
+# (alpha, degree) key gains from it.
 _RULE_MEMO_SIZE = 32
 
 

@@ -23,7 +23,9 @@ The collocation and quadrature rules, the quadrature coefficients and the
 damped cardinal matrix E of one axis depend only on (alpha, n, ni, method),
 never on the problem.  They are built once into a read-only axis plan and
 kept in a bounded least-recently-used memo (_PLAN_MEMO_SIZE plans), from
-which solve, assemble_nystrom and both axes of a 2D solve take them.
+which solve, assemble_nystrom and both axes of a 2D solve take them.  Only
+a process that repeats a key gains, such as a study of several problems or
+forcings at one discretization; a convergence ladder solves each key once.
 verify_residual never reads the memo: it builds its plans anew, so its
 certificate stays independent of the arrays the solve used.
 
@@ -88,8 +90,10 @@ GMRES_RTOL = 1e-10
 GMRES_ATOL_FACTOR = 0.1
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 4
-# Axis plans kept by the memo: a convergence ladder of 8 sizes on both routes.
-# A plan at MAX_N_1D holds about 1.3 MB (mostly E), so the memo at most ~21 MB.
+# Axis plans kept by the memo.  The bound caps memory: a plan at MAX_N_1D
+# holds about 1.3 MB (mostly E), so the memo holds at most ~21 MB.  Only a
+# process that repeats an (alpha, n, ni, method) key gains from it, and only
+# while fewer than this many other keys come between the repeats.
 _PLAN_MEMO_SIZE = 16
 
 
@@ -436,9 +440,7 @@ def _build_2d(problem: ProblemSpec, config: SolverConfig,
 
 
 def _build(problem: ProblemSpec, config: SolverConfig,
-           fresh: bool = False) -> _Discretization:
-    """The discrete system, its axis plans from the memo or, if fresh, built anew."""
-    plan_for = _build_axis_plan if fresh else _axis_plan
+           plan_for: Callable) -> _Discretization:
     if problem.dimension == 1:
         return _build_1d(problem, config, plan_for)
     return _build_2d(problem, config, plan_for)
@@ -450,7 +452,7 @@ def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatri
     In two dimensions the dense Kronecker product is formed here, on request;
     the solvers only ever apply its factors.
     """
-    disc = _build(problem, config)
+    disc = _build(problem, config, _axis_plan)
     return NystromMatrix(
         weights=disc.w[0] if disc.dimension == 1 else np.kron(*disc.w),
         colloc_points=disc.colloc_points,
@@ -716,7 +718,7 @@ def solve_linear(problem: ProblemSpec, config: SolverConfig) -> Solution:
     """
     if not problem.nonlinearity.is_identity:
         raise ValueError("solve_linear requires the identity nonlinearity")
-    disc = _build(problem, config)
+    disc = _build(problem, config, _axis_plan)
     if disc.dimension == 2:
         return _solve_newton(problem, config, disc)
     (w,), (e,) = disc.w, disc.e
@@ -741,7 +743,7 @@ def solve_linear(problem: ProblemSpec, config: SolverConfig) -> Solution:
 
 def solve_nonlinear(problem: ProblemSpec, config: SolverConfig) -> Solution:
     """Damped Newton solve from the initial guess g / lam."""
-    return _solve_newton(problem, config, _build(problem, config))
+    return _solve_newton(problem, config, _build(problem, config, _axis_plan))
 
 
 def solve_smoothed(problem: ProblemSpec, config: SolverConfig) -> Solution:
@@ -764,7 +766,7 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
     from the axis-plan memo the solves share, so nothing is reused from the
     solve and this is the independent certificate check.
     """
-    disc = _build(problem, config, fresh=True)
+    disc = _build(problem, config, _build_axis_plan)
     values = solution.node_values if isinstance(solution, Solution) else solution
     u = np.asarray(values, dtype=float).ravel()
     return float(np.max(np.abs(_residual_fn(disc, problem)(u))))

@@ -441,7 +441,7 @@ def _dense_newton(problem, config, disc):
 def test_factored_two_dimensional_solve_matches_dense_newton(name, n, method):
     prob = _identity_2d() if name == "identity-2d" else get_problem(name)
     cfg = SolverConfig(n=n, alpha=0.5, method=method)
-    disc = mhfie.solver._build(prob, cfg)
+    disc = mhfie.solver._build(prob, cfg, mhfie.solver._axis_plan)
     ni = cfg.ni_value
     for value in vars(disc).values():
         for arr in value if isinstance(value, tuple) else (value,):
