@@ -33,7 +33,6 @@ from .approx import (
     LagrangeBasis,
     MhfSeries,
     error_norms,
-    lagrange_basis,
     project,
     tensor_interpolant,
 )
@@ -61,9 +60,6 @@ from .solver import (
     assemble_nystrom,
     newton_driver,
     solve,
-    solve_linear,
-    solve_nonlinear,
-    solve_smoothed,
     verify_residual,
 )
 
@@ -91,7 +87,6 @@ __all__ = [
     "LagrangeBasis",
     "MhfSeries",
     "error_norms",
-    "lagrange_basis",
     "project",
     "tensor_interpolant",
     "KernelSpec",
@@ -115,8 +110,5 @@ __all__ = [
     "assemble_nystrom",
     "newton_driver",
     "solve",
-    "solve_linear",
-    "solve_nonlinear",
-    "solve_smoothed",
     "verify_residual",
 ]

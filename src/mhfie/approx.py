@@ -1,12 +1,11 @@
 """Interpolation and projection in the mapped Hermite setting.
 
 Interpolation at mapped nodes is ordinary barycentric Lagrange
-interpolation in the transformed variable t = log(x/(1-x)) (or in z
-itself for rules living on the real line).  That one observation carries
-the whole module: the "generalized Lagrange functions" on (0,1) are plain
-Lagrange polynomials in t, so the usual barycentric machinery applies
-unchanged and interpolating at the mapped Gauss nodes reproduces
-P^log_N = span{1, t, ..., t^N} exactly.
+interpolation in the transformed variable t = log(x/(1-x)).  That one
+observation carries the whole module: the "generalized Lagrange
+functions" on (0,1) are plain Lagrange polynomials in t, so the usual
+barycentric machinery applies unchanged and interpolating at the mapped
+Gauss nodes reproduces P^log_N = span{1, t, ..., t^N} exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from .mhf import (
 
 __all__ = [
     "LagrangeBasis",
-    "lagrange_basis",
     "Interpolant1D",
     "Interpolant2D",
     "tensor_interpolant",
@@ -53,19 +51,17 @@ _RULE_MEMO_SIZE = 32
 
 @dataclass(frozen=True)
 class LagrangeBasis:
-    """Barycentric Lagrange basis in a transformed variable.
+    """Barycentric Lagrange basis in the logit t = log(x/(1-x)).
 
-    nodes_t are the (ascending) interpolation nodes in the transformed
-    variable; domain is "real" (points are used as-is) or "unit" (points
-    x in (0,1) are sent through t = log(x/(1-x)) first, with nodes_x the
-    original nodes).  weights carry a common scale factor only, which
-    cancels in the barycentric formula.
+    nodes_t are the ascending interpolation nodes in t and nodes_x the same
+    nodes in (0,1); points x are sent through the logit before evaluation.
+    weights carry a common scale factor only, which cancels in the
+    barycentric formula.
     """
 
     nodes_t: np.ndarray
     weights: np.ndarray
-    domain: str = "real"
-    nodes_x: Optional[np.ndarray] = None
+    nodes_x: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -76,7 +72,6 @@ class LagrangeBasis:
         return cls(
             nodes_t=rule.logits,
             weights=_bary_weights(rule.logits),
-            domain="unit",
             nodes_x=rule.nodes,
         )
 
@@ -158,19 +153,6 @@ def _damped_rows(nodes: np.ndarray, points: np.ndarray, scale: float) -> np.ndar
     return out
 
 
-def lagrange_basis(nodes_transformed) -> LagrangeBasis:
-    """Barycentric basis on ascending real nodes (transformed variable)."""
-    t = np.asarray(nodes_transformed, dtype=float)
-    return LagrangeBasis(nodes_t=t, weights=_bary_weights(t))
-
-
-def _transform_points(basis: LagrangeBasis, x: np.ndarray) -> np.ndarray:
-    if basis.domain == "unit":
-        x = _check_unit_interval(x)
-        return np.log(x) - np.log1p(-x)
-    return np.asarray(x, dtype=float)
-
-
 def _cauchy_terms(basis: LagrangeBasis, x) -> tuple:
     """Terms w_j / (t - t_j) at the points x, and the points that hit a node.
 
@@ -180,15 +162,13 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> tuple:
     terms and the differences t - t_j, with the hit entries left finite,
     and (point, node) index pairs of the hits, the x-hits last.
     """
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    t = _transform_points(basis, pts)
+    pts = _check_unit_interval(np.atleast_1d(np.asarray(x, dtype=float)))
+    t = np.log(pts) - np.log1p(-pts)
     d = t[:, None] - basis.nodes_t[None, :]
     t_rows, t_cols = _node_hits(basis.nodes_t, t)
     d[t_rows, t_cols] = 1.0
-    rows, cols = t_rows, t_cols
-    if basis.nodes_x is not None:
-        x_rows, x_cols = _node_hits(basis.nodes_x, pts)
-        rows, cols = np.concatenate([t_rows, x_rows]), np.concatenate([t_cols, x_cols])
+    x_rows, x_cols = _node_hits(basis.nodes_x, pts)
+    rows, cols = np.concatenate([t_rows, x_rows]), np.concatenate([t_cols, x_cols])
     return basis.weights[None, :] / d, d, rows, cols
 
 
@@ -230,9 +210,9 @@ class Interpolant1D:
         """Derivative with respect to the original variable x.
 
         Differentiates the barycentric form in t, then applies the chain
-        rule dt/dx = 1/(x(1-x)) on the unit domain.  Evaluation points must
-        avoid the interpolation nodes; a point that equals a node in t or in
-        x raises ValueError.
+        rule dt/dx = 1/(x(1-x)).  Evaluation points must avoid the
+        interpolation nodes; a point that equals a node in t or in x raises
+        ValueError.
         """
         c, d, rows, _ = _cauchy_terms(self.basis, x)
         if rows.size:
@@ -241,8 +221,7 @@ class Interpolant1D:
         denom = np.sum(c, axis=1)
         p = (c @ self.values) / denom
         dp = np.sum(c / d * (p[:, None] - self.values[None, :]), axis=1) / denom
-        if self.basis.domain == "unit":
-            dp = dp / (pts * (1.0 - pts))
+        dp = dp / (pts * (1.0 - pts))
         return float(dp[0]) if np.ndim(x) == 0 else dp
 
 
@@ -251,6 +230,10 @@ class Interpolant2D:
     basis_x: LagrangeBasis
     basis_y: LagrangeBasis
     values: np.ndarray  # shape (nx, ny)
+
+    @property
+    def degree(self) -> int:
+        return max(self.basis_x.degree, self.basis_y.degree)
 
     def eval_grid(self, x, y) -> np.ndarray:
         """Values on the tensor grid of the two point sets, shape (len(x), len(y))."""

@@ -254,7 +254,6 @@ def _solution_errors(problem, config, solution):
             problem.exact_solution,
             (config.alpha, a2),
             dim=2,
-            degree=config.n,
         )
         gx, gy = np.meshgrid(solution.nodes_x, solution.nodes_y, indexing="ij")
         colloc = float(

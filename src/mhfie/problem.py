@@ -214,7 +214,6 @@ class Nonlinearity:
     psi: Callable
     dpsi_du: Callable
     dimension: int = 1
-    is_identity: bool = False
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -238,13 +237,11 @@ class Nonlinearity:
                 psi=lambda s, u: u,
                 dpsi_du=lambda s, u: np.ones_like(np.asarray(u, dtype=float)),
                 dimension=1,
-                is_identity=True,
             )
         return cls(
             psi=lambda s, t, u: u,
             dpsi_du=lambda s, t, u: np.ones_like(np.asarray(u, dtype=float)),
             dimension=2,
-            is_identity=True,
         )
 
     @classmethod

@@ -9,11 +9,12 @@ times the logistic Jacobian.  The two discrete systems coincide under the
 change of variables, so their node values must agree to solver tolerance -
 a property the test suite leans on heavily.
 
-Nonlinear systems go through a damped Newton iteration with the exact
-Jacobian lam*I - W diag(dpsi/du) E and initial guess g/lam.  In one
-dimension W and E are dense and each step is a dense LU solve.  In two
-dimensions the kernel and the grids are tensor products, so only the
-per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
+Every system, linear or not, goes through one damped Newton iteration
+with the exact Jacobian lam*I - W diag(dpsi/du) E and initial guess g/lam;
+a linear equation (psi(u) = u, the Fredholm case) is solved by its first,
+full step.  In one dimension W and E are dense and each step is a dense LU
+solve.  In two dimensions the kernel and the grids are tensor products, so
+only the per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
 Wx Psi Wy^T and Ex U Ey^T in O(N^3), and each Newton step is solved by
 GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
 (Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
@@ -41,7 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -70,9 +71,6 @@ __all__ = [
     "assemble_nystrom",
     "newton_driver",
     "solve",
-    "solve_linear",
-    "solve_nonlinear",
-    "solve_smoothed",
     "verify_residual",
 ]
 
@@ -129,7 +127,6 @@ class SolverConfig:
     method: str = METHOD_MHF
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
-    damping: str = "halving"
 
     def __post_init__(self):
         if self.n < 0:
@@ -148,8 +145,6 @@ class SolverConfig:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
-        if self.damping not in ("halving", "none"):
-            raise ValueError(f"unknown damping {self.damping!r}")
 
     @property
     def ni_value(self) -> int:
@@ -555,8 +550,25 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
 
 
 def _dense_step(jac, rhs: np.ndarray):
-    """Newton step from a dense Jacobian by LU; there are no Krylov iterations."""
-    return np.linalg.solve(np.atleast_2d(np.asarray(jac, dtype=float)), rhs), None
+    """Newton step from a dense Jacobian by LU; there are no Krylov iterations.
+
+    A zero or non-finite pivot raises SolverError with the reciprocal
+    condition estimate of LAPACK's dgecon, and so does a non-finite step.
+    """
+    a = np.atleast_2d(np.asarray(jac, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    if np.any(np.diag(lu) == 0.0) or not np.all(np.isfinite(lu)):
+        anorm = float(np.linalg.norm(a, 1))
+        rcond = float(scipy.linalg.lapack.dgecon(lu, anorm, norm="1")[0])
+        raise SolverError(
+            f"Jacobian is singular (reciprocal condition estimate {rcond:.2e})"
+        )
+    step = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    if not np.all(np.isfinite(step)):
+        raise SolverError("Newton step is not finite")
+    return step, None
 
 
 def _gmres_step(config: SolverConfig) -> Callable:
@@ -608,8 +620,7 @@ class NewtonResult(NamedTuple):
     krylov_iters: list
 
 
-def newton_driver(residual, jacobian, x0, tol: float = 1e-12,
-                  max_iter: int = 50, damping: str = "halving",
+def newton_driver(residual, jacobian, x0, tol: float = 1e-12, max_iter: int = 50,
                   solve_step: Callable = _dense_step) -> NewtonResult:
     """Damped Newton iteration on a residual map.
 
@@ -638,26 +649,21 @@ def newton_driver(residual, jacobian, x0, tol: float = 1e-12,
         if k is not None:
             krylov.append(k)
         scale = 1.0
-        if damping == "none":
-            x = x + step
-            f = np.atleast_1d(np.asarray(residual(x), dtype=float))
-            norm = float(np.max(np.abs(f)))
+        for _ in range(31):
+            trial = x + scale * step
+            f_trial = np.atleast_1d(np.asarray(residual(trial), dtype=float))
+            norm_trial = float(np.max(np.abs(f_trial)))
+            if norm_trial < norm:
+                break
+            scale *= 0.5
         else:
-            for _ in range(31):
-                trial = x + scale * step
-                f_trial = np.atleast_1d(np.asarray(residual(trial), dtype=float))
-                norm_trial = float(np.max(np.abs(f_trial)))
-                if norm_trial < norm:
-                    break
-                scale *= 0.5
-            else:
-                raise NonConvergenceError(
-                    f"Newton stalled at iteration {it}: residual {norm:.3e} cannot "
-                    f"decrease after 30 halvings",
-                    best=x,
-                    history=history,
-                )
-            x, f, norm = trial, f_trial, norm_trial
+            raise NonConvergenceError(
+                f"Newton stalled at iteration {it}: residual {norm:.3e} cannot "
+                f"decrease after 30 halvings",
+                best=x,
+                history=history,
+            )
+        x, f, norm = trial, f_trial, norm_trial
         history.append(norm)
         scales.append(scale)
     if norm <= tol:
@@ -670,16 +676,23 @@ def newton_driver(residual, jacobian, x0, tol: float = 1e-12,
     )
 
 
-def _finish(problem: ProblemSpec, config: SolverConfig, disc: _Discretization,
-            u: np.ndarray, iters: int = 0, history=(), step_scales=(),
-            krylov_iters=()) -> Solution:
-    residual = _residual_fn(disc, problem)
-    final = float(np.max(np.abs(residual(u))))
-    if final > config.newton_tol:
-        raise SolverError(
-            f"post-solve residual {final:.3e} exceeds tolerance {config.newton_tol:.1e}"
-        )
-    values = u.reshape(disc.shape)
+def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
+    """Damped Newton solve from g / lam: dense LU steps in 1D, GMRES in 2D.
+
+    config.method picks the discretization route; a linear problem takes
+    one full step.  final_residual is the last entry of residual_history,
+    which newton_driver leaves at or below newton_tol.
+    """
+    disc = _build(problem, config, _axis_plan)
+    result = newton_driver(
+        _residual_fn(disc, problem),
+        _jacobian_fn(disc, problem),
+        disc.g / disc.lam,
+        tol=config.newton_tol,
+        max_iter=config.newton_max_iter,
+        solve_step=_dense_step if disc.dimension == 1 else _gmres_step(config),
+    )
+    values = result.x.reshape(disc.shape)
     return Solution(
         problem_name=problem.name,
         config=config,
@@ -687,75 +700,12 @@ def _finish(problem: ProblemSpec, config: SolverConfig, disc: _Discretization,
         nodes_x=disc.colloc_points[0],
         nodes_y=disc.colloc_points[1] if disc.dimension == 2 else None,
         interpolant=disc.interp_from_values(values),
-        newton_iters=iters,
-        final_residual=final,
-        residual_history=tuple(history),
-        step_scales=tuple(step_scales),
-        krylov_iters=tuple(krylov_iters),
+        newton_iters=result.iters,
+        final_residual=result.history[-1],
+        residual_history=tuple(result.history),
+        step_scales=tuple(result.step_scales),
+        krylov_iters=tuple(result.krylov_iters),
     )
-
-
-def _solve_newton(problem: ProblemSpec, config: SolverConfig,
-                  disc: _Discretization) -> Solution:
-    """Damped Newton from g / lam: dense LU steps in 1D, GMRES steps in 2D."""
-    result = newton_driver(
-        _residual_fn(disc, problem),
-        _jacobian_fn(disc, problem),
-        disc.g / disc.lam,
-        tol=config.newton_tol,
-        max_iter=config.newton_max_iter,
-        damping=config.damping,
-        solve_step=_dense_step if disc.dimension == 1 else _gmres_step(config),
-    )
-    return _finish(problem, config, disc, *result)
-
-
-def solve_linear(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    """Solve (lam I - W E) u = g for identity nonlinearity.
-
-    1D: direct dense LU.  2D: the factored Newton route, whose preconditioner
-    is exact here (dpsi/du = 1), so GMRES converges in one iteration.
-    """
-    if not problem.nonlinearity.is_identity:
-        raise ValueError("solve_linear requires the identity nonlinearity")
-    disc = _build(problem, config, _axis_plan)
-    if disc.dimension == 2:
-        return _solve_newton(problem, config, disc)
-    (w,), (e,) = disc.w, disc.e
-    a = disc.lam * np.eye(w.shape[0]) - w @ e
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            lu, piv = scipy.linalg.lu_factor(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"linear system factorization failed: {exc}") from exc
-    if np.any(np.diag(lu) == 0.0) or not np.all(np.isfinite(lu)):
-        anorm = float(np.linalg.norm(a, 1))
-        rcond = float(scipy.linalg.lapack.dgecon(lu, anorm, norm="1")[0])
-        raise SolverError(
-            f"linear system is singular (reciprocal condition estimate {rcond:.2e})"
-        )
-    u = scipy.linalg.lu_solve((lu, piv), disc.g)
-    if not np.all(np.isfinite(u)):
-        raise SolverError("linear solve produced non-finite node values")
-    return _finish(problem, config, disc, u)
-
-
-def solve_nonlinear(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    """Damped Newton solve from the initial guess g / lam."""
-    return _solve_newton(problem, config, _build(problem, config, _axis_plan))
-
-
-def solve_smoothed(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    """Solve with the smoothing-transformation discretization."""
-    return solve(problem, replace(config, method=METHOD_SMOOTHED))
-
-
-def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    """Dispatch: direct solve for identity nonlinearity, Newton otherwise."""
-    if problem.nonlinearity.is_identity:
-        return solve_linear(problem, config)
-    return solve_nonlinear(problem, config)
 
 
 def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> float:

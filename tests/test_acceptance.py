@@ -6,6 +6,7 @@ both visible in the log and fails the suite.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,13 +22,7 @@ from mhfie.mhf import (
     mhf_quadrature,
 )
 from mhfie.problem import get_problem, manufactured_forcing, problem_names
-from mhfie.solver import (
-    SolverConfig,
-    solve,
-    solve_linear,
-    solve_smoothed,
-    verify_residual,
-)
+from mhfie.solver import SolverConfig, solve, verify_residual
 
 
 def _report(capsys, label: str, ok: bool, detail: str) -> None:
@@ -156,7 +151,7 @@ def test_discretizations_agree_on_node_values(capsys):
                 np.max(
                     np.abs(
                         solve(prob, cfg).node_values
-                        - solve_smoothed(prob, cfg).node_values
+                        - solve(prob, replace(cfg, method="smoothed")).node_values
                     )
                 )
             )
@@ -175,7 +170,7 @@ def test_second_kind_example_at_high_resolution(capsys):
     # direct solve at N=48: node values match sqrt(x) to 1e-8, and the
     # manufactured forcing collapses to sqrt(x) - pi/2 to 1e-10
     prob = get_problem("ex2-sqrt")
-    sol = solve_linear(prob, SolverConfig(n=48, ni=49, alpha=1.0))
+    sol = solve(prob, SolverConfig(n=48, ni=49, alpha=1.0))
     err = float(np.max(np.abs(sol.node_values - np.sqrt(sol.nodes_x))))
     fid = max(
         abs(manufactured_forcing(prob, x) - (math.sqrt(x) - math.pi / 2.0))

@@ -83,7 +83,7 @@ def test_solve_prints_summary(capsys):
     assert "problem=ex2-sqrt" in out
     assert "N=12 NI=13" in out
     assert "err_inf=" in out
-    assert "newton_iters=0" in out
+    assert "newton_iters=1" in out
 
 
 def test_solve_dump_writes_grid(tmp_path, capsys):

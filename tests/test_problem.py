@@ -142,9 +142,7 @@ def test_exact_smooth_integral_matches_reference_quadrature():
 def test_nonlinearity_derivative_probe():
     with pytest.raises(ValueError, match="finite differences"):
         Nonlinearity(psi=lambda s, u: u**2, dpsi_du=lambda s, u: 3.0 * u)
-    good = Nonlinearity(psi=lambda s, u: u**2, dpsi_du=lambda s, u: 2.0 * u)
-    assert not good.is_identity
-    assert Nonlinearity.identity(1).is_identity
+    Nonlinearity(psi=lambda s, u: u**2, dpsi_du=lambda s, u: 2.0 * u)
     assert Nonlinearity.square(2).dimension == 2
 
 

@@ -1,4 +1,4 @@
-"""Tests for the Nystrom assembly, Newton driver, and solve entry points."""
+"""Tests for the Nystrom assembly, Newton driver, and the solve path."""
 
 import json
 import math
@@ -28,20 +28,8 @@ from mhfie.solver import (
     assemble_nystrom,
     newton_driver,
     solve,
-    solve_linear,
-    solve_nonlinear,
-    solve_smoothed,
     verify_residual,
 )
-
-
-def identity_like_nonlinearity() -> Nonlinearity:
-    # same action as the identity but without the fast-path flag, so the
-    # solver is forced through the Newton route
-    return Nonlinearity(
-        psi=lambda s, u: u,
-        dpsi_du=lambda s, u: np.ones_like(np.asarray(u, dtype=float)),
-    )
 
 
 def test_config_validation():
@@ -59,8 +47,6 @@ def test_config_validation():
         SolverConfig(n=4, newton_tol=0.0)
     with pytest.raises(ValueError, match="newton_max_iter"):
         SolverConfig(n=4, newton_max_iter=0)
-    with pytest.raises(ValueError, match="damping"):
-        SolverConfig(n=4, damping="cubic")
     assert SolverConfig(n=4).ni_value == 5
     assert SolverConfig(n=4, ni=9).ni_value == 9
 
@@ -165,31 +151,36 @@ def test_newton_driver_reports_nonconvergence():
 
 
 def test_newton_route_matches_direct_linear_solve():
-    base = get_problem("ex1-log")
-    twin = ProblemSpec(
-        name="ex1-log-newton",
-        dimension=1,
-        lam=base.lam,
-        kernel=base.kernel,
-        nonlinearity=identity_like_nonlinearity(),
-        exact_solution=base.exact_solution,
-        exact_solution_c=base.exact_solution_c,
-    )
-    cfg = SolverConfig(n=12, alpha=0.5)
-    direct = solve_linear(base, cfg)
-    newton = solve_nonlinear(twin, cfg)
-    np.testing.assert_allclose(
-        newton.node_values, direct.node_values, atol=1e-12
-    )
-    assert newton.newton_iters == 1
-    assert direct.newton_iters == 0
+    # a linear equation is solved by one full Newton step, which agrees with
+    # a direct solve of (lam I - W E) u = g
+    for name in ("ex1-log", "ex1-alg", "ex2-sqrt"):
+        prob = get_problem(name)
+        for method in ("mhf", "smoothed"):
+            for n in (8, 32, 80):
+                cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
+                disc = mhfie.solver._build(prob, cfg, mhfie.solver._axis_plan)
+                (w,), (e,) = disc.w, disc.e
+                direct = np.linalg.solve(disc.lam * np.eye(n + 1) - w @ e, disc.g)
+                sol = solve(prob, cfg)
+                np.testing.assert_allclose(sol.node_values, direct, rtol=0.0, atol=1e-12)
+                assert sol.newton_iters == 1
+                assert sol.step_scales == (1.0,)
+                assert sol.final_residual == sol.residual_history[-1] <= cfg.newton_tol
+
+
+def test_dense_newton_step_failures_are_typed():
+    # a pivot that overflows the step, and an exactly singular Jacobian
+    with pytest.raises(SolverError, match="not finite"):
+        newton_driver(lambda u: u - 1.0, lambda u: np.array([[1e-320]]), np.zeros(1))
+    with pytest.raises(SolverError, match="reciprocal condition estimate"):
+        newton_driver(lambda u: u - 1.0, lambda u: np.array([[0.0]]), np.zeros(1))
 
 
 def test_solve_dispatch_and_method_agreement():
     prob = get_problem("ex1-alg")
     cfg = SolverConfig(n=12, alpha=0.7)
     a = solve(prob, cfg)
-    b = solve_smoothed(prob, cfg)
+    b = solve(prob, replace(cfg, method="smoothed"))
     assert a.config.method == "mhf"
     assert b.config.method == "smoothed"
     np.testing.assert_allclose(a.node_values, b.node_values, atol=1e-11)
@@ -204,6 +195,14 @@ def test_two_dimensional_solution_factors():
     assert sol.node_values.shape == (9, 9)
     assert sol.nodes_y is not None
     assert sol.newton_iters <= 12
+
+
+def test_two_dimensional_error_norms_infer_the_degree():
+    prob = get_problem("ex3-alg")
+    sol = solve(prob, SolverConfig(n=8, alpha=0.5))
+    assert sol.interpolant.degree == 8
+    given = error_norms(sol.interpolant, prob.exact_solution, (0.5, 0.5), dim=2, degree=8)
+    assert error_norms(sol.interpolant, prob.exact_solution, (0.5, 0.5), dim=2) == given
 
 
 def test_two_dimensional_weights_are_kronecker():
@@ -366,11 +365,6 @@ def test_verify_residual_reads_no_memo(dim, monkeypatch):
     sol = solve(prob, cfg)
     assert sol.final_residual <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol) > cfg.newton_tol
-
-
-def test_entry_point_type_checks():
-    with pytest.raises(ValueError, match="identity"):
-        solve_linear(get_problem("ex3-log"), SolverConfig(n=4))
 
 
 def test_newton_driver_records_step_scales():
