@@ -17,6 +17,7 @@ clustering survives in floating point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -31,9 +32,9 @@ __all__ = [
     "ProblemSpec",
     "kernel_eval",
     "exact_smooth_integral",
+    "exact_values",
     "manufactured_forcing",
-    "forcing_values",
-    "forcing_grid",
+    "forcing_on_grid",
     "estimate_solvability",
     "get_problem",
     "problem_names",
@@ -107,7 +108,7 @@ class KernelSpec:
     kind "custom" carries the kernel whole as fn(s, x, one_minus_s) - the
     complement argument lets endpoint-singular kernels such as
     (1-s)^(-1/2) be evaluated at full precision; custom kernels must not
-    be singular on the diagonal.
+    be singular on the diagonal and take no smooth_factor.
     """
 
     kind: str
@@ -135,6 +136,11 @@ class KernelSpec:
                 raise ValueError("custom kernels require fn")
             if self.dimension != 1:
                 raise ValueError("custom kernels are only supported in one dimension")
+            if self.smooth_factor is not None:
+                raise ValueError(
+                    "custom kernels carry the whole kernel in fn; a smooth_factor "
+                    "would be ignored"
+                )
 
 
 def _axis_singular(kernel: KernelSpec, axis: int):
@@ -221,7 +227,7 @@ class Nonlinearity:
         for u in _PROBE_U:
             h = 1e-6 * max(1.0, abs(u))
             for s in _PROBE_S:
-                coords = (s,) if self.dimension == 1 else (s, s)
+                coords = (s,) * self.dimension
                 fd = (self.psi(*coords, u + h) - self.psi(*coords, u - h)) / (2.0 * h)
                 d = self.dpsi_du(*coords, u)
                 if abs(fd - d) > 1e-5 * max(1.0, abs(d)):
@@ -232,25 +238,16 @@ class Nonlinearity:
 
     @classmethod
     def identity(cls, dimension: int = 1) -> "Nonlinearity":
-        if dimension == 1:
-            return cls(
-                psi=lambda s, u: u,
-                dpsi_du=lambda s, u: np.ones_like(np.asarray(u, dtype=float)),
-                dimension=1,
-            )
         return cls(
-            psi=lambda s, t, u: u,
-            dpsi_du=lambda s, t, u: np.ones_like(np.asarray(u, dtype=float)),
-            dimension=2,
+            psi=lambda *a: a[-1],
+            dpsi_du=lambda *a: np.ones_like(np.asarray(a[-1], dtype=float)),
+            dimension=dimension,
         )
 
     @classmethod
     def square(cls, dimension: int = 2) -> "Nonlinearity":
-        if dimension == 1:
-            return cls(psi=lambda s, u: u**2, dpsi_du=lambda s, u: 2.0 * u, dimension=1)
-        return cls(
-            psi=lambda s, t, u: u**2, dpsi_du=lambda s, t, u: 2.0 * u, dimension=2
-        )
+        return cls(psi=lambda *a: a[-1] ** 2, dpsi_du=lambda *a: 2.0 * a[-1],
+                   dimension=dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +356,16 @@ def _axis_kernel(kernel: KernelSpec, axis: int) -> KernelSpec:
     raise OracleError(f"kernel kind {kernel.kind!r} is not separable")
 
 
-def _exact_1d(spec: ProblemSpec, s, one_minus_s=None):
-    if spec.exact_solution_c is not None:
-        if one_minus_s is None:
-            one_minus_s = 1.0 - np.asarray(s, dtype=float)
-        return np.asarray(spec.exact_solution_c(s, one_minus_s), dtype=float)
-    return np.asarray(spec.exact_solution(s), dtype=float)
+def exact_values(spec: ProblemSpec, points: tuple, complements: tuple) -> np.ndarray:
+    """Exact solution at points, one coordinate per axis (broadcast together).
+
+    The one place that prefers exact_solution_c(x, 1-x[, y, 1-y]), with the
+    per-axis complements given, over exact_solution(x[, y]).
+    """
+    if spec.exact_solution_c is None:
+        return np.asarray(spec.exact_solution(*points), dtype=float)
+    args = [v for pair in zip(points, complements) for v in pair]
+    return np.asarray(spec.exact_solution_c(*args), dtype=float)
 
 
 def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
@@ -376,24 +377,23 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
     the separable decomposition of psi(s, t, u(s, t)).  x_comp/y_comp are
     optional precomputed values of 1-x and 1-y for points very close to 1.
     """
-    u = spec.exact_solution
-    if u is None:
+    if spec.exact_solution is None:
         raise ValueError("manufactured forcing requires an exact solution")
+    x = float(x)
+    xc = 1.0 - x if x_comp is None else x_comp
     if spec.dimension == 1:
         if y is not None:
             raise ValueError("one-dimensional problems take a single coordinate")
-        x = float(x)
         key = ("g1", x, tol)
         if key not in spec._cache:
             psi = spec.nonlinearity.psi
             integral = _kernel_action_1d(
                 spec.kernel,
-                lambda s, oms: psi(s, _exact_1d(spec, s, oms)),
+                lambda s, oms: psi(s, exact_values(spec, (s,), (oms,))),
                 x,
                 tol=tol,
             )
-            u_at_x = float(_exact_1d(spec, x, x_comp))
-            spec._cache[key] = spec.lam * u_at_x - integral
+            spec._cache[key] = spec.lam * float(exact_values(spec, (x,), (xc,))) - integral
         return spec._cache[key]
     if y is None:
         raise ValueError("two-dimensional problems need both coordinates")
@@ -402,7 +402,8 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
             f"problem {spec.name!r} has no separable decomposition of psi(u); "
             "2D manufactured forcing needs one"
         )
-    x, y = float(x), float(y)
+    y = float(y)
+    yc = 1.0 - y if y_comp is None else y_comp
     kx = _axis_kernel(spec.kernel, 0)
     ky = _axis_kernel(spec.kernel, 1)
     total = 0.0
@@ -414,52 +415,42 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
         if key_b not in spec._cache:
             spec._cache[key_b] = _kernel_action_1d(ky, fb, y, tol=tol)
         total += spec._cache[key_a] * spec._cache[key_b]
-    if spec.exact_solution_c is not None:
-        xc = float(x_comp) if x_comp is not None else 1.0 - x
-        yc = float(y_comp) if y_comp is not None else 1.0 - y
-        u_at = float(spec.exact_solution_c(x, xc, y, yc))
-    else:
-        u_at = float(u(x, y))
-    return spec.lam * u_at - total
+    return spec.lam * float(exact_values(spec, (x, y), (xc, yc))) - total
 
 
-def forcing_values(spec: ProblemSpec, points: np.ndarray,
-                   complements=None) -> np.ndarray:
-    """Forcing at one-dimensional collocation points (explicit or manufactured)."""
-    points = np.asarray(points, dtype=float)
+def forcing_on_grid(spec: ProblemSpec, axes: tuple, complements=None) -> np.ndarray:
+    """Forcing on the tensor grid of the per-axis points in axes.
+
+    The result has shape (len(axes[0]), ...), x-major.  An explicit forcing
+    is called once on the indexing="ij" meshgrid and its result broadcast to
+    that shape; otherwise the forcing is manufactured point by point, with
+    the per-axis complements 1-x given (or computed here).
+    """
+    axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    if len(axes) != spec.dimension:
+        raise ValueError(
+            f"problem {spec.name!r} is {spec.dimension}D, got {len(axes)} axes"
+        )
+    shape = tuple(a.size for a in axes)
     if spec.forcing is not None:
-        return np.asarray(spec.forcing(points), dtype=float)
+        values = np.asarray(spec.forcing(*np.meshgrid(*axes, indexing="ij")), dtype=float)
+        out = np.empty(shape)
+        try:
+            out[...] = values
+        except ValueError:
+            raise ValueError(
+                f"problem {spec.name!r}: forcing returned shape {values.shape}, "
+                f"which does not broadcast to the grid shape {shape}"
+            ) from None
+        return out
     if complements is None:
-        complements = 1.0 - points
-    return np.array(
-        [
-            manufactured_forcing(spec, x, x_comp=c)
-            for x, c in zip(points, complements)
-        ]
-    )
-
-
-def forcing_grid(spec: ProblemSpec, xs: np.ndarray, ys: np.ndarray,
-                 x_complements=None, y_complements=None) -> np.ndarray:
-    """Forcing on a two-dimensional tensor grid, shape (len(xs), len(ys))."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if spec.forcing is not None:
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.asarray(spec.forcing(gx, gy), dtype=float)
-    if x_complements is None:
-        x_complements = 1.0 - xs
-    if y_complements is None:
-        y_complements = 1.0 - ys
-    return np.array(
-        [
-            [
-                manufactured_forcing(spec, x, y, x_comp=xc, y_comp=yc)
-                for y, yc in zip(ys, y_complements)
-            ]
-            for x, xc in zip(xs, x_complements)
-        ]
-    )
+        complements = tuple(1.0 - a for a in axes)
+    comp_names = ("x_comp", "y_comp")
+    values = [
+        manufactured_forcing(spec, *point, **dict(zip(comp_names, comp)))
+        for point, comp in zip(itertools.product(*axes), itertools.product(*complements))
+    ]
+    return np.reshape(values, shape)
 
 
 def estimate_solvability(spec: ProblemSpec, samples: int = 41) -> dict:
@@ -501,28 +492,17 @@ def estimate_solvability(spec: ProblemSpec, samples: int = 41) -> dict:
     if spec.exact_solution is None:
         urange = np.linspace(-2.0, 2.0, samples)
     else:
-        if spec.dimension == 1:
-            uvals = np.asarray(spec.exact_solution(grid), dtype=float)
-        else:
-            gx, gy = np.meshgrid(grid, grid, indexing="ij")
-            uvals = np.asarray(spec.exact_solution(gx, gy), dtype=float).ravel()
+        points = np.meshgrid(*(grid,) * spec.dimension, indexing="ij")
+        uvals = np.asarray(spec.exact_solution(*points), dtype=float)
         lo, hi = float(np.min(uvals)), float(np.max(uvals))
         pad = 0.5 * max(1.0, hi - lo)
         urange = np.linspace(lo - pad, hi + pad, samples)
-    if spec.dimension == 1:
-        c1 = float(
-            max(
-                np.max(np.abs(spec.nonlinearity.dpsi_du(s, urange)))
-                for s in grid[:: max(1, samples // 8)]
-            )
+    c1 = float(
+        max(
+            np.max(np.abs(spec.nonlinearity.dpsi_du(*(s,) * spec.dimension, urange)))
+            for s in grid[:: max(1, samples // 8)]
         )
-    else:
-        c1 = float(
-            max(
-                np.max(np.abs(spec.nonlinearity.dpsi_du(s, s, urange)))
-                for s in grid[:: max(1, samples // 8)]
-            )
-        )
+    )
     return {"M": m, "P": p, "c1": c1, "product": m * p * c1,
             "contraction": m * p * c1 / abs(spec.lam)}
 

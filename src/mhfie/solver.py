@@ -20,6 +20,11 @@ GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
 (Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
 dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.
 
+One builder makes the system for both dimensions: per axis it takes the
+axis plan, the kernel factor, the cardinal factor, the quadrature
+coordinates and the collocation nodes, so the one-dimensional system is
+the one-axis case of the two-dimensional one.
+
 The collocation and quadrature rules, the quadrature coefficients and the
 damped cardinal matrix E of one axis depend only on (alpha, n, ni, method),
 never on the problem.  They are built once into a read-only axis plan and
@@ -50,13 +55,12 @@ import scipy.linalg
 
 from .approx import (
     Interpolant1D,
-    Interpolant2D,
     LagrangeBasis,
     _damped_rows,
     tensor_interpolant,
 )
 from .mhf import MhfBasis, MhfRule, mhf_gauss_rule, mhf_unit_weights
-from .problem import ProblemSpec, forcing_grid, forcing_values
+from .problem import ProblemSpec, _axis_singular, exact_values, forcing_on_grid
 
 __all__ = [
     "METHOD_MHF",
@@ -227,10 +231,7 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
                 f"s[{k}]={rule_q.nodes[k]!r} are {gmin:.2e} apart; pick ni so the "
                 "node families interlace (default ni=n+1)"
             )
-        if kernel.kind == "algebraic":
-            theta = gap ** -kernel.mu[axis]
-        else:
-            theta = np.log(gap)
+        theta = _axis_singular(kernel, axis)(gap)
         if kernel.smooth_factor is not None:
             theta = theta * np.asarray(kernel.smooth_factor(s, x), dtype=float)
     if not np.all(np.isfinite(theta)):
@@ -329,116 +330,62 @@ def _synthesize_forcing(problem: ProblemSpec, u_nodes: np.ndarray,
     return problem.lam * u_nodes - _integral_term(problem, w, e, quad_coords, u_nodes)
 
 
-def _exact_nodes_1d(problem: ProblemSpec, rule: MhfRule) -> np.ndarray:
-    if problem.exact_solution_c is not None:
-        return np.asarray(
-            problem.exact_solution_c(rule.nodes, rule.nodes_complement), dtype=float
-        )
-    return np.asarray(problem.exact_solution(rule.nodes), dtype=float)
-
-
-def _build_1d(problem: ProblemSpec, config: SolverConfig,
-              plan_for: Callable) -> _Discretization:
-    config.check_dimension(1)
-    plan = plan_for(config.alpha, config.n, config.ni_value, config.method)
-    rule_c, rule_q = plan.rule_c, plan.rule_q
-    w = (_theta_matrix(problem, rule_q, rule_c) * plan.coeffs[None, :],)
-    e = (plan.e,)
-    quad_coords = (rule_q.nodes,)
-    if problem.exact_solution is not None:
-        g = _synthesize_forcing(
-            problem, _exact_nodes_1d(problem, rule_c), w, e, quad_coords
-        )
-    else:
-        g = forcing_values(problem, rule_c.nodes, complements=rule_c.nodes_complement)
-
-    def interp(values: np.ndarray) -> Interpolant1D:
-        return Interpolant1D(basis=plan.basis, values=values)
-
-    return _Discretization(
-        dimension=1,
-        lam=problem.lam,
-        g=g,
-        w=w,
-        e=e,
-        quad_coords=quad_coords,
-        colloc_points=(rule_c.nodes,),
-        interp_from_values=interp,
-        shape=(config.n + 1,),
-    )
-
-
-def _build_2d(problem: ProblemSpec, config: SolverConfig,
-              plan_for: Callable) -> _Discretization:
-    config.check_dimension(2)
-    if problem.kernel.smooth_factor is not None:
-        raise AssemblyError(
-            f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
-            "by the factored solver, which needs a kernel that separates per axis"
-        )
-    a1 = config.alpha
-    a2 = config.alpha2 if config.alpha2 is not None else config.alpha
-    # one plan per distinct map scale: both axes share it by default; the
-    # kernel factors differ when the exponents do
-    plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in {a1, a2}}
-    px, py = plans[a1], plans[a2]
-    rule_cx, rule_qx, rule_cy, rule_qy = px.rule_c, px.rule_q, py.rule_c, py.rule_q
-
-    w = (
-        _theta_matrix(problem, rule_qx, rule_cx, axis=0) * px.coeffs[None, :],
-        _theta_matrix(problem, rule_qy, rule_cy, axis=1) * py.coeffs[None, :],
-    )
-    e = (px.e, py.e)
-    quad_coords = (rule_qx.nodes[:, None], rule_qy.nodes[None, :])
-    if problem.exact_solution is not None:
-        if problem.exact_solution_c is not None:
-            u_nodes = np.asarray(
-                problem.exact_solution_c(
-                    rule_cx.nodes[:, None],
-                    rule_cx.nodes_complement[:, None],
-                    rule_cy.nodes[None, :],
-                    rule_cy.nodes_complement[None, :],
-                ),
-                dtype=float,
-            )
-        else:
-            u_nodes = np.asarray(
-                problem.exact_solution(rule_cx.nodes[:, None], rule_cy.nodes[None, :]),
-                dtype=float,
-            )
-        g = _synthesize_forcing(problem, u_nodes.ravel(), w, e, quad_coords)
-    else:
-        g = forcing_grid(
-            problem,
-            rule_cx.nodes,
-            rule_cy.nodes,
-            x_complements=rule_cx.nodes_complement,
-            y_complements=rule_cy.nodes_complement,
-        ).ravel()
-    basis_x, basis_y = px.basis, py.basis
-    nx = config.n + 1
-
-    def interp(values: np.ndarray) -> Interpolant2D:
-        return tensor_interpolant(basis_x, basis_y, values.reshape(nx, nx))
-
-    return _Discretization(
-        dimension=2,
-        lam=problem.lam,
-        g=g,
-        w=w,
-        e=e,
-        quad_coords=quad_coords,
-        colloc_points=(rule_cx.nodes, rule_cy.nodes),
-        interp_from_values=interp,
-        shape=(nx, nx),
-    )
+def _open_grid(axes: tuple) -> tuple:
+    """Per-axis arrays that broadcast to their tensor grid: (a,) or (a[:, None], b[None, :])."""
+    if len(axes) == 1:
+        return axes
+    a, b = axes
+    return a[:, None], b[None, :]
 
 
 def _build(problem: ProblemSpec, config: SolverConfig,
            plan_for: Callable) -> _Discretization:
-    if problem.dimension == 1:
-        return _build_1d(problem, config, plan_for)
-    return _build_2d(problem, config, plan_for)
+    """The discrete system, built axis by axis; 1D is the one-axis case.
+
+    plan_for(alpha, n, ni, method) supplies the axis plans: the memo for
+    solve and assemble_nystrom, the fresh builder for verify_residual.
+    """
+    dim = problem.dimension
+    config.check_dimension(dim)
+    if dim == 2 and problem.kernel.smooth_factor is not None:
+        raise AssemblyError(
+            f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
+            "by the factored solver, which needs a kernel that separates per axis"
+        )
+    scales = (config.alpha, config.alpha if config.alpha2 is None else config.alpha2)[:dim]
+    # one plan per distinct map scale: both axes share it by default; the
+    # kernel factors differ when the exponents do
+    plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in set(scales)}
+    # per axis: kernel factor, cardinal factor, quadrature nodes, collocation
+    # nodes with their complements, and the interpolation basis
+    w, e, quad_nodes, nodes, complements, bases = zip(*[
+        (_theta_matrix(problem, p.rule_q, p.rule_c, axis) * p.coeffs[None, :], p.e,
+         p.rule_q.nodes, p.rule_c.nodes, p.rule_c.nodes_complement, p.basis)
+        for axis, p in enumerate(plans[a] for a in scales)
+    ])
+    quad_coords = _open_grid(quad_nodes)
+    if problem.exact_solution is not None:
+        u_nodes = exact_values(problem, _open_grid(nodes), _open_grid(complements))
+        g = _synthesize_forcing(problem, u_nodes.ravel(), w, e, quad_coords)
+    else:
+        g = forcing_on_grid(problem, nodes, complements).ravel()
+
+    def interp(values: np.ndarray):
+        if dim == 1:
+            return Interpolant1D(basis=bases[0], values=values)
+        return tensor_interpolant(*bases, values)
+
+    return _Discretization(
+        dimension=dim,
+        lam=problem.lam,
+        g=g,
+        w=w,
+        e=e,
+        quad_coords=quad_coords,
+        colloc_points=nodes,
+        interp_from_values=interp,
+        shape=(config.n + 1,) * dim,
+    )
 
 
 def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatrix:

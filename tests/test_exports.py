@@ -7,7 +7,15 @@ import pytest
 
 @pytest.mark.parametrize(
     "module",
-    ["mhfie", "mhfie.hermite", "mhfie.mhf", "mhfie.approx", "mhfie.problem", "mhfie.solver"],
+    [
+        "mhfie",
+        "mhfie.hermite",
+        "mhfie.mhf",
+        "mhfie.approx",
+        "mhfie.problem",
+        "mhfie.solver",
+        "mhfie.cli",
+    ],
 )
 def test_exports_resolve(module):
     mod = importlib.import_module(module)

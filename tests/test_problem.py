@@ -11,8 +11,7 @@ from mhfie.problem import (
     OracleError,
     ProblemSpec,
     exact_smooth_integral,
-    forcing_values,
-    forcing_grid,
+    forcing_on_grid,
     estimate_solvability,
     get_problem,
     kernel_eval,
@@ -72,6 +71,8 @@ def test_kernel_spec_validation():
         KernelSpec(kind="custom")
     with pytest.raises(ValueError, match="one dimension"):
         KernelSpec(kind="custom", fn=lambda s, x, c: s, dimension=2)
+    with pytest.raises(ValueError, match="smooth_factor"):
+        KernelSpec(kind="custom", fn=lambda s, x, c: s, smooth_factor=lambda s, x: 100.0)
 
 
 def test_kernel_eval_pointwise_values():
@@ -227,8 +228,15 @@ def test_forcing_values_prefers_explicit_forcing():
     spec = get_problem("ex2-sqrt")
     pts = np.array([0.25, 0.5])
     np.testing.assert_allclose(
-        forcing_values(spec, pts), np.sqrt(pts) - math.pi / 2.0, rtol=1e-15
+        forcing_on_grid(spec, (pts,)), np.sqrt(pts) - math.pi / 2.0, rtol=1e-15
     )
+
+
+def test_forcing_on_grid_takes_one_axis_per_dimension():
+    # a stale flat array of points is refused rather than read as many axes
+    spec = get_problem("ex2-sqrt")
+    with pytest.raises(ValueError, match="1D, got 2 axes"):
+        forcing_on_grid(spec, np.array([0.25, 0.5]))
 
 
 def test_manufactured_forcing_symmetry():
@@ -275,7 +283,7 @@ def test_two_dimensional_forcing_for_constant_solution():
             ),
         ),
     )
-    grid = forcing_grid(spec, np.array([0.25, 0.5]), np.array([0.5]))
+    grid = forcing_on_grid(spec, (np.array([0.25, 0.5]), np.array([0.5])))
     for i, x in enumerate((0.25, 0.5)):
         ix = exact_smooth_integral("algebraic", x, mu=0.5)
         iy = exact_smooth_integral("algebraic", 0.5, mu=0.5)

@@ -12,6 +12,7 @@ import scipy.sparse.linalg
 import mhfie.approx
 import mhfie.solver
 from mhfie.approx import error_norms
+from mhfie.mhf import MhfBasis, mhf_gauss_rule
 from mhfie.problem import (
     KernelSpec,
     Nonlinearity,
@@ -492,3 +493,65 @@ def test_two_dimensional_smooth_factor_is_rejected():
     )
     with pytest.raises(AssemblyError, match="2D kernel smooth factors are not supported"):
         solve(prob, SolverConfig(n=4, alpha=0.5))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_constant_forcing_broadcasts_to_the_grid(dim):
+    # a forcing callable may return a scalar; one that returns a shape the
+    # grid cannot take raises instead of reaching the linear algebra
+    kernel = KernelSpec(kind="log", dimension=dim)
+
+    def problem(forcing):
+        return ProblemSpec(name="constant", dimension=dim, lam=10.0, kernel=kernel,
+                           nonlinearity=Nonlinearity.identity(dim), forcing=forcing)
+
+    cfg = SolverConfig(n=8, alpha=0.5)
+    ones = solve(problem(lambda *x: np.ones_like(x[0])), cfg)
+    scalar = solve(problem(lambda *x: 1.0), cfg)
+    np.testing.assert_array_equal(scalar.node_values, ones.node_values)
+    with pytest.raises(ValueError, match=r"'constant'.*\(3,\).*grid shape"):
+        solve(problem(lambda *x: np.ones(3)), cfg)
+
+
+@pytest.mark.parametrize("name, n", [("ex1-log", 16), ("ex3-alg", 8)])
+def test_solver_evaluates_the_complement_aware_exact_solution(name, n):
+    # with exact_solution_c doubled the two forms disagree, and the
+    # synthesized system must be solved by the complement-aware one
+    prob = get_problem(name)
+    exact_c = prob.exact_solution_c
+    doubled = replace(prob, exact_solution_c=lambda *a: 2.0 * exact_c(*a))
+    cfg = SolverConfig(n=n, alpha=prob.default_alpha)
+    sol = solve(doubled, cfg)
+    rule = mhf_gauss_rule(MhfBasis(prob.default_alpha, n))
+    x, xc = rule.nodes, rule.nodes_complement
+    if prob.dimension == 1:
+        args = (x, xc)
+    else:
+        args = (x[:, None], xc[:, None], x[None, :], xc[None, :])
+    np.testing.assert_allclose(sol.node_values, 2.0 * exact_c(*args), rtol=0.0, atol=1e-12)
+    plain = prob.exact_solution(*args[::2])
+    assert np.max(np.abs(sol.node_values - plain)) > 0.1
+
+
+def test_build_makes_one_plan_per_distinct_map_scale():
+    prob = get_problem("ex3-alg")
+    n = 16
+    for alpha2, plans in ((None, 1), (0.5, 1), (0.7, 2)):
+        keys = []
+
+        def counting(*key):
+            keys.append(key)
+            return mhfie.solver._build_axis_plan(*key)
+
+        cfg = SolverConfig(n=n, alpha=0.5, alpha2=alpha2)
+        disc = mhfie.solver._build(prob, cfg, counting)
+        assert len(keys) == plans
+    np.testing.assert_array_equal(
+        disc.colloc_points[0], mhf_gauss_rule(MhfBasis(0.5, n)).nodes
+    )
+    np.testing.assert_array_equal(
+        disc.colloc_points[1], mhf_gauss_rule(MhfBasis(0.7, n)).nodes
+    )
+    sol = solve(prob, cfg)
+    np.testing.assert_array_equal(sol.nodes_y, disc.colloc_points[1])
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
