@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -47,6 +49,10 @@ DUPLICATE_GAP = 1e-14
 # degree-2000 rule holds ~0.1 MB.  Only a process that repeats an
 # (alpha, degree) key gains from it.
 _RULE_MEMO_SIZE = 32
+# Bytes of Cauchy terms kept for the fixed evaluation grids.  Five 1D entries
+# at N = 16..80 hold 5.7 MiB; one 1D entry above N ~ 350 exceeds the cap and
+# is never kept.
+_CAUCHY_MEMO_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -153,14 +159,14 @@ def _damped_rows(nodes: np.ndarray, points: np.ndarray, scale: float) -> np.ndar
     return out
 
 
-def _cauchy_terms(basis: LagrangeBasis, x) -> tuple:
-    """Terms w_j / (t - t_j) at the points x, and the points that hit a node.
+def _differences(basis: LagrangeBasis, x) -> tuple:
+    """Differences t - t_j at the points x, and the points that hit a node.
 
     Hits are tested both in t and against the stored original nodes, so a
     point equal to a node is recognized even where the logit transform of it
-    rounds away from the stored logit.  Returns (c, d, rows, cols): the
-    terms and the differences t - t_j, with the hit entries left finite,
-    and (point, node) index pairs of the hits, the x-hits last.
+    rounds away from the stored logit.  Returns (d, rows, cols): the
+    differences, with the hit entries set to one, and (point, node) index
+    pairs of the hits, the x-hits last.
     """
     pts = _check_unit_interval(np.atleast_1d(np.asarray(x, dtype=float)))
     t = np.log(pts) - np.log1p(-pts)
@@ -168,8 +174,104 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> tuple:
     t_rows, t_cols = _node_hits(basis.nodes_t, t)
     d[t_rows, t_cols] = 1.0
     x_rows, x_cols = _node_hits(basis.nodes_x, pts)
-    rows, cols = np.concatenate([t_rows, x_rows]), np.concatenate([t_cols, x_cols])
-    return basis.weights[None, :] / d, d, rows, cols
+    return d, np.concatenate([t_rows, x_rows]), np.concatenate([t_cols, x_cols])
+
+
+class _CauchyTerms(NamedTuple):
+    """Terms c = w_j / (t - t_j) at a set of points, finite at node hits."""
+
+    c: np.ndarray
+    rowsum: np.ndarray  # sum of each row of c
+    rows: np.ndarray  # (point, node) index pairs of the node hits
+    cols: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(arr.nbytes for arr in self)
+
+
+class _TermsMemo:
+    """Least-recently-used memo of Cauchy terms, bounded by their total bytes.
+
+    An entry larger than the cap is never kept.  Stored arrays are read-only.
+    """
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.entries = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key) -> Optional[_CauchyTerms]:
+        with self._lock:
+            terms = self.entries.get(key)
+            if terms is not None:
+                self.entries.move_to_end(key)
+            return terms
+
+    def put(self, key, terms: _CauchyTerms) -> None:
+        if terms.nbytes > self.cap:
+            return
+        for arr in terms:
+            arr.setflags(write=False)
+        with self._lock:
+            if key in self.entries:
+                return
+            self.entries[key] = terms
+            self.nbytes += terms.nbytes
+            while self.nbytes > self.cap:
+                self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.nbytes = 0
+
+
+def _fixed_grid(t_count: int, uniform_count: int) -> np.ndarray:
+    """Read-only union of logistic(t), t uniform on [-8, 8], and uniform points
+    on [1e-3, 1-1e-3]."""
+    mapped = _logistic(np.linspace(-8.0, 8.0, t_count))
+    uniform = np.linspace(1e-3, 1.0 - 1e-3, uniform_count)
+    grid = np.unique(np.concatenate([mapped, uniform]))
+    grid.setflags(write=False)
+    return grid
+
+
+_GRID_1D = _fixed_grid(2001, 999)
+_GRID_AXIS_2D = _fixed_grid(68, 33)
+# Cauchy terms of a basis on one of the two fixed grids, keyed by the basis
+# content and the grid, so equal bases built apart (the mhf and smoothed
+# collocation bases at one (alpha, N)) share an entry.
+_cauchy_memo = _TermsMemo(_CAUCHY_MEMO_BYTES)
+
+
+def _compute_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
+    """Cauchy terms at any points, computed anew; d is divided in place."""
+    d, rows, cols = _differences(basis, x)
+    c = np.divide(basis.weights[None, :], d, out=d)
+    return _CauchyTerms(c, np.sum(c, axis=1), rows, cols)
+
+
+def _cauchy_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
+    """Cauchy terms of the basis at the points x; memoized for the fixed grids.
+
+    Only the arrays returned by eval_grid_1d() and eval_grid_axis_2d() are
+    looked up, by identity; any other points, a copy of a grid included,
+    are computed anew.  Memoized terms are read-only.
+    """
+    if x is _GRID_1D:
+        grid = "1d"
+    elif x is _GRID_AXIS_2D:
+        grid = "axis-2d"
+    else:
+        return _compute_terms(basis, x)
+    key = (grid, basis.nodes_t.tobytes(), basis.weights.tobytes(), basis.nodes_x.tobytes())
+    terms = _cauchy_memo.get(key)
+    if terms is None:
+        terms = _compute_terms(basis, x)
+        _cauchy_memo.put(key, terms)
+    return terms
 
 
 def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:
@@ -179,8 +281,8 @@ def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:
     evaluation at a node returns the unit row (and interpolants return the
     stored value) exactly.
     """
-    c, _, rows, cols = _cauchy_terms(basis, x)
-    out = c / np.sum(c, axis=1)[:, None]
+    c, rowsum, rows, cols = _cauchy_terms(basis, x)
+    out = c / rowsum[:, None]
     out[rows] = 0.0
     out[rows, cols] = 1.0
     return out
@@ -201,8 +303,8 @@ class Interpolant1D:
         A point equal to a node returns the stored value exactly.
         """
         values = np.asarray(self.values, dtype=float)
-        c, _, rows, cols = _cauchy_terms(self.basis, x)
-        out = (c @ values) / np.sum(c, axis=1)
+        c, rowsum, rows, cols = _cauchy_terms(self.basis, x)
+        out = (c @ values) / rowsum
         out[rows] = values[cols]
         return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -214,10 +316,11 @@ class Interpolant1D:
         interpolation nodes; a point that equals a node in t or in x raises
         ValueError.
         """
-        c, d, rows, _ = _cauchy_terms(self.basis, x)
+        d, rows, _ = _differences(self.basis, x)
         if rows.size:
             raise ValueError("derivative evaluation at an interpolation node")
         pts = np.atleast_1d(np.asarray(x, dtype=float))
+        c = self.basis.weights[None, :] / d
         denom = np.sum(c, axis=1)
         p = (c @ self.values) / denom
         dp = np.sum(c / d * (p[:, None] - self.values[None, :]), axis=1) / denom
@@ -315,17 +418,15 @@ class ErrorNorms(NamedTuple):
 def eval_grid_1d() -> np.ndarray:
     """Fixed evaluation grid on (0,1): 2001 endpoint-clustered mapped points
     x = sigma(t), t uniform on [-8, 8], plus 999 uniform points on
-    [1e-3, 1-1e-3]."""
-    mapped = _logistic(np.linspace(-8.0, 8.0, 2001))
-    uniform = np.linspace(1e-3, 1.0 - 1e-3, 999)
-    return np.unique(np.concatenate([mapped, uniform]))
+    [1e-3, 1-1e-3].  Built once; every call returns the same read-only array,
+    on which interpolants evaluate from memoized Cauchy terms."""
+    return _GRID_1D
 
 
 def eval_grid_axis_2d() -> np.ndarray:
-    """Per-axis analog of eval_grid_1d with about 101 points."""
-    mapped = _logistic(np.linspace(-8.0, 8.0, 68))
-    uniform = np.linspace(1e-3, 1.0 - 1e-3, 33)
-    return np.unique(np.concatenate([mapped, uniform]))
+    """Per-axis analog of eval_grid_1d with about 101 points, likewise shared
+    and read-only."""
+    return _GRID_AXIS_2D
 
 
 def _evaluator(approx) -> Callable:

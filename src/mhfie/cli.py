@@ -416,6 +416,16 @@ def _solver_config_from(args, cfg) -> tuple:
     return problem, method, alpha, alpha2, newton_tol
 
 
+def _checked_config(problem, **fields) -> SolverConfig:
+    """SolverConfig for the problem; a setting it rejects is a usage error."""
+    try:
+        config = SolverConfig(**fields)
+        config.check_dimension(problem.dimension, problem.name)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return config
+
+
 def _cmd_solve(args) -> int:
     cfg = _read_config(args.config) if args.config else {}
     problem, method, alpha, alpha2, newton_tol = _solver_config_from(args, cfg)
@@ -424,7 +434,8 @@ def _cmd_solve(args) -> int:
         raise UsageError("solve requires --n")
     ni = _effective(args, cfg, "ni", int)
     ni_offset = _effective(args, cfg, "ni_offset", int, 1)
-    config = SolverConfig(
+    config = _checked_config(
+        problem,
         n=n,
         ni=ni if ni is not None else n + ni_offset,
         alpha=alpha,
@@ -467,6 +478,9 @@ def _cmd_converge(args) -> int:
         raise UsageError("converge requires --n-list")
     ni_offset = _effective(args, cfg, "ni_offset", int, 1)
     out = _effective(args, cfg, "out", str)
+    # the settings every row shares; a resolution a row cannot take fails that row
+    _checked_config(problem, n=0, alpha=alpha, alpha2=alpha2, method=method,
+                    newton_tol=newton_tol)
     report = run_convergence(
         problem.name,
         n_list,
@@ -495,8 +509,8 @@ def _cmd_compare(args) -> int:
         base = dict(
             n=n, ni=n + ni_offset, alpha=alpha, alpha2=alpha2, newton_tol=newton_tol
         )
-        sol_m = solve(problem, SolverConfig(method=METHOD_MHF, **base))
-        sol_s = solve(problem, SolverConfig(method=METHOD_SMOOTHED, **base))
+        sol_m = solve(problem, _checked_config(problem, method=METHOD_MHF, **base))
+        sol_s = solve(problem, _checked_config(problem, method=METHOD_SMOOTHED, **base))
         disc = float(np.max(np.abs(sol_m.node_values - sol_s.node_values)))
         ok = disc <= threshold
         all_ok &= ok

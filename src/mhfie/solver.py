@@ -33,7 +33,8 @@ which solve, assemble_nystrom and both axes of a 2D solve take them.  Only
 a process that repeats a key gains, such as a study of several problems or
 forcings at one discretization; a convergence ladder solves each key once.
 verify_residual never reads the memo: it builds its plans anew, so its
-certificate stays independent of the arrays the solve used.
+certificate stays independent of the arrays the solve used.  A plan builds
+its interpolation basis on first use, which the certificate never makes.
 
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
@@ -154,7 +155,14 @@ class SolverConfig:
     def ni_value(self) -> int:
         return self.n + 1 if self.ni is None else self.ni
 
-    def check_dimension(self, dim: int) -> None:
+    def check_dimension(self, dim: int, problem: str = "") -> None:
+        """Raise ValueError for settings a problem of this dimension cannot use:
+        n or ni above the limit, or alpha2 on a one-dimensional problem."""
+        if dim == 1 and self.alpha2 is not None:
+            raise ValueError(
+                f"alpha2={self.alpha2} sets the second axis, but problem "
+                f"{problem!r} is one-dimensional"
+            )
         limit = MAX_N_1D if dim == 1 else MAX_N_2D
         if self.n > limit or (dim == 1 and self.ni_value > MAX_N_1D):
             raise ValueError(
@@ -255,14 +263,20 @@ def _interp_matrix(method: str, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
     return _damped_rows(rule_c.hermite.nodes, rule_q.hermite.nodes, 1.0)
 
 
-class _AxisPlan(NamedTuple):
+@dataclass(frozen=True)
+class _AxisPlan:
     """Problem-independent parts of one axis; every array is read-only."""
 
     rule_c: MhfRule
     rule_q: MhfRule
     coeffs: np.ndarray  # chi_k / chi(s_k) at the quadrature nodes
     e: np.ndarray  # damped cardinals of rule_c at the nodes of rule_q
-    basis: LagrangeBasis
+
+    @functools.cached_property
+    def basis(self) -> LagrangeBasis:
+        """Interpolation basis at the collocation nodes, built on first use:
+        a solution needs it, the residual certificate does not."""
+        return LagrangeBasis.from_mhf_rule(self.rule_c)
 
 
 def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
@@ -273,7 +287,7 @@ def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
     e = _interp_matrix(method, rule_c, rule_q)
     for arr in (coeffs, e):
         arr.setflags(write=False)
-    return _AxisPlan(rule_c, rule_q, coeffs, e, LagrangeBasis.from_mhf_rule(rule_c))
+    return _AxisPlan(rule_c, rule_q, coeffs, e)
 
 
 # The memoized plans.  A miss calls _build_axis_plan, which reaches the rule
@@ -346,7 +360,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
     solve and assemble_nystrom, the fresh builder for verify_residual.
     """
     dim = problem.dimension
-    config.check_dimension(dim)
+    config.check_dimension(dim, problem.name)
     if dim == 2 and problem.kernel.smooth_factor is not None:
         raise AssemblyError(
             f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
@@ -356,12 +370,13 @@ def _build(problem: ProblemSpec, config: SolverConfig,
     # one plan per distinct map scale: both axes share it by default; the
     # kernel factors differ when the exponents do
     plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in set(scales)}
-    # per axis: kernel factor, cardinal factor, quadrature nodes, collocation
-    # nodes with their complements, and the interpolation basis
-    w, e, quad_nodes, nodes, complements, bases = zip(*[
+    axis_plans = [plans[a] for a in scales]
+    # per axis: kernel factor, cardinal factor, quadrature nodes, and
+    # collocation nodes with their complements
+    w, e, quad_nodes, nodes, complements = zip(*[
         (_theta_matrix(problem, p.rule_q, p.rule_c, axis) * p.coeffs[None, :], p.e,
-         p.rule_q.nodes, p.rule_c.nodes, p.rule_c.nodes_complement, p.basis)
-        for axis, p in enumerate(plans[a] for a in scales)
+         p.rule_q.nodes, p.rule_c.nodes, p.rule_c.nodes_complement)
+        for axis, p in enumerate(axis_plans)
     ])
     quad_coords = _open_grid(quad_nodes)
     if problem.exact_solution is not None:
@@ -371,6 +386,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         g = forcing_on_grid(problem, nodes, complements).ravel()
 
     def interp(values: np.ndarray):
+        bases = [p.basis for p in axis_plans]
         if dim == 1:
             return Interpolant1D(basis=bases[0], values=values)
         return tensor_interpolant(*bases, values)

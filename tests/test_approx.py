@@ -361,3 +361,89 @@ def test_series_eval_matches_direct_expansion():
     table = hermite_orthonormal_table(degree, z)
     direct = series.normalized @ table
     np.testing.assert_allclose(series.eval(x), direct, rtol=1e-13)
+
+
+@pytest.fixture
+def empty_memo():
+    memo = mhfie.approx._cauchy_memo
+    memo.clear()
+    yield memo
+    memo.clear()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_fixed_grid_evaluation_is_bitwise_the_uncached_one(alpha, empty_memo):
+    grid = eval_grid_1d()
+    for degree in (2, 8, 16, 31, 47, 80, 120):
+        interp = mhf_interpolant(alpha, degree, lambda x: np.sqrt(x * (1.0 - x)))
+        uncached = interp.eval(grid.copy())
+        cold = interp.eval(grid)
+        warm = interp.eval(grid)
+        assert np.array_equal(cold, uncached) and np.array_equal(warm, uncached)
+        assert np.array_equal(cardinal_matrix(interp.basis, grid),
+                              cardinal_matrix(interp.basis, grid.copy()))
+    assert len(empty_memo.entries) == 7
+
+
+def test_fixed_axis_grid_evaluation_is_bitwise_the_uncached_one(empty_memo):
+    axis = eval_grid_axis_2d()
+    for degree in (4, 16, 32):
+        interp, _ = make_tensor(0.5, degree, lambda x, y: np.log1p(x * y) + np.sqrt(y))
+        uncached = interp.eval_grid(axis.copy(), axis.copy())
+        for _ in range(2):
+            assert np.array_equal(interp.eval_grid(axis, axis), uncached)
+    assert len(empty_memo.entries) == 3
+
+
+def test_both_routes_share_one_memo_entry(empty_memo):
+    from mhfie.problem import get_problem
+    from mhfie.solver import SolverConfig, solve
+
+    prob = get_problem("ex1-log")
+    solutions = [solve(prob, SolverConfig(n=24, alpha=0.5, method=m))
+                 for m in ("mhf", "smoothed")]
+    assert solutions[0].interpolant.basis is not solutions[1].interpolant.basis
+    for s in solutions:
+        error_norms(s.interpolant, prob.exact_solution, 0.5)
+    assert len(empty_memo.entries) == 1
+
+
+def test_memo_holds_at_most_its_byte_cap(empty_memo):
+    from mhfie.solver import MAX_N_1D
+
+    grid = eval_grid_1d()
+    for degree in list(range(40, MAX_N_1D, 60)) + [MAX_N_1D]:
+        interp = mhf_interpolant(0.5, degree, np.sqrt)
+        interp.eval(grid)
+        assert empty_memo.nbytes <= empty_memo.cap
+        assert empty_memo.nbytes == sum(t.nbytes for t in empty_memo.entries.values())
+    # the degree-MAX_N_1D terms alone exceed the cap: they are neither kept
+    # nor evict the degree-340 entry, which fills most of the cap by itself
+    assert 8 * grid.size * (MAX_N_1D + 1) > empty_memo.cap
+    assert [t.c.shape[1] for t in empty_memo.entries.values()] == [341]
+
+
+def test_fixed_grids_and_memoized_terms_are_read_only(empty_memo):
+    for make in (eval_grid_1d, eval_grid_axis_2d):
+        grid = make()
+        assert make() is grid
+        assert not grid.flags.writeable
+        mhf_interpolant(1.0, 10, np.sqrt).eval(grid)
+    assert len(empty_memo.entries) == 2
+    for terms in empty_memo.entries.values():
+        for arr in terms:
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            terms.c[0, 0] = 0.0
+
+
+def test_grid_copy_is_evaluated_without_the_memo(empty_memo):
+    interp = mhf_interpolant(0.5, 20, lambda x: np.log(x))
+    interp.eval(eval_grid_1d().copy())
+    assert len(empty_memo.entries) == 0
+    copy = eval_grid_1d().copy()
+    copy[0] = interp.basis.nodes_x[3]  # a node hit in the copy only
+    got = interp.eval(copy)
+    assert len(empty_memo.entries) == 0
+    assert got[0] == interp.values[3]
+    assert np.array_equal(got[1:], interp.eval(eval_grid_1d())[1:])

@@ -107,6 +107,16 @@ def test_unknown_problem_is_usage_error(capsys):
     assert "ex1-alg" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "converge", "compare"])
+def test_config_rejected_by_the_solver_is_usage_error(command, capsys):
+    sizes = ["--n", "16"] if command == "solve" else ["--n-list", "8,16"]
+    assert main([command, "--problem", "ex1-log", "--alpha2", "0.9", *sizes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha2" in err and "ex1-log" in err
+    assert main(["solve", "--problem", "ex1-log", "--n", "500"]) == 2
+    assert capsys.readouterr().err.startswith("error: n=500, ni=501 exceeds limit 400")
+
+
 def test_malformed_n_list_is_usage_error(capsys):
     assert main(["converge", "--problem", "ex1-log", "--n-list", "4,x"]) == 2
     capsys.readouterr()

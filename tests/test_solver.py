@@ -61,6 +61,15 @@ def test_config_dimension_limits():
     SolverConfig(n=64).check_dimension(1)
 
 
+def test_alpha2_on_a_1d_problem_is_rejected():
+    prob = get_problem("ex1-log")
+    with pytest.raises(ValueError, match=r"alpha2=0\.9.*'ex1-log'"):
+        solve(prob, SolverConfig(n=16, alpha=0.5, alpha2=0.9))
+    with pytest.raises(ValueError, match="alpha2"):
+        verify_residual(prob, SolverConfig(n=16, alpha=0.5, alpha2=0.9), np.zeros(17))
+    SolverConfig(n=8, alpha2=0.9).check_dimension(2)
+
+
 def test_row_sums_converge_to_smooth_integral():
     # with u = 1 the quadrature row sums approximate the exactly known
     # integral of the log kernel; the weak singularity makes this converge
@@ -326,7 +335,7 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     assert warm_norms == cold_norms
     plan = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, method)
     rule = mhfie.approx._norm_rule(cfg.alpha, 2 * cfg.n + 16)
-    arrays = _read_only_arrays(plan) + _read_only_arrays(rule)
+    arrays = _read_only_arrays(plan) + _read_only_arrays(plan.basis) + _read_only_arrays(rule)
     assert len(arrays) >= 20
     assert not any(arr.flags.writeable for arr in arrays)
 
@@ -354,7 +363,7 @@ def test_verify_residual_reads_no_memo(dim, monkeypatch):
     # given, not synthesized, so it does not follow the perturbation.
     def poisoned(*key):
         plan = mhfie.solver._build_axis_plan(*key)
-        return plan._replace(e=plan.e * (1.0 + 1e-6))
+        return replace(plan, e=plan.e * (1.0 + 1e-6))
 
     monkeypatch.setattr(mhfie.solver, "_axis_plan", poisoned)
     if dim == 1:
@@ -366,6 +375,23 @@ def test_verify_residual_reads_no_memo(dim, monkeypatch):
     sol = solve(prob, cfg)
     assert sol.final_residual <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol) > cfg.newton_tol
+
+
+def test_verify_residual_builds_no_interpolation_basis(monkeypatch):
+    # the certificate evaluates the residual only; the memoized plan builds
+    # its basis once, on the first solution that needs it
+    calls = []
+    weights = mhfie.approx._bary_weights
+    monkeypatch.setattr(mhfie.approx, "_bary_weights",
+                        lambda t: calls.append(t.size) or weights(t))
+    mhfie.solver._axis_plan.cache_clear()
+    prob = get_problem("ex1-alg")
+    cfg = SolverConfig(n=12, alpha=prob.default_alpha)
+    sol = solve(prob, cfg)
+    solve(prob, cfg)
+    assert calls == [13]
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    assert calls == [13]
 
 
 def test_newton_driver_records_step_scales():
