@@ -19,6 +19,7 @@ bit-identical across runs (runtime_ms excepted, by its nature).
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 import time
@@ -238,27 +239,27 @@ class ConvergenceReport:
 
 
 def _solution_errors(problem, config, solution):
+    """Sup, weighted L2 and collocation-node errors against the exact solution.
+
+    An exact solution that cannot be evaluated where the error norms need
+    it (a quadrature node that rounds to 1) raises SolverError.
+    """
     if problem.exact_solution is None:
         return float("nan"), float("nan"), float("nan")
-    if problem.dimension == 1:
-        norms = error_norms(
-            solution.interpolant, problem.exact_solution, config.alpha, dim=1
-        )
-        colloc = float(
-            np.max(np.abs(solution.node_values - problem.exact_solution(solution.nodes_x)))
-        )
-    else:
-        a2 = config.alpha2 if config.alpha2 is not None else config.alpha
+    dim = problem.dimension
+    scales = config.axis_scales(dim)
+    try:
         norms = error_norms(
             solution.interpolant,
             problem.exact_solution,
-            (config.alpha, a2),
-            dim=2,
+            scales[0] if dim == 1 else scales,
+            dim=dim,
         )
-        gx, gy = np.meshgrid(solution.nodes_x, solution.nodes_y, indexing="ij")
-        colloc = float(
-            np.max(np.abs(solution.node_values - problem.exact_solution(gx, gy)))
-        )
+    except ValueError as exc:
+        raise SolverError(f"error norms at n={config.n}: {exc}") from exc
+    axes = (solution.nodes_x, solution.nodes_y)[:dim]
+    exact = problem.exact_solution(*np.meshgrid(*axes, indexing="ij"))
+    colloc = float(np.max(np.abs(solution.node_values - exact)))
     return norms.err_inf, norms.err_l2chi, colloc
 
 
@@ -296,6 +297,8 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
         start = time.perf_counter()
         try:
             solution = solve(problem, config)
+            runtime = 1e3 * (time.perf_counter() - start)
+            err_inf, err_l2, colloc = _solution_errors(problem, config, solution)
         except (SolverError, NonConvergenceError, AssemblyError, OracleError, ValueError):
             runtime = 1e3 * (time.perf_counter() - start)
             report.rows.append(
@@ -311,8 +314,6 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
                 )
             )
             continue
-        runtime = 1e3 * (time.perf_counter() - start)
-        err_inf, err_l2, colloc = _solution_errors(problem, config, solution)
         report.rows.append(
             ReportRow(
                 n=n,
@@ -451,20 +452,15 @@ def _cmd_solve(args) -> int:
         print(f"err_inf={_fmt(err_inf)} err_l2chi={_fmt(err_l2)}")
     print(f"newton_iters={solution.newton_iters} residual={_fmt(solution.final_residual)}")
     if args.dump:
-        if problem.dimension == 1:
-            grid = eval_grid_1d()
-            vals = solution.interpolant.eval(grid)
-            rows = list(zip(grid, vals))
-            header = ("x", "u")
+        dim = problem.dimension
+        if dim == 1:
+            axes = (eval_grid_1d(),)
+            vals = solution.interpolant.eval(*axes)
         else:
-            axis = eval_grid_axis_2d()
-            vals = solution.interpolant.eval_grid(axis, axis)
-            rows = [
-                (axis[i], axis[j], vals[i, j])
-                for i in range(axis.size)
-                for j in range(axis.size)
-            ]
-            header = ("x", "y", "u")
+            axes = (eval_grid_axis_2d(),) * 2
+            vals = solution.interpolant.eval_grid(*axes)
+        rows = [(*point, u) for point, u in zip(itertools.product(*axes), np.ravel(vals))]
+        header = ("x", "y")[:dim] + ("u",)
         meta = _metadata({"problem": problem.name, "method": method, "n": str(n)})
         _emit(args.dump, _csv_text(meta, header, rows))
     return 0

@@ -161,24 +161,19 @@ def kernel_eval(spec: KernelSpec, s, x, t=None, y=None):
     """
     if spec.kind == "custom":
         return spec.fn(s, x, 1.0 - np.asarray(s, dtype=float))
-    if spec.dimension == 1:
-        gap = abs(x - s)
-        if gap < DIAG_GUARD:
-            raise ValueError(f"kernel is singular at the diagonal: s={s!r}, x={x!r}")
-        val = _axis_singular(spec, 0)(gap)
-        if spec.smooth_factor is not None:
-            val = val * spec.smooth_factor(s, x)
-        return val
-    if t is None or y is None:
+    if spec.dimension == 2 and (t is None or y is None):
         raise ValueError("two-dimensional kernels require s, t, x, y")
-    gap_x, gap_y = abs(x - s), abs(y - t)
-    if gap_x < DIAG_GUARD or gap_y < DIAG_GUARD:
-        raise ValueError(
-            f"kernel is singular at the diagonal: (s,t)=({s!r},{t!r}), (x,y)=({x!r},{y!r})"
-        )
-    val = _axis_singular(spec, 0)(gap_x) * _axis_singular(spec, 1)(gap_y)
+    sources, targets = (s, t)[: spec.dimension], (x, y)[: spec.dimension]
+    val = 1.0
+    for axis, (si, xi) in enumerate(zip(sources, targets)):
+        gap = abs(xi - si)
+        if gap < DIAG_GUARD:
+            raise ValueError(
+                f"kernel is singular at the diagonal on axis {axis}: s={si!r}, x={xi!r}"
+            )
+        val = val * _axis_singular(spec, axis)(gap)
     if spec.smooth_factor is not None:
-        val = val * spec.smooth_factor(s, t, x, y)
+        val = val * spec.smooth_factor(*sources, *targets)
     return val
 
 
@@ -282,7 +277,9 @@ class ProblemSpec:
     exact_solution_c: Optional[Callable] = None
     psi_u_separable: Optional[Sequence[tuple]] = None
     default_alpha: float = 1.0
-    _cache: dict = field(default_factory=dict, repr=False)
+    # per-axis kernel actions of the manufactured forcing; init=False, so
+    # every instance, one made by dataclasses.replace included, starts empty
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -302,8 +299,7 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_action_1d(kernel: KernelSpec, func, x: float, axis: int = 0,
-                      tol: float = 1e-12) -> float:
+def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12) -> float:
     """integral_0^1 theta(s, x) func(s, 1-s) ds via split tanh-sinh quadrature.
 
     Diagonal kinds are split at s = x; on each piece the singular factor is
@@ -318,7 +314,7 @@ def _kernel_action_1d(kernel: KernelSpec, func, x: float, axis: int = 0,
             1.0,
             tol=tol,
         )
-    sing = _axis_singular(kernel, axis)
+    sing = _axis_singular(kernel, 0)
     if kernel.smooth_factor is None:
         smooth = lambda s: 1.0
     else:
@@ -344,16 +340,16 @@ def _kernel_action_1d(kernel: KernelSpec, func, x: float, axis: int = 0,
 
 
 def _axis_kernel(kernel: KernelSpec, axis: int) -> KernelSpec:
-    """One-dimensional factor of a separable two-dimensional kernel."""
+    """The kernel of one axis: a one-dimensional kernel itself, or the factor
+    on that axis of a two-dimensional product kernel."""
+    if kernel.dimension == 1:
+        return kernel
     if kernel.smooth_factor is not None:
         raise OracleError(
             "manufactured forcing in 2D requires a product kernel (smooth factor 1)"
         )
-    if kernel.kind == "algebraic":
-        return KernelSpec(kind="algebraic", mu=(kernel.mu[axis],), dimension=1)
-    if kernel.kind == "log":
-        return KernelSpec(kind="log", dimension=1)
-    raise OracleError(f"kernel kind {kernel.kind!r} is not separable")
+    mu = None if kernel.mu is None else (kernel.mu[axis],)
+    return KernelSpec(kind=kernel.kind, mu=mu, dimension=1)
 
 
 def exact_values(spec: ProblemSpec, points: tuple, complements: tuple) -> np.ndarray:
@@ -368,63 +364,67 @@ def exact_values(spec: ProblemSpec, points: tuple, complements: tuple) -> np.nda
     return np.asarray(spec.exact_solution_c(*args), dtype=float)
 
 
-def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
-                         x_comp=None, y_comp=None) -> float:
-    """Forcing g at a point such that exact_solution solves the problem.
-
-    g = lambda u - integral theta psi(., u); the integral goes through the
-    reference tanh-sinh integrator (split at the diagonal), in 2D through
-    the separable decomposition of psi(s, t, u(s, t)).  x_comp/y_comp are
-    optional precomputed values of 1-x and 1-y for points very close to 1.
-    """
-    if spec.exact_solution is None:
-        raise ValueError("manufactured forcing requires an exact solution")
-    x = float(x)
-    xc = 1.0 - x if x_comp is None else x_comp
+def _forcing_terms(spec: ProblemSpec) -> Sequence[tuple]:
+    """psi(., u) as sum_r prod_axis f_r,axis, each factor a function of
+    (s, 1-s): the one term psi(s, u(s)) in 1D, psi_u_separable in 2D."""
     if spec.dimension == 1:
-        if y is not None:
-            raise ValueError("one-dimensional problems take a single coordinate")
-        key = ("g1", x, tol)
-        if key not in spec._cache:
-            psi = spec.nonlinearity.psi
-            integral = _kernel_action_1d(
-                spec.kernel,
-                lambda s, oms: psi(s, exact_values(spec, (s,), (oms,))),
-                x,
-                tol=tol,
-            )
-            spec._cache[key] = spec.lam * float(exact_values(spec, (x,), (xc,))) - integral
-        return spec._cache[key]
-    if y is None:
-        raise ValueError("two-dimensional problems need both coordinates")
+        psi = spec.nonlinearity.psi
+        return ((lambda s, oms: psi(s, exact_values(spec, (s,), (oms,))),),)
     if spec.psi_u_separable is None:
         raise OracleError(
             f"problem {spec.name!r} has no separable decomposition of psi(u); "
             "2D manufactured forcing needs one"
         )
-    y = float(y)
-    yc = 1.0 - y if y_comp is None else y_comp
-    kx = _axis_kernel(spec.kernel, 0)
-    ky = _axis_kernel(spec.kernel, 1)
+    return spec.psi_u_separable
+
+
+def _axis_action(spec: ProblemSpec, axis: int, term: int, func, x: float,
+                 tol: float) -> float:
+    """integral_0^1 theta_axis(s, x) func(s, 1-s) ds, cached per
+    (axis, term, x, tol) on the spec."""
+    key = (axis, term, x, tol)
+    if key not in spec._cache:
+        spec._cache[key] = _kernel_action_1d(
+            _axis_kernel(spec.kernel, axis), func, x, tol=tol
+        )
+    return spec._cache[key]
+
+
+def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
+                         x_comp=None, y_comp=None) -> float:
+    """Forcing g at a point such that exact_solution solves the problem.
+
+    g = lambda u - sum_r prod_axis A(axis, f_r,axis, x_axis), where
+    psi(., u) = sum_r prod_axis f_r,axis (one term in 1D, psi_u_separable
+    in 2D) and each one-axis action A goes through the reference tanh-sinh
+    integrator, split at the diagonal.  x_comp/y_comp are optional
+    precomputed values of 1-x and 1-y for points very close to 1.
+    """
+    if spec.exact_solution is None:
+        raise ValueError("manufactured forcing requires an exact solution")
+    if spec.dimension == 1 and y is not None:
+        raise ValueError("one-dimensional problems take a single coordinate")
+    if spec.dimension == 2 and y is None:
+        raise ValueError("two-dimensional problems need both coordinates")
+    point = tuple(float(v) for v in (x, y)[: spec.dimension])
+    comps = tuple(
+        1.0 - v if c is None else c for v, c in zip(point, (x_comp, y_comp))
+    )
     total = 0.0
-    for r, (fa, fb) in enumerate(spec.psi_u_separable):
-        key_a = ("kx", r, x, tol)
-        if key_a not in spec._cache:
-            spec._cache[key_a] = _kernel_action_1d(kx, fa, x, tol=tol)
-        key_b = ("ky", r, y, tol)
-        if key_b not in spec._cache:
-            spec._cache[key_b] = _kernel_action_1d(ky, fb, y, tol=tol)
-        total += spec._cache[key_a] * spec._cache[key_b]
-    return spec.lam * float(exact_values(spec, (x, y), (xc, yc))) - total
+    for r, factors in enumerate(_forcing_terms(spec)):
+        total += math.prod(
+            _axis_action(spec, axis, r, f, v, tol)
+            for axis, (f, v) in enumerate(zip(factors, point))
+        )
+    return spec.lam * float(exact_values(spec, point, comps)) - total
 
 
-def forcing_on_grid(spec: ProblemSpec, axes: tuple, complements=None) -> np.ndarray:
+def forcing_on_grid(spec: ProblemSpec, axes: tuple) -> np.ndarray:
     """Forcing on the tensor grid of the per-axis points in axes.
 
     The result has shape (len(axes[0]), ...), x-major.  An explicit forcing
     is called once on the indexing="ij" meshgrid and its result broadcast to
-    that shape; otherwise the forcing is manufactured point by point, with
-    the per-axis complements 1-x given (or computed here).
+    that shape; otherwise the forcing is manufactured point by point.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != spec.dimension:
@@ -443,13 +443,7 @@ def forcing_on_grid(spec: ProblemSpec, axes: tuple, complements=None) -> np.ndar
                 f"which does not broadcast to the grid shape {shape}"
             ) from None
         return out
-    if complements is None:
-        complements = tuple(1.0 - a for a in axes)
-    comp_names = ("x_comp", "y_comp")
-    values = [
-        manufactured_forcing(spec, *point, **dict(zip(comp_names, comp)))
-        for point, comp in zip(itertools.product(*axes), itertools.product(*complements))
-    ]
+    values = [manufactured_forcing(spec, *point) for point in itertools.product(*axes)]
     return np.reshape(values, shape)
 
 

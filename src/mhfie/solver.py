@@ -155,6 +155,10 @@ class SolverConfig:
     def ni_value(self) -> int:
         return self.n + 1 if self.ni is None else self.ni
 
+    def axis_scales(self, dim: int) -> tuple:
+        """Map scale of each of dim axes: alpha, then alpha2 (default alpha)."""
+        return (self.alpha, self.alpha if self.alpha2 is None else self.alpha2)[:dim]
+
     def check_dimension(self, dim: int, problem: str = "") -> None:
         """Raise ValueError for settings a problem of this dimension cannot use:
         n or ni above the limit, or alpha2 on a one-dimensional problem."""
@@ -366,7 +370,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
             f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
             "by the factored solver, which needs a kernel that separates per axis"
         )
-    scales = (config.alpha, config.alpha if config.alpha2 is None else config.alpha2)[:dim]
+    scales = config.axis_scales(dim)
     # one plan per distinct map scale: both axes share it by default; the
     # kernel factors differ when the exponents do
     plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in set(scales)}
@@ -383,7 +387,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         u_nodes = exact_values(problem, _open_grid(nodes), _open_grid(complements))
         g = _synthesize_forcing(problem, u_nodes.ravel(), w, e, quad_coords)
     else:
-        g = forcing_on_grid(problem, nodes, complements).ravel()
+        g = forcing_on_grid(problem, nodes).ravel()
 
     def interp(values: np.ndarray):
         bases = [p.basis for p in axis_plans]

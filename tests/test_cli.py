@@ -236,3 +236,24 @@ def test_converge_marks_failed_rows(tmp_path, capsys, monkeypatch):
     report = ConvergenceReport.from_csv_text(out.read_text())
     assert report.failed
     assert all(math.isnan(row.err_inf) for row in report.rows)
+
+
+def test_solve_reports_an_error_norm_failure(capsys):
+    # the solve succeeds, but at alpha 0.5 nodes of the degree-216 rule of
+    # the error norms round to x = 1, where the norms cannot be evaluated
+    assert main(["solve", "--problem", "ex2-sqrt", "--n", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: ") and "n=100" in err
+
+
+def test_converge_marks_an_error_norm_failure_as_a_failed_row(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    rc = main(
+        ["converge", "--problem", "ex2-sqrt", "--n-list", "16,100", "--out", str(out)]
+    )
+    capsys.readouterr()
+    assert rc == 1
+    kept, failed = ConvergenceReport.from_csv_text(out.read_text()).rows
+    assert kept.n == 16 and kept.newton_iters == 1 and math.isfinite(kept.err_inf)
+    assert failed.n == 100 and failed.newton_iters == -1
+    assert math.isnan(failed.err_inf) and math.isnan(failed.err_l2chi)

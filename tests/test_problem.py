@@ -1,10 +1,13 @@
 """Tests for kernels, nonlinearities, reference quadrature, and the registry."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from mhfie import problem as problem_module
 from mhfie.problem import (
     KernelSpec,
     Nonlinearity,
@@ -201,11 +204,40 @@ def test_manufactured_forcing_for_constant_solution():
             assert manufactured_forcing(spec, x) == pytest.approx(want, abs=1e-10)
 
 
-def test_manufactured_forcing_caches_per_point():
+def test_manufactured_forcing_caches_per_point(monkeypatch):
+    # record the point of every one-axis kernel action
+    actions = []
+    integrate = problem_module._kernel_action_1d
+
+    def counted(kernel, func, x, *args, **kwargs):
+        actions.append(x)
+        return integrate(kernel, func, x, *args, **kwargs)
+
+    monkeypatch.setattr(problem_module, "_kernel_action_1d", counted)
     spec = constant_solution_problem("log")
     first = manufactured_forcing(spec, 0.4)
+    assert actions == [0.4]
     assert manufactured_forcing(spec, 0.4) == first
-    assert ("g1", 0.4, 1e-12) in spec._cache
+    assert actions == [0.4]
+    # in 2D each term's action on one axis is reused across the other axis
+    spec2 = get_problem("ex3-log")
+    manufactured_forcing(spec2, 0.3, 0.6)
+    assert sorted(actions[1:]) == [0.3] * 3 + [0.6] * 3
+    manufactured_forcing(spec2, 0.3, 0.7)
+    assert actions[7:] == [0.7] * 3
+
+
+def test_replaced_spec_does_not_share_the_forcing_cache():
+    p = get_problem("ex1-alg")
+    g = manufactured_forcing(p, 0.3)
+    q = dataclasses.replace(
+        p,
+        exact_solution=lambda x: 2 * np.sqrt(x * (1 - x)),
+        exact_solution_c=lambda s, o: 2 * np.sqrt(s * o),
+    )
+    assert not q._cache
+    # the problem is linear, so doubling the solution doubles the forcing
+    assert manufactured_forcing(q, 0.3) == pytest.approx(2.0 * g, rel=1e-10)
 
 
 def test_manufactured_forcing_cache_is_per_tolerance():
@@ -266,14 +298,35 @@ def test_manufactured_forcing_argument_checks():
         manufactured_forcing(no_exact, 0.5)
 
 
-def test_two_dimensional_forcing_for_constant_solution():
-    # u = 1, psi = u^2: the double integral splits into the product of the
-    # one-dimensional smooth integrals
+def test_one_dimensional_forcing_with_smooth_factor_matches_mpmath():
+    # theta = log|x-s| (1 + s x), psi = u^2 and u = sqrt(x(1-x)), against an
+    # independent integrator split at the diagonal
     spec = ProblemSpec(
+        name="smooth-1d",
+        dimension=1,
+        lam=10.0,
+        kernel=KernelSpec(kind="log", smooth_factor=lambda s, x: 1.0 + s * x, dimension=1),
+        nonlinearity=Nonlinearity.square(1),
+        exact_solution=lambda x: np.sqrt(x * (1.0 - x)),
+    )
+    with mpmath.workdps(30):
+        for x in (0.2, 0.55, 0.9):
+            xm = mpmath.mpf(x)
+            integral = mpmath.quad(
+                lambda s: mpmath.log(abs(xm - s)) * (1 + s * xm) * s * (1 - s),
+                [0, xm, 1],
+            )
+            want = 10.0 * math.sqrt(x * (1.0 - x)) - float(integral)
+            assert manufactured_forcing(spec, x) == pytest.approx(want, abs=1e-11)
+
+
+def unit_2d_problem(kernel: KernelSpec) -> ProblemSpec:
+    """u = 1 and psi = u^2 on the unit square, with a one-term separable form."""
+    return ProblemSpec(
         name="unit-2d",
         dimension=2,
         lam=10.0,
-        kernel=KernelSpec(kind="algebraic", mu=(0.5, 0.5), dimension=2),
+        kernel=kernel,
         nonlinearity=Nonlinearity.square(2),
         exact_solution=lambda x, y: np.ones(np.broadcast(x, y).shape),
         psi_u_separable=(
@@ -283,11 +336,25 @@ def test_two_dimensional_forcing_for_constant_solution():
             ),
         ),
     )
+
+
+def test_two_dimensional_forcing_for_constant_solution():
+    # u = 1, psi = u^2: the double integral splits into the product of the
+    # one-dimensional smooth integrals
+    spec = unit_2d_problem(KernelSpec(kind="algebraic", mu=(0.5, 0.5), dimension=2))
     grid = forcing_on_grid(spec, (np.array([0.25, 0.5]), np.array([0.5])))
     for i, x in enumerate((0.25, 0.5)):
         ix = exact_smooth_integral("algebraic", x, mu=0.5)
         iy = exact_smooth_integral("algebraic", 0.5, mu=0.5)
         assert grid[i, 0] == pytest.approx(10.0 - ix * iy, abs=1e-9)
+
+
+def test_two_dimensional_forcing_requires_a_product_kernel():
+    kernel = KernelSpec(
+        kind="log", smooth_factor=lambda s, t, x, y: 1.0 + s * x, dimension=2
+    )
+    with pytest.raises(OracleError, match="product kernel"):
+        manufactured_forcing(unit_2d_problem(kernel), 0.3, 0.6)
 
 
 def test_two_dimensional_forcing_requires_separable_form():

@@ -70,6 +70,12 @@ def test_alpha2_on_a_1d_problem_is_rejected():
     SolverConfig(n=8, alpha2=0.9).check_dimension(2)
 
 
+def test_axis_scales_default_the_second_axis_to_alpha():
+    assert SolverConfig(n=8, alpha=0.5).axis_scales(1) == (0.5,)
+    assert SolverConfig(n=8, alpha=0.5).axis_scales(2) == (0.5, 0.5)
+    assert SolverConfig(n=8, alpha=0.5, alpha2=0.9).axis_scales(2) == (0.5, 0.9)
+
+
 def test_row_sums_converge_to_smooth_integral():
     # with u = 1 the quadrature row sums approximate the exactly known
     # integral of the log kernel; the weak singularity makes this converge
