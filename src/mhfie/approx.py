@@ -479,6 +479,9 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         diff = approx.eval_grid(rule_x.nodes, rule_y.nodes) - np.asarray(
             exact(qx, qy), dtype=float
         )
+        if not np.all(np.isfinite(diff)):
+            i, j = np.argwhere(~np.isfinite(diff))[0]
+            raise ValueError(f"integrand is not finite at (x, y)=({qx[i, j]!r}, {qy[i, j]!r})")
         err_l2 = math.sqrt(
             max(0.0, float(rule_x.weights @ diff**2 @ rule_y.weights))
         )

@@ -13,16 +13,17 @@ which stay bounded for all n and z and satisfy the stable recurrence
 
     h_{n+1} = z sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}.
 
-One loop of that recurrence builds the tables (and hermite_eval_scaled);
-the Gauss-Hermite rule runs a rescaled copy of it that keeps three rows.
-Because exp(-z^2) is even, the rule's Golub-Welsch matrix has a zero
-diagonal, and the squared nonnegative nodes are the eigenvalues of a
-Laguerre Jacobi matrix (parameter -1/2 or +1/2) of half the size; the rule
-solves that half-size eigenproblem and mirrors the result.
+One rescaled loop of that recurrence, _hermite_rows, serves the tables,
+hermite_eval_scaled and the Gauss-Hermite rule.  Because exp(-z^2) is even,
+the rule's Golub-Welsch matrix has a zero diagonal, and the squared
+nonnegative nodes are the eigenvalues of a Laguerre Jacobi matrix
+(parameter -1/2 or +1/2) of half the size; the rule solves that half-size
+eigenproblem and mirrors the result.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 
@@ -46,8 +47,9 @@ MAX_RULE_DEGREE = 2000
 def hermite_eval(n: int, z: float) -> float:
     """Evaluate H_n(z) by the three-term recurrence.
 
-    Raises OverflowError once the value leaves double range; callers that
-    need large n should use hermite_eval_scaled instead.
+    The raw loop is the independent reference for _hermite_rows.  Raises
+    OverflowError once the value leaves double range; callers that need
+    large n should use hermite_eval_scaled instead.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -69,8 +71,8 @@ def hermite_eval_scaled(n: int, z: float) -> float:
 
     Bounded by about 0.816 for every n and z, so this is safe for degrees
     and arguments far beyond the raw recurrence (n up to 10^4, |z| up to
-    10^2 and beyond).  For |z| large enough that exp(-z^2/2) underflows the
-    result is a clean 0.0.  The value is the last row of
+    10^2 and beyond).  It returns 0.0 only where h_n(z) itself underflows,
+    as for n = 3, z = 50.  The value is the last row of
     hermite_scaled_table(n, z).
     """
     if n < 0:
@@ -81,28 +83,50 @@ def hermite_eval_scaled(n: int, z: float) -> float:
     return float(hermite_scaled_table(n, z)[-1, 0])
 
 
-def _normalized_table(nmax: int, z: np.ndarray, row0: np.ndarray) -> np.ndarray:
-    """Rows 0..nmax of the normalized recurrence started from row0.
+# Rescale the recurrence every _RESCALE_STRIDE steps.  One step multiplies
+# max(|p_k|, |p_{k-1}|) by at most sqrt(2)|z| + 1 < 2^7 for |z| < 64 (the
+# nodes of any rule up to MAX_RULE_DEGREE), so between rescalings the values
+# stay below 2^112, far from overflow.
+_RESCALE_STRIDE = 16
 
-    Row k is row0 times the orthonormal polynomial H_k(z)/sqrt(gamma_k)
-    scaled by pi^(1/4), so row0 = pi^(-1/4) gives the orthonormal
-    polynomials and row0 = exp(-z^2/2) pi^(-1/4) the Hermite functions.
+
+def _hermite_rows(nmax: int, z: np.ndarray):
+    """Yield (p_k, e_k), k = 0..nmax: h_k(z) = p_k 2^e_k exp(-z^2/2) / pi^(1/4).
+
+    The recurrence runs from p_0 = 1 (p_{-1} = 0) and scales the pair it
+    carries by exact powers of two, so neither the Gaussian nor the growth
+    of p_k can underflow or overflow.  e_k is one array object from one
+    rescale to the next; an earlier row read at a later exponent e is
+    np.ldexp(p_k, e_k - e), the very operation a rescale applies.
     """
+    exponent = np.zeros(z.shape, dtype=int)
+    prev, cur = np.zeros_like(z), np.ones_like(z)
+    yield cur, exponent
+    for k in range(nmax):
+        prev, cur = cur, z * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
+        if k and k % _RESCALE_STRIDE == 0:
+            _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
+            cur, prev = np.ldexp(cur, -e), np.ldexp(prev, -e)
+            exponent = exponent + e
+        yield cur, exponent
+
+
+def _table(nmax: int, z: np.ndarray, log_row0) -> np.ndarray:
+    """Rows 0..nmax of p_k 2^e_k exp(log_row0); the exponent and log_row0
+    are added before exponentiating, so neither over- or underflows alone."""
     table = np.empty((nmax + 1, z.size))
-    table[0] = row0
-    if nmax >= 1:
-        table[1] = math.sqrt(2.0) * z * table[0]
-    for k in range(1, nmax):
-        table[k + 1] = z * math.sqrt(2.0 / (k + 1)) * table[k] - math.sqrt(
-            k / (k + 1)
-        ) * table[k - 1]
+    exponent = None
+    for k, (p, e) in enumerate(_hermite_rows(nmax, z)):
+        if e is not exponent:
+            exponent, scale = e, np.exp(e * math.log(2.0) + log_row0)
+        table[k] = p * scale
     return table
 
 
 def hermite_scaled_table(nmax: int, z: np.ndarray) -> np.ndarray:
     """Table of normalized Hermite functions h_n(z), shape (nmax+1, len(z))."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _normalized_table(nmax, z, np.exp(-0.5 * z * z) / math.pi**0.25)
+    return _table(nmax, z, -0.5 * z * z - 0.25 * math.log(math.pi))
 
 
 def hermite_orthonormal_table(nmax: int, z: np.ndarray) -> np.ndarray:
@@ -112,7 +136,7 @@ def hermite_orthonormal_table(nmax: int, z: np.ndarray) -> np.ndarray:
     grow like exp(z^2/2); intended for evaluating expansions at moderate z.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _normalized_table(nmax, z, np.full(z.size, math.pi**-0.25))
+    return _table(nmax, z, -0.25 * math.log(math.pi))
 
 
 @dataclass(frozen=True)
@@ -132,41 +156,6 @@ class HermiteRule:
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray
-
-
-# Rescale the recurrence every _RESCALE_STRIDE steps.  One step multiplies
-# max(|p_k|, |p_{k-1}|) by at most sqrt(2)|z| + 1 < 2^7 for the nodes of any
-# rule up to MAX_RULE_DEGREE (|z| < sqrt(2*MAX_RULE_DEGREE + 3) < 64), so
-# between rescalings the values stay below 2^112, far from overflow.
-_RESCALE_STRIDE = 16
-
-
-def _scaled_triple(
-    n: int, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Rescaled normalized Hermite functions at the points z, n >= 1.
-
-    Returns (p_n, p_{n-1}, p_{n-2}, e) with h_k(z) = p_k 2^e exp(-z^2/2) /
-    pi^(1/4) for k = n-2, n-1, n (p_{-1} = 0).  The recurrence runs from
-    p_0 = 1 and is rescaled by exact powers of two, so neither the Gaussian
-    factor nor the growth of p_k can underflow or overflow; ratios such as
-    p_n / p_{n-1} equal h_n / h_{n-1} without ever forming either.
-    """
-    exponent = np.zeros(z.shape, dtype=int)
-    hprev2 = np.zeros_like(z)
-    hprev = np.ones_like(z)
-    h = math.sqrt(2.0) * z
-    for k in range(1, n):
-        hprev2, hprev, h = (
-            hprev,
-            h,
-            z * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1)) * hprev,
-        )
-        if k % _RESCALE_STRIDE == 0:
-            _, e = np.frexp(np.maximum(np.abs(h), np.abs(hprev)))
-            h, hprev, hprev2 = np.ldexp(h, -e), np.ldexp(hprev, -e), np.ldexp(hprev2, -e)
-            exponent += e
-    return h, hprev, hprev2, exponent
 
 
 def hermite_gauss_rule(degree: int) -> HermiteRule:
@@ -212,9 +201,14 @@ def hermite_gauss_rule(degree: int) -> HermiteRule:
     # The nonnegative nodes, ascending; an odd count adds the exact root 0.0.
     z = np.concatenate([np.zeros(odd), np.sqrt(squares)])
 
+    # p_{N-1} (p_{-1} = 0), p_N and p_{N+1} from one pass of the recurrence,
+    # the first two read at the exponent of the last.
+    rows = collections.deque([(np.zeros_like(z), 0)], maxlen=3)
+    rows.extend(_hermite_rows(count, z))
+    p_top, exponent = rows[2]
+    p_sub, p_deg = (np.ldexp(p, e - exponent) for p, e in (rows[0], rows[1]))
     # One Newton polish on the roots of h_{N+1}, whose derivative there is
     # sqrt(2(N+1)) h_N.  At z = 0 the odd p_{N+1} is exactly zero.
-    p_top, p_deg, p_sub, exponent = _scaled_triple(count, z)
     delta = -p_top / (math.sqrt(2.0 * count) * p_deg)
     z = z + delta
     # p_N at the polished node, from p_N' = sqrt(2N) p_{N-1}.

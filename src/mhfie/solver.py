@@ -238,10 +238,14 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
         gmin = float(np.min(gap))
         if gmin <= NODE_GAP:
             i, k = np.unravel_index(int(np.argmin(gap)), gap.shape)
+            # Rules of consecutive degrees interlace; their nodes still meet
+            # where the map clusters them at an endpoint.
+            advice = ("nodes cluster at an endpoint; lower n or raise alpha"
+                      if abs(rule_q.basis.degree - rule_c.basis.degree) == 1
+                      else "pick ni so the node families interlace (default ni=n+1)")
             raise AssemblyError(
                 f"collocation node x[{i}]={rule_c.nodes[i]!r} and quadrature node "
-                f"s[{k}]={rule_q.nodes[k]!r} are {gmin:.2e} apart; pick ni so the "
-                "node families interlace (default ni=n+1)"
+                f"s[{k}]={rule_q.nodes[k]!r} are {gmin:.2e} apart; {advice}"
             )
         theta = _axis_singular(kernel, axis)(gap)
         if kernel.smooth_factor is not None:

@@ -300,6 +300,13 @@ def test_error_norms_requires_degree_for_plain_callables():
     assert norms.err_inf == 0.0
 
 
+def test_error_norms_2d_rejects_a_nonfinite_integrand():
+    interp, _ = make_tensor(0.8, 8, lambda x, y: x * y)
+    exact = lambda x, y: np.where(x > 0.9, np.nan, x * y)
+    with pytest.raises(ValueError, match="integrand is not finite"):
+        error_norms(interp, exact, (0.8, 0.8), dim=2)
+
+
 def test_eval_grids_stay_inside_the_open_interval():
     grid = eval_grid_1d()
     axis = eval_grid_axis_2d()

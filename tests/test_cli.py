@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from mhfie.approx import eval_grid_axis_2d
 from mhfie.cli import ConvergenceReport, main, run_convergence
 from mhfie.mhf import MhfBasis, mhf_gauss_rule
-from mhfie.solver import SolverError
+from mhfie.problem import get_problem
+from mhfie.solver import SolverConfig, SolverError, solve
 
 
 def read_csv(path):
@@ -100,6 +102,22 @@ def test_solve_dump_writes_grid(tmp_path, capsys):
     assert xs.size > 1000
     assert np.all((xs > 0.0) & (xs < 1.0))
     assert np.all(np.isfinite(us))
+
+
+def test_solve_dump_writes_the_2d_tensor_grid(tmp_path, capsys):
+    dump = tmp_path / "u.csv"
+    rc = main(["solve", "--problem", "ex3-log", "--n", "8", "--dump", str(dump)])
+    capsys.readouterr()
+    assert rc == 0
+    header, rows = read_csv(dump)
+    assert header == ["x", "y", "u"]
+    axis = eval_grid_axis_2d()
+    assert len(rows) == len(axis) ** 2
+    problem = get_problem("ex3-log")
+    solution = solve(problem, SolverConfig(n=8, alpha=problem.default_alpha))
+    np.testing.assert_array_equal(
+        [float(r[2]) for r in rows], solution.interpolant.eval_grid(axis, axis).ravel()
+    )
 
 
 def test_unknown_problem_is_usage_error(capsys):

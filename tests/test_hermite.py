@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,6 +22,8 @@ SQRT_PI = math.sqrt(math.pi)
 # h_n(z) = H_n(z) exp(-z^2/2) / sqrt(sqrt(pi) 2^n n!)
 H_SCALED_200_AT_1 = 0.07007842489267640059621015
 H_SCALED_60_AT_5P5 = 0.06218644686399751143725721
+# Past |z| = 38.6 exp(-z^2/2) alone underflows, while h_n(z) does not.
+H_SCALED_FAR = {(2000, 40.0): 0.107662611888671, (1000, 38.5): 0.0897951021240785}
 
 # Extreme node z_0 and log-weight log w_0 of the degree-N Gauss-Hermite rule
 # (N+1 nodes), computed with mpmath at 60 digits: Newton on H_{N+1} with
@@ -76,6 +79,21 @@ def test_scaled_eval_agrees_with_raw_at_moderate_degree():
 
 def test_scaled_eval_underflows_to_zero():
     assert hermite_eval_scaled(3, 50.0) == 0.0
+
+
+def test_scaled_eval_and_table_where_the_gaussian_underflows():
+    for (n, z), rounded in H_SCALED_FAR.items():
+        with mpmath.workdps(50):
+            zm = mpmath.mpf(z)
+            expected = float(
+                mpmath.hermite(n, zm)
+                * mpmath.exp(-zm * zm / 2)
+                / mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
+            )
+        assert expected == pytest.approx(rounded, rel=1e-14)
+        assert hermite_eval_scaled(n, z) == pytest.approx(expected, rel=1e-12)
+        table = hermite_scaled_table(n, np.array([-z, z]))
+        np.testing.assert_allclose(table[n], [expected, expected], rtol=1e-12)
 
 
 def test_scaled_table_matches_pointwise_eval():

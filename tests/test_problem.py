@@ -405,3 +405,13 @@ def test_estimate_solvability_reports_contraction():
     assert report["contraction"] < 1.0
     report2 = estimate_solvability(get_problem("ex3-alg"))
     assert report2["P"] > 0.0
+
+
+def test_estimate_solvability_samples_every_2d_kernel_argument():
+    # kernel_eval passes (s, t, x, y); 1 + (t - x)^2 peaks at t, x = 0.02, 0.98
+    spec = get_problem("ex3-log")
+    kernel = dataclasses.replace(
+        spec.kernel, smooth_factor=lambda s, t, x, y: 1.0 + (t - x) ** 2
+    )
+    report = estimate_solvability(dataclasses.replace(spec, kernel=kernel))
+    assert report["M"] == pytest.approx(1.0 + 0.96**2, rel=1e-12)

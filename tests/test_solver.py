@@ -107,6 +107,17 @@ def test_assembly_rejects_coinciding_node_families():
         assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=8, ni=8))
 
 
+def test_assembly_names_endpoint_clustering_when_families_interlace():
+    # With ni = n+1 the families interlace, but at alpha = 0.5 the nodes
+    # x[92] and s[93] cluster at x = 1 to within 8.7e-13.
+    with pytest.raises(AssemblyError, match="lower n or raise alpha") as info:
+        assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=92, alpha=0.5))
+    assert "interlace" not in str(info.value)
+    with pytest.raises(AssemblyError) as info:
+        assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=8, ni=8))
+    assert "lower n" not in str(info.value)
+
+
 def test_assembly_rejects_nonfinite_kernel():
     bad = ProblemSpec(
         name="bad-kernel",
