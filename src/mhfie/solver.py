@@ -47,12 +47,10 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .approx import (
     Interpolant1D,
@@ -436,19 +434,14 @@ def _residual_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
     return residual
 
 
-class _Operator:
-    """Square linear operator given by its action, with an optional preconditioner.
+class _Operator(NamedTuple):
+    """Square linear operator given by its action, with its preconditioner.
 
-    scipy's iterative solvers accept any object with shape, dtype and matvec,
-    so scipy.sparse.linalg is imported only when a 2D Newton step is solved.
+    Both are callables on flat vectors; _gmres applies precond on the right.
     """
 
-    dtype = np.dtype(np.float64)
-
-    def __init__(self, size: int, matvec: Callable, precond=None):
-        self.shape = (size, size)
-        self.matvec = matvec
-        self.precond = precond
+    matvec: Callable
+    precond: Callable
 
 
 class _FastDiagonalization:
@@ -473,14 +466,14 @@ class _FastDiagonalization:
         self.forward = (qx, qy)
         self.products = lx[:, None] * ly[None, :]
 
-    def inverse(self, c: float) -> _Operator:
+    def inverse(self, c: float) -> Callable:
         scale = 1.0 / (self.lam - c * self.products)
 
         def apply(r: np.ndarray) -> np.ndarray:
             t = scale * _kron_apply(self.backward, r)
             return np.ravel(_kron_apply(self.forward, t).real)
 
-        return _Operator(scale.size, apply)
+        return apply
 
 
 def _factored_jacobian(disc: _Discretization, d: np.ndarray,
@@ -495,7 +488,7 @@ def _factored_jacobian(disc: _Discretization, d: np.ndarray,
         v = np.ravel(v)
         return disc.lam * v - np.ravel(_kron_apply(disc.w, d * _kron_apply(disc.e, v)))
 
-    return _Operator(disc.g.size, jv, fast.inverse(float(np.mean(d))))
+    return _Operator(jv, fast.inverse(float(np.mean(d))))
 
 
 def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
@@ -523,58 +516,93 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
 def _dense_step(jac, rhs: np.ndarray):
     """Newton step from a dense Jacobian by LU; there are no Krylov iterations.
 
-    A zero or non-finite pivot raises SolverError with the reciprocal
-    condition estimate of LAPACK's dgecon, and so does a non-finite step.
+    A Jacobian with a NaN or infinite entry raises SolverError before any
+    factorization.  An exactly singular one raises SolverError with the
+    reciprocal 1-norm condition number, computed on that failure path only,
+    and so does a non-finite step.
     """
     a = np.atleast_2d(np.asarray(jac, dtype=float))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    if np.any(np.diag(lu) == 0.0) or not np.all(np.isfinite(lu)):
-        anorm = float(np.linalg.norm(a, 1))
-        rcond = float(scipy.linalg.lapack.dgecon(lu, anorm, norm="1")[0])
+    if not np.all(np.isfinite(a)):
+        raise SolverError(
+            f"Jacobian is not finite ({a.size - np.count_nonzero(np.isfinite(a))} "
+            f"of {a.size} entries are NaN or infinite)"
+        )
+    try:
+        step = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        with np.errstate(all="ignore"):
+            rcond = 1.0 / float(np.linalg.cond(a, 1))
         raise SolverError(
             f"Jacobian is singular (reciprocal condition estimate {rcond:.2e})"
-        )
-    step = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+        ) from None
     if not np.all(np.isfinite(step)):
         raise SolverError("Newton step is not finite")
     return step, None
 
 
+def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
+    """Restarted GMRES from zero, right-preconditioned (Saad & Schultz 1986).
+
+    Each cycle builds an Arnoldi basis of at most GMRES_RESTART vectors for
+    matvec(precond(.)) by modified Gram-Schmidt and tracks the least-squares
+    residual by Givens rotations; a cycle ends when that estimate reaches the
+    target, and the iterate is accepted only when the true residual
+    |rhs - matvec(v)| reaches it too.  Runs at most GMRES_MAX_CYCLES cycles.
+    Returns v, the number of iterations and the last true residual norm.
+    """
+    v = np.zeros_like(rhs)
+    r, beta = rhs, float(np.linalg.norm(rhs))
+    iters = 0
+    for _ in range(GMRES_MAX_CYCLES):
+        if beta <= target:
+            break
+        basis = np.empty((GMRES_RESTART + 1, rhs.size))
+        basis[0] = r / beta
+        h = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
+        rotations, g = [], [beta]
+        for j in range(GMRES_RESTART):
+            w = matvec(precond(basis[j]))
+            for i in range(j + 1):
+                h[i, j] = basis[i] @ w
+                w = w - h[i, j] * basis[i]
+            norm = float(np.linalg.norm(w))
+            iters += 1
+            col = h[: j + 1, j]
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], norm)
+            c, s = col[j] / rho, norm / rho
+            rotations.append((c, s))
+            col[j] = rho
+            g[j], g_next = c * g[j], -s * g[j]
+            g.append(g_next)
+            if abs(g_next) <= target or norm == 0.0:
+                break
+            basis[j + 1] = w / norm
+        k = len(rotations)
+        y = np.linalg.solve(np.triu(h[:k, :k]), g[:k])
+        v = v + precond(y @ basis[:k])
+        r = rhs - matvec(v)
+        beta = float(np.linalg.norm(r))
+    return v, iters, beta
+
+
 def _gmres_step(config: SolverConfig) -> Callable:
     """Newton step from a factored 2D Jacobian by preconditioned GMRES.
 
-    An unconverged GMRES return raises SolverError; an inexact step is never
-    taken.
+    A step whose true residual misses the GMRES target raises SolverError;
+    an inexact step is never taken.
     """
     atol = GMRES_ATOL_FACTOR * config.newton_tol
 
     def step(jac: _Operator, rhs: np.ndarray):
-        from scipy.sparse.linalg import gmres
-
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        v, info = gmres(
-            jac,
-            rhs,
-            rtol=GMRES_RTOL,
-            atol=atol,
-            restart=GMRES_RESTART,
-            maxiter=GMRES_MAX_CYCLES,
-            M=jac.precond,
-            callback=count,
-            callback_type="pr_norm",
-        )
-        if info != 0:
-            krylov = float(np.linalg.norm(rhs - jac.matvec(v)) / np.linalg.norm(rhs))
+        norm = float(np.linalg.norm(rhs))
+        target = max(GMRES_RTOL * norm, atol)
+        v, iters, residual = _gmres(jac.matvec, jac.precond, rhs, target)
+        if not residual <= target:
             raise SolverError(
                 f"GMRES did not converge at n={config.n}: relative Krylov residual "
-                f"{krylov:.2e} after {iters} iterations (info={info})"
+                f"{residual / norm:.2e} after {iters} iterations"
             )
         return v, iters
 

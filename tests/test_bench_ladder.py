@@ -1,0 +1,30 @@
+"""Smoke test of the fixed-ladder timing tool that writes the BENCH files."""
+
+import importlib.util
+from pathlib import Path
+
+import mhfie
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_ladder.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_ladder", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ladder_points_record_times_or_the_failure():
+    tool = _tool()
+    for name in ("ex1-log", "ex3-alg"):
+        point = tool.ladder_point(mhfie, name, 8, repeats=1)
+        assert "failed" not in point, point
+        for stage in ("solve", "verify_residual", "error_norms"):
+            assert point[f"{stage}_s"] > 0.0
+        assert point["certificate"] <= mhfie.SolverConfig(n=8).newton_tol
+        assert point["err_inf"] >= 0.0
+    # ex1-log at N=92 and alpha 0.5 fails to assemble (ROADMAP item 4)
+    failed = tool.ladder_point(mhfie, "ex1-log", 92, repeats=1)["failed"]
+    assert failed["stage"] == "solve" and failed["error"] == "AssemblyError"
+    assert "lower n or raise alpha" in failed["message"]

@@ -1,14 +1,18 @@
 """Tests for Hermite evaluation and Gauss-Hermite rules."""
 
+import collections
 import math
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mhfie.hermite import (
     MAX_RULE_DEGREE,
     HermiteRule,
+    _hermite_rows,
+    _initial_roots,
     hermite_eval,
     hermite_eval_scaled,
     hermite_gauss_rule,
@@ -234,6 +238,68 @@ def test_rule_nodes_are_roots_to_roundoff(degree):
     table = hermite_orthonormal_table(degree + 1, z)
     step = table[degree + 1] / (math.sqrt(2.0 * (degree + 1)) * table[degree])
     assert np.max(np.abs(step)) < 1e-14
+
+
+def eigen_rule(degree: int):
+    """Reference rule from the half-size Golub-Welsch eigenproblem.
+
+    The squared nonnegative nodes are the eigenvalues of the Laguerre Jacobi
+    matrix with parameter -1/2 (even node count) or +1/2 (odd count, plus
+    the exact node 0.0); one Newton step on the normalized recurrence
+    polishes them, and the weight takes p_N there to first order.  Returns
+    the nodes and log-weights, both mirrored and renormalized to sqrt(pi).
+    """
+    count = degree + 1
+    size, odd = divmod(count, 2)
+    a = 0.5 if odd else -0.5
+    j = np.arange(size, dtype=float)
+    squares = np.empty(0)
+    if size:
+        squares = scipy.linalg.eigvalsh_tridiagonal(
+            2.0 * j + (a + 1.0), np.sqrt(j[1:] * (j[1:] + a))
+        )
+    z = np.concatenate([np.zeros(odd), np.sqrt(squares)])
+    rows = collections.deque([(np.zeros_like(z), 0)], maxlen=3)
+    rows.extend(_hermite_rows(count, z))
+    p_top, exponent = rows[2]
+    p_sub, p_deg = (np.ldexp(p, e - exponent) for p, e in (rows[0], rows[1]))
+    delta = -p_top / (math.sqrt(2.0 * count) * p_deg)
+    z = z + delta
+    p_deg = p_deg + delta * math.sqrt(2.0 * degree) * p_sub
+    log_w = (
+        0.5 * math.log(math.pi)
+        - math.log(count)
+        - 2.0 * (np.log(np.abs(p_deg)) + exponent * math.log(2.0))
+    )
+    nodes = np.concatenate([-z[odd:][::-1], z])
+    log_weights = np.concatenate([log_w[odd:][::-1], log_w])
+    log_weights = log_weights + math.log(SQRT_PI / np.sum(np.exp(log_weights)))
+    return nodes, log_weights
+
+
+ORACLE_DEGREES = sorted(
+    set(range(21)) | {764, 765, MAX_RULE_DEGREE}
+    | {int(d) for d in np.geomspace(22, 1990, 37)}
+)
+
+
+@pytest.mark.parametrize("degree", ORACLE_DEGREES)
+def test_rule_matches_the_eigenvalue_rule(degree):
+    # Each rule's log-weights carry the recurrence's rounding, which grows
+    # like sqrt(N) eps (at degree 64 the eigenvalue rule itself is 6.2 eps
+    # from a 40-digit mpmath value), so they are compared on that scale.
+    eps = np.finfo(float).eps
+    rule = hermite_gauss_rule(degree)
+    nodes, log_weights = eigen_rule(degree)
+    assert np.all(np.diff(rule.nodes) > 0.0)
+    np.testing.assert_array_equal(rule.nodes, -rule.nodes[::-1])
+    assert np.all(np.abs(rule.nodes - nodes) <= 2.0 * eps * np.maximum(np.abs(nodes), 1.0))
+    scale = np.maximum(np.abs(log_weights), 1.0) + math.sqrt(degree + 1)
+    assert np.all(np.abs(rule.log_weights - log_weights) <= 4.0 * eps * scale)
+    # the asymptotic guesses lie within a few thousandths of the zero spacing
+    guesses = _initial_roots(degree + 1)
+    gap = np.max(np.abs(guesses - nodes[(degree + 1) // 2:]), initial=0.0)
+    assert gap * math.sqrt(2.0 * (degree + 1)) <= 3.1e-3
 
 
 def test_rule_rejects_out_of_range_degree():
