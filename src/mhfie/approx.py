@@ -10,7 +10,6 @@ Gauss nodes reproduces P^log_N = span{1, t, ..., t^N} exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections import OrderedDict
@@ -45,10 +44,6 @@ __all__ = [
 ]
 
 DUPLICATE_GAP = 1e-14
-# Degree-2N+16 rules kept for error_norms.  The bound caps memory: a
-# degree-2000 rule holds ~0.1 MB.  Only a process that repeats an
-# (alpha, degree) key gains from it.
-_RULE_MEMO_SIZE = 32
 # Bytes of Cauchy terms kept for the fixed evaluation grids.  Five 1D entries
 # at N = 16..80 hold 5.7 MiB; one 1D entry above N ~ 350 exceeds the cap and
 # is never kept.
@@ -441,17 +436,10 @@ def _infer_degree(approx) -> Optional[int]:
     return None
 
 
-@functools.lru_cache(maxsize=_RULE_MEMO_SIZE)
-def _norm_rule(alpha: float, degree: int) -> MhfRule:
-    """Memoized mapped rule; a miss reaches the builder through this module's
-    attribute mhf_gauss_rule.  Its arrays are read-only."""
-    return mhf_gauss_rule(MhfBasis(alpha=alpha, degree=degree))
-
-
 def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None) -> ErrorNorms:
     """Sup-norm error on the fixed grid and weighted L2 error by oversampled
-    quadrature (rule degree 2N+16, taken from a bounded memo of
-    _RULE_MEMO_SIZE rules keyed by (alpha, degree)).
+    quadrature (mapped rule of degree 2N+16, mapped from the memoized
+    Gauss-Hermite rule of that degree).
 
     alpha is a scalar in one dimension, a pair in two; degree defaults to
     the approximant's own degree when it exposes one.
@@ -465,7 +453,7 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         grid = eval_grid_1d()
         diff_on = lambda x: np.asarray(ev(x), dtype=float) - np.asarray(exact(x), dtype=float)
         err_inf = float(np.max(np.abs(diff_on(grid))))
-        rule = _norm_rule(float(alpha), 2 * degree + 16)
+        rule = mhf_gauss_rule(MhfBasis(alpha=float(alpha), degree=2 * degree + 16))
         err_l2 = math.sqrt(max(0.0, mhf_quadrature(rule, lambda x: diff_on(x) ** 2)))
         return ErrorNorms(err_inf=err_inf, err_l2chi=err_l2)
     if dim == 2:
@@ -474,7 +462,9 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         grid_vals = approx.eval_grid(axis, axis)
         gx, gy = np.meshgrid(axis, axis, indexing="ij")
         err_inf = float(np.max(np.abs(grid_vals - np.asarray(exact(gx, gy), dtype=float))))
-        rule_x, rule_y = (_norm_rule(a, 2 * degree + 16) for a in (a1, a2))
+        rules = {a: mhf_gauss_rule(MhfBasis(alpha=a, degree=2 * degree + 16))
+                 for a in {a1, a2}}
+        rule_x, rule_y = rules[a1], rules[a2]
         qx, qy = np.meshgrid(rule_x.nodes, rule_y.nodes, indexing="ij")
         diff = approx.eval_grid(rule_x.nodes, rule_y.nodes) - np.asarray(
             exact(qx, qy), dtype=float

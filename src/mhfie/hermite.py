@@ -23,13 +23,17 @@ Hermite differential equation for the higher derivatives, corrects them to
 roundoff (compare Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007;
 Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016).  Because
 exp(-z^2) is even, only the nonnegative nodes are computed and the rule is
-mirrored.
+mirrored.  hermite_gauss_rule keeps the rules it builds in one bounded memo
+keyed by degree; every mapped rule in the package, the residual
+certificate's included, reads its Hermite rule from there.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +50,10 @@ __all__ = [
 SQRT_PI = math.sqrt(math.pi)
 
 MAX_RULE_DEGREE = 2000
+# Rules kept by the memo under hermite_gauss_rule.  The bound caps memory: a
+# degree-2000 rule holds three arrays of 2001 doubles, about 48 KB, so the
+# memo holds at most about 1.5 MB.
+_RULE_MEMO_SIZE = 32
 
 
 def hermite_eval(n: int, z: float) -> float:
@@ -222,8 +230,42 @@ def _initial_roots(count: int) -> np.ndarray:
     return np.concatenate([np.zeros(count % 2), z])
 
 
+def _check_degree(degree) -> int:
+    """degree as an int in [0, MAX_RULE_DEGREE].
+
+    operator.index accepts Python and numpy integers alike and rejects
+    floats, integral ones included, with a TypeError; a degree out of range
+    raises ValueError.
+    """
+    try:
+        degree = operator.index(degree)
+    except TypeError:
+        raise TypeError(f"degree must be an integer, got {degree!r}") from None
+    if not 0 <= degree <= MAX_RULE_DEGREE:
+        raise ValueError(f"degree must be in [0, {MAX_RULE_DEGREE}], got {degree}")
+    return degree
+
+
 def hermite_gauss_rule(degree: int) -> HermiteRule:
-    """Build the (degree+1)-point Gauss-Hermite rule.
+    """The (degree+1)-point Gauss-Hermite rule, built once per process.
+
+    The degree is checked and normalized to an int before the lookup, so
+    np.int64(5) and 5 share one entry and 5.0 raises TypeError whatever the
+    memo holds.  The memo keeps the last _RULE_MEMO_SIZE degrees used; the
+    rule is frozen and its arrays are read-only, so every caller may share
+    it.  See _build_rule for the construction.
+    """
+    return _memoized_rule(_check_degree(degree))
+
+
+@functools.lru_cache(maxsize=_RULE_MEMO_SIZE)
+def _memoized_rule(degree: int) -> HermiteRule:
+    """A miss builds through this module's attribute _build_rule."""
+    return _build_rule(degree)
+
+
+def _build_rule(degree: int) -> HermiteRule:
+    """Build the (degree+1)-point Gauss-Hermite rule anew.
 
     With N = degree and n = N+1 nodes, the nonnegative nodes start from the
     asymptotic zeros of _initial_roots.  One pass of the rescaled normalized
@@ -244,8 +286,6 @@ def hermite_gauss_rule(degree: int) -> HermiteRule:
     log-weights are then shifted so the weights sum to sqrt(pi), and
     weights is exactly exp(log_weights).
     """
-    if not 0 <= degree <= MAX_RULE_DEGREE:
-        raise ValueError(f"rule degree must be in [0, {MAX_RULE_DEGREE}], got {degree}")
     count = degree + 1
     odd = count % 2
     z = _initial_roots(count)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .hermite import (
     SQRT_PI,
-    MAX_RULE_DEGREE,
     HermiteRule,
+    _check_degree,
     hermite_eval,
     hermite_gauss_rule,
 )
@@ -58,10 +58,7 @@ class MhfBasis:
     def __post_init__(self):
         if not (0.0 < self.alpha <= MAX_ALPHA) or not math.isfinite(self.alpha):
             raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {self.alpha}")
-        if not 0 <= self.degree <= MAX_RULE_DEGREE:
-            raise ValueError(
-                f"degree must be in [0, {MAX_RULE_DEGREE}], got {self.degree}"
-            )
+        _check_degree(self.degree)
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,11 @@ def gamma_n(alpha: float, n: int) -> float:
 
 
 def mhf_gauss_rule(basis: MhfBasis) -> MhfRule:
-    """Mapped Gauss rule for the basis: exact on P^log_{2N+1} against chi."""
+    """Mapped Gauss rule for the basis: exact on P^log_{2N+1} against chi.
+
+    The mapped arrays are built anew on every call, from the memoized
+    Gauss-Hermite rule of the basis degree.
+    """
     herm = hermite_gauss_rule(basis.degree)
     logits = herm.nodes / basis.alpha
     nodes = _logistic(logits)

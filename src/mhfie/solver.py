@@ -32,9 +32,13 @@ kept in a bounded least-recently-used memo (_PLAN_MEMO_SIZE plans), from
 which solve, assemble_nystrom and both axes of a 2D solve take them.  Only
 a process that repeats a key gains, such as a study of several problems or
 forcings at one discretization; a convergence ladder solves each key once.
-verify_residual never reads the memo: it builds its plans anew, so its
-certificate stays independent of the arrays the solve used.  A plan builds
-its interpolation basis on first use, which the certificate never makes.
+verify_residual never reads the plan memo: it builds its quadrature
+coefficients, E and kernel matrix anew, so its certificate stays
+independent of the arrays the solve used.  What it shares with the solve
+is the Gauss-Hermite rule under each mapped rule, which hermite_gauss_rule
+keeps in its own memo: a pure function of one integer degree whose arrays
+cannot be written.  A plan builds its interpolation basis on first use,
+which the certificate never makes.
 
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
@@ -159,14 +163,15 @@ class SolverConfig:
 
     def check_dimension(self, dim: int, problem: str = "") -> None:
         """Raise ValueError for settings a problem of this dimension cannot use:
-        n or ni above the limit, or alpha2 on a one-dimensional problem."""
+        n above the limit, or alpha2 on a one-dimensional problem.  ni is
+        bounded, in either dimension, by the rule's own MAX_RULE_DEGREE."""
         if dim == 1 and self.alpha2 is not None:
             raise ValueError(
                 f"alpha2={self.alpha2} sets the second axis, but problem "
                 f"{problem!r} is one-dimensional"
             )
         limit = MAX_N_1D if dim == 1 else MAX_N_2D
-        if self.n > limit or (dim == 1 and self.ni_value > MAX_N_1D):
+        if self.n > limit:
             raise ValueError(
                 f"n={self.n}, ni={self.ni_value} exceeds limit {limit} in {dim}D"
             )
@@ -710,10 +715,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
 def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> float:
     """Max-norm residual of node values against a freshly built operator.
 
-    Accepts a Solution or a bare node-value array.  The rules, quadrature
-    coefficients and damped cardinal matrix are rebuilt here and never read
-    from the axis-plan memo the solves share, so nothing is reused from the
-    solve and this is the independent certificate check.
+    Accepts a Solution or a bare node-value array.  The mapped rules,
+    quadrature coefficients, damped cardinal matrix and kernel matrix are
+    rebuilt here and never read from the axis-plan memo the solves share,
+    so this is the independent certificate check.  Only the read-only
+    Gauss-Hermite rules under the mapped rules come from the rule memo that
+    every caller shares.
     """
     disc = _build(problem, config, _build_axis_plan)
     values = solution.node_values if isinstance(solution, Solution) else solution

@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import mhfie
+import mhfie.hermite
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_ladder.py"
 
@@ -28,3 +29,14 @@ def test_ladder_points_record_times_or_the_failure():
     failed = tool.ladder_point(mhfie, "ex1-log", 92, repeats=1)["failed"]
     assert failed["stage"] == "solve" and failed["error"] == "AssemblyError"
     assert "lower n or raise alpha" in failed["message"]
+
+
+def test_rule_times_build_every_repetition_cold(monkeypatch):
+    tool = _tool()
+    built = []
+    build = mhfie.hermite._build_rule
+    monkeypatch.setattr(mhfie.hermite, "_build_rule",
+                        lambda degree: built.append(degree) or build(degree))
+    times = tool.rule_times(mhfie, degrees=(8, 12))
+    assert set(times) == {"8", "12"} and min(times.values()) > 0.0
+    assert built == [8] * tool.RULE_REPEATS + [12] * tool.RULE_REPEATS

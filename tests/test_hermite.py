@@ -309,6 +309,18 @@ def test_rule_rejects_out_of_range_degree():
         hermite_gauss_rule(2001)
 
 
+def test_rule_degree_must_be_an_integer():
+    # the memo keys by the normalized degree, so the answer for 5.0 cannot
+    # depend on whether degree 5 was built before
+    for _ in range(2):
+        with pytest.raises(TypeError, match="degree must be an integer, got 5.0"):
+            hermite_gauss_rule(5.0)
+        hermite_gauss_rule(5)
+    rule = hermite_gauss_rule(np.int64(5))
+    assert type(rule.degree) is int
+    assert rule is hermite_gauss_rule(5)
+
+
 def test_rule_arrays_are_read_only():
     rule = hermite_gauss_rule(6)
     assert isinstance(rule, HermiteRule)

@@ -94,6 +94,8 @@ def test_basis_validation():
         MhfBasis(alpha=1.0, degree=-1)
     with pytest.raises(ValueError):
         MhfBasis(alpha=1.0, degree=2001)
+    with pytest.raises(TypeError, match="degree must be an integer, got 5.0"):
+        MhfBasis(alpha=0.5, degree=5.0)
 
 
 def test_mhf_eval_is_hermite_of_the_logit():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mhfie.approx
+import mhfie.hermite
 import mhfie.solver
 from mhfie.approx import error_norms
 from mhfie.mhf import MhfBasis, mhf_gauss_rule
@@ -20,6 +21,7 @@ from mhfie.problem import (
     get_problem,
 )
 from mhfie.solver import (
+    MAX_N_1D,
     MAX_N_2D,
     AssemblyError,
     NonConvergenceError,
@@ -377,26 +379,34 @@ def _solve_and_norms(prob, cfg):
     return sol, norms
 
 
+def _clear_memos():
+    mhfie.solver._axis_plan.cache_clear()
+    mhfie.hermite._memoized_rule.cache_clear()
+
+
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
 @pytest.mark.parametrize("name, n", [("ex1-log", 24), ("ex2-sqrt", 24), ("ex3-alg", 8)])
 def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeypatch):
     prob = get_problem(name)
     cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
-    mhfie.solver._axis_plan.cache_clear()
-    mhfie.approx._norm_rule.cache_clear()
+    _clear_memos()
     cold, cold_norms = _solve_and_norms(prob, cfg)
 
-    def no_rebuild(basis):
-        raise AssertionError(f"rule rebuilt at degree {basis.degree}")
+    def no_rebuild(degree):
+        raise AssertionError(f"rule rebuilt at degree {degree}")
 
-    monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_rebuild)
-    monkeypatch.setattr(mhfie.approx, "mhf_gauss_rule", no_rebuild)
+    def no_plan_rule(basis):
+        raise AssertionError(f"plan rebuilt at degree {basis.degree}")
+
+    # no Hermite rule is built, and the solve maps no rule: its plan is memoized
+    monkeypatch.setattr(mhfie.hermite, "_build_rule", no_rebuild)
+    monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_plan_rule)
     warm, warm_norms = _solve_and_norms(prob, cfg)
     assert np.array_equal(warm.node_values, cold.node_values)
     assert warm.final_residual == cold.final_residual
     assert warm_norms == cold_norms
     plan = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, method)
-    rule = mhfie.approx._norm_rule(cfg.alpha, 2 * cfg.n + 16)
+    rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
     arrays = _read_only_arrays(plan) + _read_only_arrays(plan.basis) + _read_only_arrays(rule)
     assert len(arrays) >= 20
     assert not any(arr.flags.writeable for arr in arrays)
@@ -404,18 +414,37 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
 
 def test_memos_hold_at_most_their_bounds():
     prob = get_problem("ex1-log")
-    plans, rules = mhfie.solver._axis_plan, mhfie.approx._norm_rule
-    plans.cache_clear()
-    rules.cache_clear()
+    plans, rules = mhfie.solver._axis_plan, mhfie.hermite._memoized_rule
+    _clear_memos()
     for n in range(2, 2 + mhfie.solver._PLAN_MEMO_SIZE + 4):
         solve(prob, SolverConfig(n=n, alpha=prob.default_alpha))
         assert plans.cache_info().currsize <= mhfie.solver._PLAN_MEMO_SIZE
     assert plans.cache_info().currsize == mhfie.solver._PLAN_MEMO_SIZE
     sol = solve(prob, SolverConfig(n=4, alpha=prob.default_alpha))
-    for degree in range(mhfie.approx._RULE_MEMO_SIZE + 4):
+    for degree in range(mhfie.hermite._RULE_MEMO_SIZE + 4):
         error_norms(sol.interpolant, prob.exact_solution, 0.5, degree=degree)
-        assert rules.cache_info().currsize <= mhfie.approx._RULE_MEMO_SIZE
-    assert rules.cache_info().currsize == mhfie.approx._RULE_MEMO_SIZE
+        assert rules.cache_info().currsize <= mhfie.hermite._RULE_MEMO_SIZE
+    assert rules.cache_info().currsize == mhfie.hermite._RULE_MEMO_SIZE
+
+
+@pytest.mark.parametrize("name, n", [("ex1-log", 16), ("ex3-alg", 8)])
+def test_solve_certificate_and_norms_build_each_rule_once(name, n, monkeypatch):
+    # the solve's plan, the certificate's fresh plan and the error norms
+    # build only the distinct degrees n, n+1 and 2n+16; every other rule
+    # lookup hits the memo
+    prob = get_problem(name)
+    cfg = SolverConfig(n=n, alpha=prob.default_alpha)
+    built = []
+    build = mhfie.hermite._build_rule
+    monkeypatch.setattr(mhfie.hermite, "_build_rule",
+                        lambda degree: built.append(degree) or build(degree))
+    _clear_memos()
+    sol, _ = _solve_and_norms(prob, cfg)
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    assert sorted(built) == [n, n + 1, 2 * n + 16]
+    # the two hits are the certificate's rules; the 2D axes share theirs
+    info = mhfie.hermite._memoized_rule.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -538,6 +567,17 @@ def test_factored_two_dimensional_solve_matches_dense_newton(name, n, method):
     if name == "identity-2d":
         # dpsi/du = 1 makes the fast-diagonalization preconditioner exact
         assert sol.krylov_iters == (1,) * sol.newton_iters
+
+
+def test_one_dimensional_solve_at_max_n():
+    # ex1-* at MAX_N_1D still meet the node-gap AssemblyError at alpha 0.5
+    prob = get_problem("ex2-sqrt")
+    cfg = SolverConfig(n=MAX_N_1D, alpha=0.5)
+    sol = solve(prob, cfg)
+    assert sol.node_values.shape == (MAX_N_1D + 1,)
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    with pytest.raises(ValueError, match="exceeds limit"):
+        solve(prob, replace(cfg, n=MAX_N_1D + 1))
 
 
 @pytest.mark.parametrize("name", ["ex3-log", "ex3-alg"])
