@@ -23,9 +23,9 @@ from .mhf import (
     MhfBasis,
     MhfRule,
     _check_unit_interval,
-    _logistic,
     _values_at_nodes,
     log_gamma_n,
+    map_to_unit,
     mhf_gauss_rule,
     mhf_quadrature,
 )
@@ -226,7 +226,7 @@ class _TermsMemo:
 def _fixed_grid(t_count: int, uniform_count: int) -> np.ndarray:
     """Read-only union of logistic(t), t uniform on [-8, 8], and uniform points
     on [1e-3, 1-1e-3]."""
-    mapped = _logistic(np.linspace(-8.0, 8.0, t_count))
+    mapped = map_to_unit(1.0, np.linspace(-8.0, 8.0, t_count))
     uniform = np.linspace(1e-3, 1.0 - 1e-3, uniform_count)
     grid = np.unique(np.concatenate([mapped, uniform]))
     grid.setflags(write=False)

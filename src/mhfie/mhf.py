@@ -87,11 +87,16 @@ def _check_unit_interval(x) -> np.ndarray:
     return x
 
 
-def _logistic(t) -> np.ndarray:
-    """sigma(t) = 1/(1+exp(-t)) evaluated branch-stably; saturates, never errors."""
+def _logistic_pair(t) -> tuple:
+    """(sigma(t), 1 - sigma(t)) with sigma(t) = 1/(1+exp(-t)), both without
+    cancellation: one exp(-|t|) and its two quotients, selected by the sign
+    of t.  Saturates, never errors."""
     t = np.asarray(t, dtype=float)
     u = np.exp(-np.abs(t))
-    return np.where(t >= 0.0, 1.0 / (1.0 + u), u / (1.0 + u))
+    d = 1.0 + u
+    big, small = 1.0 / d, u / d
+    positive = t >= 0.0
+    return np.where(positive, big, small), np.where(positive, small, big)
 
 
 def map_to_real(alpha: float, x):
@@ -103,7 +108,7 @@ def map_to_real(alpha: float, x):
 
 def map_to_unit(alpha: float, zhat):
     """Inverse map x = sigma(zhat/alpha); saturates to 0/1 for large |zhat|."""
-    out = _logistic(np.asarray(zhat, dtype=float) / alpha)
+    out = _logistic_pair(np.asarray(zhat, dtype=float) / alpha)[0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -159,8 +164,7 @@ def mhf_gauss_rule(basis: MhfBasis) -> MhfRule:
     """
     herm = hermite_gauss_rule(basis.degree)
     logits = herm.nodes / basis.alpha
-    nodes = _logistic(logits)
-    complement = _logistic(-logits)
+    nodes, complement = _logistic_pair(logits)
     weights = herm.weights / basis.alpha
     for arr in (nodes, weights, logits, complement):
         arr.setflags(write=False)

@@ -12,7 +12,11 @@ Forcing for manufactured solutions is produced by a reference integrator:
 the integral is split at the diagonal singularity and each piece handled
 by adaptive tanh-sinh (double-exponential) quadrature, with the singular
 kernel factor evaluated from the endpoint offset directly so that the
-clustering survives in floating point.
+clustering survives in floating point.  The unit abscissae of each level
+(levels 0..12, at most 2.4 MB) are built once per process into read-only
+tables.  The levels are nested, so one evaluation of the integrand on the
+391 nodes of level 5 serves levels 0..5, where every integral of the
+registry's manufactured forcing converges.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+
+from .mhf import _logistic_pair
 
 __all__ = [
     "OracleError",
@@ -52,9 +58,40 @@ class OracleError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _T_MAX = 6.1  # beyond this the double-exponential weights underflow
+_FIRST_LEVEL = 5  # the one level evaluated for every coarser one (391 nodes)
+_MAX_MEMO_LEVEL = 12  # the finest level whose table is kept, 2.4 MB for 0..12
+_LEVEL_TABLES: dict = {}
 
 
-def tanh_sinh(f, length: float, tol: float = 1e-12, max_level: int = 12) -> float:
+def _level_table(level: int) -> tuple:
+    """Read-only unit abscissae (sigma(u), 1 - sigma(u), cosh t) of one level.
+
+    t = j 2^-level for |t| <= _T_MAX and u = pi sinh t, so the node map is
+    r = length * sigma(u).  Tables of levels up to _MAX_MEMO_LEVEL are built
+    once per process; a finer level is built on every call.
+    """
+    table = _LEVEL_TABLES.get(level)
+    if table is None:
+        h = 2.0**-level
+        j = np.arange(-math.floor(_T_MAX / h), math.floor(_T_MAX / h) + 1)
+        t = j * h
+        table = (*_logistic_pair(math.pi * np.sinh(t)), np.cosh(t))
+        for arr in table:
+            arr.setflags(write=False)
+        if level <= _MAX_MEMO_LEVEL:
+            table = _LEVEL_TABLES.setdefault(level, table)
+    return table
+
+
+def _weighted_values(f, length: float, level: int) -> np.ndarray:
+    """w * f(r, length - r) at every node of one level, w the map's derivative."""
+    sig, sig_c, cosh = _level_table(level)
+    w = length * math.pi * cosh * sig * sig_c
+    return w * np.asarray(f(length * sig, length * sig_c), dtype=float)
+
+
+def tanh_sinh(f, length: float, tol: float = 1e-12,
+              max_level: int = _MAX_MEMO_LEVEL) -> float:
     """Integrate f over (0, length) by adaptive tanh-sinh quadrature.
 
     f(r, length - r) receives the offsets from both endpoints, each
@@ -62,35 +99,47 @@ def tanh_sinh(f, length: float, tol: float = 1e-12, max_level: int = 12) -> floa
     so integrable endpoint singularities can be evaluated at full
     precision arbitrarily close to the endpoints.  f must accept arrays.
 
-    Levels halve the step until successive values agree within tol
-    (absolute); exceeding max_level raises OracleError.
+    Level l has the nodes t = j 2^-l, |t| <= 6.1, whose unit abscissae come
+    from a per-process table (levels up to 12).  Levels halve the step
+    until successive values agree within tol (absolute), checked from
+    level 2 on; exceeding max_level (at least 2) raises OracleError.  The
+    levels are nested (Takahasi & Mori 1974): level l's nodes are every
+    2^(5-l)-th node of level 5, so f is called once, at level 5 (or at
+    max_level if lower), for levels 0..5, each of which sums a strided
+    view of those values; each finer level calls f once more on all of
+    its nodes.  A level whose sum is not finite raises OracleError.
     """
+    if max_level < 2:
+        raise ValueError(
+            f"max_level must be at least 2, the first level checked for "
+            f"convergence, got {max_level}"
+        )
     if length == 0.0:
         return 0.0
     if length < 0.0 or not math.isfinite(length):
         raise ValueError(f"interval length must be positive, got {length}")
+    first = min(_FIRST_LEVEL, max_level)
+    nested = _weighted_values(f, length, first)
+    center = nested.size // 2
     prev = None
     for level in range(max_level + 1):
         h = 2.0**-level
-        j = np.arange(-math.floor(_T_MAX / h), math.floor(_T_MAX / h) + 1)
-        t = j * h
-        u = math.pi * np.sinh(t)  # node map r = length * sigma(u)
-        au = np.exp(-np.abs(u))
-        sig = np.where(u >= 0.0, 1.0 / (1.0 + au), au / (1.0 + au))
-        sig_c = np.where(u >= 0.0, au / (1.0 + au), 1.0 / (1.0 + au))
-        r = length * sig
-        comp = length * sig_c
-        w = length * math.pi * np.cosh(t) * sig * sig_c
-        vals = w * np.asarray(f(r, comp), dtype=float)
-        total = h * float(np.sum(vals))
+        if level <= first:
+            stride = 2 ** (first - level)
+            reach = math.floor(_T_MAX / h) * stride
+            vals = nested[center - reach:center + reach + 1:stride]
+        else:
+            vals = _weighted_values(f, length, level)
+        total = h * float(vals.sum())
         if not math.isfinite(total):
             raise OracleError("tanh-sinh integrand produced a non-finite value")
-        if prev is not None and level >= 2 and abs(total - prev) <= tol:
+        delta = math.inf if prev is None else abs(total - prev)
+        if level >= 2 and delta <= tol:
             return total
         prev = total
     raise OracleError(
         f"tanh-sinh did not reach tolerance {tol} within {max_level} levels "
-        f"(last delta {abs(total - prev):.3e})"
+        f"(last delta {delta:.3e})"
     )
 
 

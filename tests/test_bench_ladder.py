@@ -5,6 +5,7 @@ from pathlib import Path
 
 import mhfie
 import mhfie.hermite
+import mhfie.problem
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_ladder.py"
 
@@ -40,3 +41,17 @@ def test_rule_times_build_every_repetition_cold(monkeypatch):
     times = tool.rule_times(mhfie, degrees=(8, 12))
     assert set(times) == {"8", "12"} and min(times.values()) > 0.0
     assert built == [8] * tool.RULE_REPEATS + [12] * tool.RULE_REPEATS
+
+
+def test_forcing_time_manufactures_every_node_on_fresh_instances(monkeypatch):
+    tool = _tool()
+    fresh, actions = [], []
+    get_problem, action = mhfie.get_problem, mhfie.problem._kernel_action_1d
+    monkeypatch.setattr(mhfie, "get_problem",
+                        lambda name: fresh.append(name) or get_problem(name))
+    monkeypatch.setattr(mhfie.problem, "_kernel_action_1d",
+                        lambda *args, **kw: actions.append(args[2]) or action(*args, **kw))
+    assert tool.forcing_time(mhfie, n_list=(4, 8), repeats=2) > 0.0
+    assert fresh == list(tool.FORCING_PROBLEMS) * 2
+    # the 5 + 9 nodes share the midpoint: 13 kernel actions per instance
+    assert len(actions) == 13 * len(fresh)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mhfie.mhf import (
     MhfBasis,
+    _logistic_pair,
     gamma_n,
     log_gamma_n,
     map_to_real,
@@ -137,6 +138,21 @@ def test_rule_node_symmetry_and_complements():
         rule.nodes + rule.nodes_complement, 1.0, atol=1e-15
     )
     assert np.all(np.diff(rule.nodes) > 0.0)
+
+
+def test_logistic_pair_is_the_logistic_and_its_complement():
+    t = np.array([-800.0, -40.0, -1.5, -1e-300, -0.0, 0.0, 1e-300, 1.5, 40.0, 800.0])
+    sig, sig_c = _logistic_pair(t)
+    # each half is the one-sided formula sigma(s) = 1/(1+e^-s) = e^s/(1+e^s)
+    # on its own side, bit for bit, so the pair mirrors exactly
+    for s, got in ((t, sig), (-t, sig_c)):
+        e = np.exp(-np.abs(s))
+        np.testing.assert_array_equal(got, np.where(s >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e)))
+    np.testing.assert_array_equal(sig_c, sig[::-1])
+    # the small side keeps its relative accuracy where 1 - sigma would cancel
+    assert sig_c[-2] == pytest.approx(math.exp(-40.0), rel=1e-15)
+    assert (sig[0], sig_c[0], sig[-1], sig_c[-1]) == (0.0, 1.0, 1.0, 0.0)
+    assert map_to_unit(2.0, 80.0) == sig[-2]
 
 
 def test_rule_nodes_cluster_at_endpoints():

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from mhfie import MhfBasis, mhf_gauss_rule
 from mhfie import problem as problem_module
 from mhfie.problem import (
     KernelSpec,
@@ -26,6 +27,156 @@ from mhfie.problem import (
 # closed forms for integrals over (0,1) with the -log(r(1-r)) weight
 SQRT_LOGWEIGHT = 20.0 / 9.0 - 4.0 * math.log(2.0) / 3.0  # f = sqrt(r)
 LOG_LOGWEIGHT = math.pi**2 / 6.0 - 4.0  # f = log(r)
+
+
+def reference_tanh_sinh(f, length, tol=1e-12, max_level=12):
+    """The level-by-level tanh-sinh loop, kept as the independent reference.
+
+    Every level builds its nodes and calls f on all of them, independently
+    of the integrator's level tables and nested walk.
+    """
+    if length == 0.0:
+        return 0.0
+    prev = None
+    for level in range(max_level + 1):
+        h = 2.0**-level
+        j = np.arange(-math.floor(6.1 / h), math.floor(6.1 / h) + 1)
+        t = j * h
+        u = math.pi * np.sinh(t)
+        au = np.exp(-np.abs(u))
+        sig = np.where(u >= 0.0, 1.0 / (1.0 + au), au / (1.0 + au))
+        sig_c = np.where(u >= 0.0, au / (1.0 + au), 1.0 / (1.0 + au))
+        w = length * math.pi * np.cosh(t) * sig * sig_c
+        vals = w * np.asarray(f(length * sig, length * sig_c), dtype=float)
+        total = h * float(np.sum(vals))
+        if not math.isfinite(total):
+            raise OracleError("tanh-sinh integrand produced a non-finite value")
+        delta = math.inf if prev is None else abs(total - prev)
+        if level >= 2 and delta <= tol:
+            return total
+        prev = total
+    raise OracleError(
+        f"tanh-sinh did not reach tolerance {tol} within {max_level} levels "
+        f"(last delta {delta:.3e})"
+    )
+
+
+def _outcome(integrate, *args):
+    """The float an integration returns, or the message of its OracleError."""
+    try:
+        return integrate(*args).hex()
+    except OracleError as exc:
+        return str(exc)
+
+
+INTEGRANDS = {
+    "smooth": lambda r, c: np.exp(r),
+    "log": lambda r, c: np.log(r),
+    "r^-1/2": lambda r, c: r**-0.5,
+    "c^-1/2": lambda r, c: c**-0.5,
+    "oscillatory": lambda r, c: np.cos(50.0 * r),  # leaves at level 5 or 6
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRANDS))
+def test_tanh_sinh_matches_the_level_by_level_loop_bitwise(name):
+    f = INTEGRANDS[name]
+    for length in (1e-10, 0.3, 1.0):
+        for tol in (1e-3, 1e-12, 1e-13, 1e-14):
+            for max_level in (3, 5, 12):
+                args = (f, length, tol, max_level)
+                assert _outcome(tanh_sinh, *args) == _outcome(
+                    reference_tanh_sinh, *args
+                ), args
+
+
+def test_tanh_sinh_calls_the_integrand_once_up_to_level_five():
+    def counted(f, calls):
+        return lambda r, c: calls.append(r.size) or f(r, c)
+
+    for f, tol, ref_levels, sizes in (
+        (INTEGRANDS["smooth"], 1e-12, 5, [391]),  # leaves at level 4
+        (INTEGRANDS["oscillatory"], 1e-12, 6, [391]),  # at level 5
+        (INTEGRANDS["oscillatory"], 1e-14, 7, [391, 781]),  # at level 6
+    ):
+        ref_calls, calls = [], []
+        want = reference_tanh_sinh(counted(f, ref_calls), 1.0, tol)
+        assert len(ref_calls) == ref_levels
+        assert tanh_sinh(counted(f, calls), 1.0, tol) == want
+        assert calls == sizes
+
+
+def test_tanh_sinh_sums_only_the_nodes_of_the_levels_it_reaches():
+    # NaN at every level-5 node that level 3 lacks: the integral leaves at
+    # level 3, as the level-by-level loop does, and never sums them
+    def f(r, c):
+        out = np.exp(r)
+        if r.size == 391:
+            out[(np.arange(391) - 195) % 4 != 0] = np.nan
+        return out
+
+    levels = []
+    want = reference_tanh_sinh(lambda r, c: levels.append(r.size) or f(r, c), 1.0, 1e-6)
+    assert levels == [13, 25, 49, 97]
+    assert tanh_sinh(f, 1.0, 1e-6) == want == pytest.approx(math.e - 1.0, rel=1e-7)
+    # the level-4 sum reaches the NaNs
+    with pytest.raises(OracleError, match="finite"):
+        tanh_sinh(f, 1.0, 1e-15)
+
+
+def test_tanh_sinh_level_tables_are_read_only_and_bounded(monkeypatch):
+    tables = {}
+    monkeypatch.setattr(problem_module, "_LEVEL_TABLES", tables)
+    with pytest.raises(OracleError, match="within 13 levels"):
+        tanh_sinh(lambda r, c: np.cos(1e4 * r), 1.0, tol=0.0, max_level=13)
+    # level 5 serves levels 0..5; 6..12 are kept and 13 is built per call
+    assert sorted(tables) == list(range(5, 13))
+    for level, table in tables.items():
+        assert len(table) == 3 and all(a.size == 2 * math.floor(6.1 * 2**level) + 1
+                                       for a in table)
+        for arr in table:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    held = dict(tables)
+    tanh_sinh(lambda r, c: np.exp(r), 1.0, tol=1e-3, max_level=3)
+    # with max_level 3, f is called once at level 3 instead of level 5
+    assert sorted(tables) == [3, *range(5, 13)]
+    assert all(tables[level] is held[level] for level in held)
+
+
+@pytest.mark.parametrize("max_level", [-1, 0, 1])
+def test_tanh_sinh_rejects_max_level_below_two(max_level):
+    with pytest.raises(ValueError, match="max_level must be at least 2"):
+        tanh_sinh(lambda r, c: np.exp(r), 1.0, max_level=max_level)
+
+
+def _benchmark_true_forcing(monkeypatch, integrate) -> np.ndarray:
+    """Forcing of the benchmark's true-forcing solves at every collocation
+    node: ex1-log and ex1-alg at N 16..80, ex3-log and ex3-alg on the tensor
+    grid of each N in 16, 32, all at alpha 0.5, with complements."""
+    monkeypatch.setattr(problem_module, "tanh_sinh", integrate)
+    values = []
+    for names, sizes in ((("ex1-log", "ex1-alg"), (16, 32, 48, 64, 80)),
+                         (("ex3-log", "ex3-alg"), (16, 32))):
+        for name in names:
+            spec = get_problem(name)
+            for n in sizes:
+                rule = mhf_gauss_rule(MhfBasis(alpha=0.5, degree=n))
+                pts = list(zip(rule.nodes.tolist(), rule.nodes_complement.tolist()))
+                if spec.dimension == 1:
+                    values += [manufactured_forcing(spec, x, x_comp=xc) for x, xc in pts]
+                else:
+                    values += [manufactured_forcing(spec, x, y, x_comp=xc, y_comp=yc)
+                               for x, xc in pts for y, yc in pts]
+    return np.array(values)
+
+
+def test_manufactured_forcing_matches_the_level_by_level_loop_bitwise(monkeypatch):
+    got = _benchmark_true_forcing(monkeypatch, tanh_sinh)
+    want = _benchmark_true_forcing(monkeypatch, reference_tanh_sinh)
+    assert got.size == 2 * 245 + 2 * (17**2 + 33**2)
+    assert np.array_equal(got, want)
 
 
 def test_tanh_sinh_smooth_integrand():
@@ -54,8 +205,11 @@ def test_tanh_sinh_interval_handling():
 
 
 def test_tanh_sinh_reports_nonconvergence():
-    with pytest.raises(OracleError, match="tolerance"):
+    with pytest.raises(OracleError, match="tolerance") as err:
         tanh_sinh(lambda r, c: np.sqrt(r), 1.0, tol=1e-15, max_level=3)
+    # the delta between the last two levels, not a difference of one level with itself
+    delta = float(str(err.value).rsplit("last delta ", 1)[1].rstrip(")"))
+    assert delta > 1e-15
 
 
 def test_tanh_sinh_reports_nonfinite_integrand():

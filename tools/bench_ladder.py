@@ -13,6 +13,12 @@ run records, under its tag:
 - ``hermite_gauss_rule`` at RULE_DEGREES, best of RULE_REPEATS cold builds:
   where the checkout memoizes the rule, the memo is emptied before every
   repetition;
+- ``forcing_s``: the best of FORCING_REPEATS timings of manufacturing the
+  true forcing (``manufactured_forcing``, the tanh-sinh reference
+  integrator) at the collocation nodes of the sweep-1d benchmark set:
+  FORCING_PROBLEMS at FORCING_N and alpha FORCING_ALPHA.  Each repetition
+  takes fresh registry instances, whose kernel-action caches are empty;
+  the rules are built before the timing starts;
 - ``solve``, ``verify_residual`` and ``error_norms`` at every LADDER point
   (the registry problem at its default alpha): the first call and the best
   of POINT_REPEATS, with ``err_inf``.  A point that fails records the stage,
@@ -50,6 +56,10 @@ IMPORT_PROBES = 5
 RULE_DEGREES = (16, 64, 200, 1000, 2000)
 RULE_REPEATS = 5
 POINT_REPEATS = 3
+FORCING_PROBLEMS = ("ex1-log", "ex1-alg")
+FORCING_N = (16, 32, 48, 64, 80)
+FORCING_ALPHA = 0.5
+FORCING_REPEATS = 3
 LADDER = {
     "ex1-log": (32, 64, 128, 256, 400),
     "ex1-alg": (32, 64, 128, 256, 400),
@@ -113,6 +123,22 @@ def rule_times(mhfie, degrees=RULE_DEGREES) -> dict:
     return {str(d): min(cold(d) for _ in range(RULE_REPEATS)) for d in degrees}
 
 
+def forcing_time(mhfie, n_list=FORCING_N, repeats: int = FORCING_REPEATS) -> float:
+    """Best of repeats timings of the true forcing at the sweep-1d collocation nodes."""
+    nodes = []
+    for n in n_list:
+        rule = mhfie.mhf_gauss_rule(mhfie.MhfBasis(alpha=FORCING_ALPHA, degree=n))
+        nodes += zip(rule.nodes.tolist(), rule.nodes_complement.tolist())
+
+    def manufacture():
+        for name in FORCING_PROBLEMS:
+            problem = mhfie.get_problem(name)
+            for x, xc in nodes:
+                mhfie.manufactured_forcing(problem, x, x_comp=xc)
+
+    return min(timed(manufacture, 1)[1] for _ in range(repeats))
+
+
 def ladder_point(mhfie, name: str, n: int, repeats: int = POINT_REPEATS) -> dict:
     """Times of solve, verify_residual and error_norms at one point, or its failure."""
     problem = mhfie.get_problem(name)
@@ -159,6 +185,7 @@ def run(tag: str) -> dict:
         "environment": environment,
         "import": cold,
         "rule_s": rule_times(mhfie),
+        "forcing_s": forcing_time(mhfie),
         "ladder": [ladder_point(mhfie, name, n) for name, ns in LADDER.items() for n in ns],
     }
 
