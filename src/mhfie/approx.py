@@ -14,7 +14,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .mhf import (
     log_gamma_n,
     map_to_unit,
     mhf_gauss_rule,
-    mhf_quadrature,
 )
 
 __all__ = [
@@ -424,56 +423,44 @@ def eval_grid_axis_2d() -> np.ndarray:
     return _GRID_AXIS_2D
 
 
-def _evaluator(approx) -> Callable:
-    if hasattr(approx, "eval"):
-        return approx.eval
-    return approx
-
-
-def _infer_degree(approx) -> Optional[int]:
-    if hasattr(approx, "degree"):
-        return approx.degree
-    return None
-
-
 def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None) -> ErrorNorms:
     """Sup-norm error on the fixed grid and weighted L2 error by oversampled
-    quadrature (mapped rule of degree 2N+16, mapped from the memoized
-    Gauss-Hermite rule of that degree).
+    quadrature (mapped rule of degree 2N+16 per axis, one per distinct alpha,
+    mapped from the memoized Gauss-Hermite rule of that degree).
 
     alpha is a scalar in one dimension, a pair in two; degree defaults to
-    the approximant's own degree when it exposes one.
+    the approximant's own degree when it exposes one.  The approximant is
+    evaluated on the tensor grid of the per-axis points (eval_grid in 2D,
+    eval or the plain callable in 1D) and exact on their indexing="ij"
+    meshgrid (in 1D, on the points themselves).
     """
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
     if degree is None:
-        degree = _infer_degree(approx)
+        degree = getattr(approx, "degree", None)
         if degree is None:
             raise ValueError("degree must be given for plain-callable approximants")
-    if dim == 1:
-        ev = _evaluator(approx)
-        grid = eval_grid_1d()
-        diff_on = lambda x: np.asarray(ev(x), dtype=float) - np.asarray(exact(x), dtype=float)
-        err_inf = float(np.max(np.abs(diff_on(grid))))
-        rule = mhf_gauss_rule(MhfBasis(alpha=float(alpha), degree=2 * degree + 16))
-        err_l2 = math.sqrt(max(0.0, mhf_quadrature(rule, lambda x: diff_on(x) ** 2)))
-        return ErrorNorms(err_inf=err_inf, err_l2chi=err_l2)
-    if dim == 2:
-        a1, a2 = (float(alpha[0]), float(alpha[1]))
-        axis = eval_grid_axis_2d()
-        grid_vals = approx.eval_grid(axis, axis)
-        gx, gy = np.meshgrid(axis, axis, indexing="ij")
-        err_inf = float(np.max(np.abs(grid_vals - np.asarray(exact(gx, gy), dtype=float))))
-        rules = {a: mhf_gauss_rule(MhfBasis(alpha=a, degree=2 * degree + 16))
-                 for a in {a1, a2}}
-        rule_x, rule_y = rules[a1], rules[a2]
-        qx, qy = np.meshgrid(rule_x.nodes, rule_y.nodes, indexing="ij")
-        diff = approx.eval_grid(rule_x.nodes, rule_y.nodes) - np.asarray(
-            exact(qx, qy), dtype=float
-        )
-        if not np.all(np.isfinite(diff)):
-            i, j = np.argwhere(~np.isfinite(diff))[0]
-            raise ValueError(f"integrand is not finite at (x, y)=({qx[i, j]!r}, {qy[i, j]!r})")
-        err_l2 = math.sqrt(
-            max(0.0, float(rule_x.weights @ diff**2 @ rule_y.weights))
-        )
-        return ErrorNorms(err_inf=err_inf, err_l2chi=err_l2)
-    raise ValueError(f"dim must be 1 or 2, got {dim}")
+    values = approx.eval_grid if dim == 2 else getattr(approx, "eval", approx)
+
+    def diff(axes):
+        # the tensor grid of the axes; in 1D the axis itself, which spares
+        # the sweep's error norms a meshgrid call per evaluation
+        mesh = np.meshgrid(*axes, indexing="ij", copy=False) if dim == 2 else axes
+        d = np.asarray(values(*axes), dtype=float) - np.asarray(exact(*mesh), dtype=float)
+        return d, mesh
+
+    grid = (eval_grid_1d(),) if dim == 1 else (eval_grid_axis_2d(),) * 2
+    err_inf = float(np.max(np.abs(diff(grid)[0])))
+    alphas = [float(a) for a in (alpha if dim == 2 else (alpha,))]
+    rules = {a: mhf_gauss_rule(MhfBasis(alpha=a, degree=2 * degree + 16)) for a in set(alphas)}
+    rules = [rules[a] for a in alphas]
+    d, mesh = diff([rule.nodes for rule in rules])
+    if not np.all(np.isfinite(d)):
+        at = tuple(np.argwhere(~np.isfinite(d))[0])
+        point = ", ".join(f"{name}={float(m[at])!r}" for name, m in zip("xy", mesh))
+        raise ValueError(f"integrand is not finite at {point}")
+    # sum over x first, then y: another order changes the last bits
+    total = d**2
+    for rule in rules:
+        total = rule.weights @ total
+    return ErrorNorms(err_inf=err_inf, err_l2chi=math.sqrt(max(0.0, float(total))))

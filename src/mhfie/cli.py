@@ -9,8 +9,10 @@ Subcommands:
   converge   error sweep over a list of resolutions, written as CSV
   compare    node-value discrepancy between the two discretizations
 
-Options may also come from a key=value config file (--config); explicit
-flags win.  Exit codes: 0 success, 1 solver/oracle failure, 2 usage error.
+Options may also come from a key=value config file (--config).  Its values
+become the subcommand's defaults, converted and checked like the flags, and
+explicit flags win.  Exit codes: 0 success, 1 solver/oracle failure, 2 usage
+error.
 
 Report CSVs carry metadata as '#' comment lines so the data rows stay
 bit-identical across runs (runtime_ms excepted, by its nature).
@@ -115,18 +117,6 @@ def _parse_n_list(text: str) -> list:
     if not values or any(v < 0 for v in values):
         raise UsageError(f"bad resolution list {text!r}")
     return sorted(values)
-
-
-def _effective(args, cfg: dict, name: str, cast, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in cfg:
-        try:
-            return cast(cfg[name])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config value for {name!r}: {cfg[name]!r}") from exc
-    return default
 
 
 def _metadata(extra: dict) -> dict:
@@ -265,7 +255,7 @@ def _solution_errors(problem, config, solution):
 
 def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
                     alpha: float = None, alpha2: Optional[float] = None,
-                    ni_offset: int = 1, newton_tol: float = 1e-12,
+                    ni_offset: int = 1, newton_tol: float = SolverConfig.newton_tol,
                     with_colloc: bool = False) -> ConvergenceReport:
     """Solve at each resolution and collect the error report (rows sorted by N)."""
     problem = get_problem(problem_name)
@@ -299,21 +289,11 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
             solution = solve(problem, config)
             runtime = 1e3 * (time.perf_counter() - start)
             err_inf, err_l2, colloc = _solution_errors(problem, config, solution)
+            iters = solution.newton_iters
         except (SolverError, NonConvergenceError, AssemblyError, OracleError, ValueError):
             runtime = 1e3 * (time.perf_counter() - start)
-            report.rows.append(
-                ReportRow(
-                    n=n,
-                    ni=config.ni_value,
-                    alpha=alpha,
-                    err_inf=float("nan"),
-                    err_l2chi=float("nan"),
-                    newton_iters=-1,
-                    runtime_ms=runtime,
-                    err_colloc=float("nan") if with_colloc else None,
-                )
-            )
-            continue
+            err_inf = err_l2 = colloc = float("nan")
+            iters = -1
         report.rows.append(
             ReportRow(
                 n=n,
@@ -321,7 +301,7 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
                 alpha=alpha,
                 err_inf=err_inf,
                 err_l2chi=err_l2,
-                newton_iters=solution.newton_iters,
+                newton_iters=iters,
                 runtime_ms=runtime,
                 err_colloc=colloc if with_colloc else None,
             )
@@ -335,19 +315,15 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
 
 
 def _cmd_nodes(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    alpha = _effective(args, cfg, "alpha", float, 1.0)
-    n = _effective(args, cfg, "n", int)
-    out = _effective(args, cfg, "out", str)
-    if n is None:
+    if args.n is None:
         raise UsageError("nodes requires --n")
-    rule = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
+    rule = mhf_gauss_rule(MhfBasis(alpha=args.alpha, degree=args.n))
     rows = [
         (j, rule.hermite.nodes[j], rule.nodes[j], rule.weights[j])
-        for j in range(n + 1)
+        for j in range(args.n + 1)
     ]
-    meta = _metadata({"alpha": _fmt(alpha), "n": str(n)})
-    _emit(out, _csv_text(meta, ("j", "z", "x", "chi"), rows))
+    meta = _metadata({"alpha": _fmt(args.alpha), "n": str(args.n)})
+    _emit(args.out, _csv_text(meta, ("j", "z", "x", "chi"), rows))
     return 0
 
 
@@ -375,46 +351,40 @@ def _quad_value(integrand: str, rule, k: int) -> float:
 
 
 def _cmd_quad_test(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    alpha = _effective(args, cfg, "alpha", float, 1.0)
-    integrand = _effective(args, cfg, "integrand", str)
-    k = _effective(args, cfg, "k", int, 2)
-    n_list = _effective(args, cfg, "n_list", _parse_n_list)
-    out = _effective(args, cfg, "out", str)
-    if integrand not in INTEGRANDS:
+    # argparse checks choices on flags only, not on config defaults
+    if args.integrand not in INTEGRANDS:
         raise UsageError(
-            f"unknown integrand {integrand!r}; available: {', '.join(INTEGRANDS)}"
+            f"unknown integrand {args.integrand!r}; available: {', '.join(INTEGRANDS)}"
         )
-    if n_list is None:
+    if args.n_list is None:
         raise UsageError("quad-test requires --n-list")
-    oracle = _quad_oracle(integrand, alpha, k)
+    oracle = _quad_oracle(args.integrand, args.alpha, args.k)
     rows = []
-    for n in n_list:
-        rule = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
-        value = _quad_value(integrand, rule, k)
+    for n in args.n_list:
+        rule = mhf_gauss_rule(MhfBasis(alpha=args.alpha, degree=n))
+        value = _quad_value(args.integrand, rule, args.k)
         rows.append((n, value, abs(value - oracle)))
     meta = _metadata(
-        {"integrand": integrand, "alpha": _fmt(alpha), "oracle": _fmt(oracle)}
+        {"integrand": args.integrand, "alpha": _fmt(args.alpha), "oracle": _fmt(oracle)}
     )
-    _emit(out, _csv_text(meta, ("N", "value", "abs_error"), rows))
+    _emit(args.out, _csv_text(meta, ("N", "value", "abs_error"), rows))
     return 0
 
 
-def _solver_config_from(args, cfg) -> tuple:
-    problem_name = _effective(args, cfg, "problem", str)
-    if problem_name is None:
+def _solver_args(args) -> tuple:
+    """The named problem and the SolverConfig fields every solver command
+    shares: alpha (the problem's default_alpha unless given), alpha2 and
+    newton_tol."""
+    if args.problem is None:
         raise UsageError("a problem name is required (--problem)")
     try:
-        problem = get_problem(problem_name)
+        problem = get_problem(args.problem)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
-    method = _effective(args, cfg, "method", str, METHOD_MHF)
-    if method not in (METHOD_MHF, METHOD_SMOOTHED):
-        raise UsageError(f"unknown method {method!r}")
-    alpha = _effective(args, cfg, "alpha", float, problem.default_alpha)
-    alpha2 = _effective(args, cfg, "alpha2", float)
-    newton_tol = _effective(args, cfg, "newton_tol", float, 1e-12)
-    return problem, method, alpha, alpha2, newton_tol
+    if args.method not in (METHOD_MHF, METHOD_SMOOTHED):
+        raise UsageError(f"unknown method {args.method!r}")
+    alpha = problem.default_alpha if args.alpha is None else args.alpha
+    return problem, dict(alpha=alpha, alpha2=args.alpha2, newton_tol=args.newton_tol)
 
 
 def _checked_config(problem, **fields) -> SolverConfig:
@@ -428,26 +398,15 @@ def _checked_config(problem, **fields) -> SolverConfig:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    problem, method, alpha, alpha2, newton_tol = _solver_config_from(args, cfg)
-    n = _effective(args, cfg, "n", int)
-    if n is None:
+    problem, shared = _solver_args(args)
+    if args.n is None:
         raise UsageError("solve requires --n")
-    ni = _effective(args, cfg, "ni", int)
-    ni_offset = _effective(args, cfg, "ni_offset", int, 1)
-    config = _checked_config(
-        problem,
-        n=n,
-        ni=ni if ni is not None else n + ni_offset,
-        alpha=alpha,
-        alpha2=alpha2,
-        method=method,
-        newton_tol=newton_tol,
-    )
+    ni = args.n + args.ni_offset if args.ni is None else args.ni
+    config = _checked_config(problem, n=args.n, ni=ni, method=args.method, **shared)
     solution = solve(problem, config)
     err_inf, err_l2, _ = _solution_errors(problem, config, solution)
-    print(f"problem={problem.name} method={method} N={n} NI={config.ni_value} "
-          f"alpha={_fmt(alpha)}")
+    print(f"problem={problem.name} method={config.method} N={config.n} "
+          f"NI={config.ni_value} alpha={_fmt(config.alpha)}")
     if not math.isnan(err_inf):
         print(f"err_inf={_fmt(err_inf)} err_l2chi={_fmt(err_l2)}")
     print(f"newton_iters={solution.newton_iters} residual={_fmt(solution.final_residual)}")
@@ -461,50 +420,37 @@ def _cmd_solve(args) -> int:
             vals = solution.interpolant.eval_grid(*axes)
         rows = [(*point, u) for point, u in zip(itertools.product(*axes), np.ravel(vals))]
         header = ("x", "y")[:dim] + ("u",)
-        meta = _metadata({"problem": problem.name, "method": method, "n": str(n)})
+        meta = _metadata({"problem": problem.name, "method": config.method, "n": str(config.n)})
         _emit(args.dump, _csv_text(meta, header, rows))
     return 0
 
 
 def _cmd_converge(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    problem, method, alpha, alpha2, newton_tol = _solver_config_from(args, cfg)
-    n_list = _effective(args, cfg, "n_list", _parse_n_list)
-    if n_list is None:
+    problem, shared = _solver_args(args)
+    if args.n_list is None:
         raise UsageError("converge requires --n-list")
-    ni_offset = _effective(args, cfg, "ni_offset", int, 1)
-    out = _effective(args, cfg, "out", str)
     # the settings every row shares; a resolution a row cannot take fails that row
-    _checked_config(problem, n=0, alpha=alpha, alpha2=alpha2, method=method,
-                    newton_tol=newton_tol)
+    _checked_config(problem, n=0, method=args.method, **shared)
     report = run_convergence(
         problem.name,
-        n_list,
-        method=method,
-        alpha=alpha,
-        alpha2=alpha2,
-        ni_offset=ni_offset,
-        newton_tol=newton_tol,
+        args.n_list,
+        method=args.method,
+        ni_offset=args.ni_offset,
         with_colloc=args.with_colloc,
+        **shared,
     )
-    _emit(out, report.to_csv_text())
+    _emit(args.out, report.to_csv_text())
     return 1 if report.failed else 0
 
 
 def _cmd_compare(args) -> int:
-    cfg = _read_config(args.config) if args.config else {}
-    problem, _, alpha, alpha2, newton_tol = _solver_config_from(args, cfg)
-    n_list = _effective(args, cfg, "n_list", _parse_n_list)
-    if n_list is None:
+    problem, shared = _solver_args(args)
+    if args.n_list is None:
         raise UsageError("compare requires --n-list")
-    ni_offset = _effective(args, cfg, "ni_offset", int, 1)
-    out = _effective(args, cfg, "out", str)
-    threshold = 10.0 * newton_tol
+    threshold = 10.0 * args.newton_tol
     rows, all_ok = [], True
-    for n in n_list:
-        base = dict(
-            n=n, ni=n + ni_offset, alpha=alpha, alpha2=alpha2, newton_tol=newton_tol
-        )
+    for n in args.n_list:
+        base = dict(n=n, ni=n + args.ni_offset, **shared)
         sol_m = solve(problem, _checked_config(problem, method=METHOD_MHF, **base))
         sol_s = solve(problem, _checked_config(problem, method=METHOD_SMOOTHED, **base))
         disc = float(np.max(np.abs(sol_m.node_values - sol_s.node_values)))
@@ -512,78 +458,84 @@ def _cmd_compare(args) -> int:
         all_ok &= ok
         rows.append((n, disc, int(ok)))
         print(f"N={n} max_discrepancy={_fmt(disc)} {'PASS' if ok else 'FAIL'}")
-    if out:
+    if args.out:
         meta = _metadata({"problem": problem.name, "threshold": _fmt(threshold)})
-        _emit(out, _csv_text(meta, ("N", "max_discrepancy", "pass"), rows))
+        _emit(args.out, _csv_text(meta, ("N", "max_discrepancy", "pass"), rows))
     return 0 if all_ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The mhfie parser and its subcommand parsers, keyed by command name.
+
+    Every option's type and default are declared here, once; a --config
+    file's values become the chosen subcommand's defaults (see main).
+    """
     parser = argparse.ArgumentParser(
         prog="mhfie",
         description="Mapped Hermite collocation experiments for weakly "
         "singular integral equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def add_common(p):
+    def add_command(name, func, summary, alpha=None, alpha_help="map scale parameter"):
+        p = commands[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--alpha", type=float, help="map scale parameter")
+        p.add_argument("--alpha", type=float, default=alpha, help=alpha_help)
         p.add_argument("--out", help="output path ('-' for stdout)")
+        return p
 
-    p_nodes = sub.add_parser("nodes", help="dump a mapped Gauss rule as CSV")
-    add_common(p_nodes)
+    p_nodes = add_command("nodes", _cmd_nodes, "dump a mapped Gauss rule as CSV", alpha=1.0)
     p_nodes.add_argument("--n", type=int, help="rule degree (n+1 nodes)")
-    p_nodes.set_defaults(func=_cmd_nodes)
 
-    p_quad = sub.add_parser("quad-test", help="quadrature error against reference")
-    add_common(p_quad)
+    p_quad = add_command("quad-test", _cmd_quad_test, "quadrature error against reference",
+                         alpha=1.0)
     p_quad.add_argument("--integrand", choices=INTEGRANDS)
-    p_quad.add_argument("--k", type=int, help="moment power (moments integrand)")
-    p_quad.add_argument("--n-list", dest="n_list", type=_parse_n_list)
-    p_quad.set_defaults(func=_cmd_quad_test)
+    p_quad.add_argument("--k", type=int, default=2, help="moment power (moments integrand)")
 
-    def add_solver(p):
-        add_common(p)
+    def add_solver(name, func, summary):
+        p = add_command(name, func, summary,
+                        alpha_help="map scale parameter (default: the problem's)")
         p.add_argument("--problem", help=f"one of: {', '.join(problem_names())}")
-        p.add_argument("--method", choices=(METHOD_MHF, METHOD_SMOOTHED))
+        p.add_argument("--method", choices=(METHOD_MHF, METHOD_SMOOTHED),
+                       default=SolverConfig.method)
         p.add_argument("--alpha2", type=float, help="second-axis map scale (2D)")
-        p.add_argument("--newton-tol", dest="newton_tol", type=float)
-        p.add_argument("--ni-offset", dest="ni_offset", type=int)
+        p.add_argument("--newton-tol", type=float, default=SolverConfig.newton_tol)
+        p.add_argument("--ni-offset", type=int, default=1)
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one problem at one resolution")
-    add_solver(p_solve)
+    p_solve = add_solver("solve", _cmd_solve, "solve one problem at one resolution")
     p_solve.add_argument("--n", type=int)
     p_solve.add_argument("--ni", type=int)
     p_solve.add_argument("--dump", help="CSV of the solution on the evaluation grid")
-    p_solve.set_defaults(func=_cmd_solve)
 
-    p_conv = sub.add_parser("converge", help="error sweep over resolutions")
-    add_solver(p_conv)
-    p_conv.add_argument("--n-list", dest="n_list", type=_parse_n_list)
+    p_conv = add_solver("converge", _cmd_converge, "error sweep over resolutions")
     p_conv.add_argument(
         "--with-colloc",
         action="store_true",
         help="append a column with the collocation-point error",
     )
-    p_conv.set_defaults(func=_cmd_converge)
 
-    p_cmp = sub.add_parser("compare", help="mhf vs smoothed node values")
-    add_solver(p_cmp)
-    p_cmp.add_argument("--n-list", dest="n_list", type=_parse_n_list)
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp = add_solver("compare", _cmd_compare, "mhf vs smoothed node values")
+    for p in (p_quad, p_conv, p_cmp):
+        p.add_argument("--n-list", type=_parse_n_list, help="comma-separated resolutions")
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the command's defaults: argparse converts
+            # them with each option's own type, and explicit flags still win
+            commands[args.command].set_defaults(**_read_config(args.config))
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -300,6 +300,13 @@ def test_error_norms_requires_degree_for_plain_callables():
     assert norms.err_inf == 0.0
 
 
+def test_error_norms_1d_rejects_a_nonfinite_integrand():
+    interp = mhf_interpolant(0.8, 8, lambda x: x)
+    exact = lambda x: np.where(x > 0.9, np.nan, x)
+    with pytest.raises(ValueError, match="integrand is not finite"):
+        error_norms(interp, exact, 0.8, dim=1)
+
+
 def test_error_norms_2d_rejects_a_nonfinite_integrand():
     interp, _ = make_tensor(0.8, 8, lambda x, y: x * y)
     exact = lambda x, y: np.where(x > 0.9, np.nan, x * y)

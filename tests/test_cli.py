@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mhfie.approx import eval_grid_axis_2d
-from mhfie.cli import ConvergenceReport, main, run_convergence
+from mhfie.cli import ConvergenceReport, _fmt, main, run_convergence
 from mhfie.mhf import MhfBasis, mhf_gauss_rule
 from mhfie.problem import get_problem
 from mhfie.solver import SolverConfig, SolverError, solve
@@ -224,6 +224,59 @@ def test_config_file_errors(tmp_path, capsys):
 
     assert main(["solve", "--config", str(tmp_path / "missing.cfg"), "--n", "4"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_config_value_is_converted_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "bad_value.cfg"
+    cfg.write_text("alpha = abc\n")
+    assert main(["nodes", "--config", str(cfg), "--n", "4"]) == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
+def test_config_method_is_checked(tmp_path, capsys):
+    cfg = tmp_path / "method.cfg"
+    cfg.write_text("problem = ex1-log\nn = 4\nmethod = foo\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "unknown method" in capsys.readouterr().err
+
+
+def _report_without_runtime(path):
+    report = ConvergenceReport.from_csv_text(path.read_text())
+    rows = [(r.n, r.ni, r.alpha, r.err_inf, r.err_l2chi, r.newton_iters)
+            for r in report.rows]
+    meta = {k: v for k, v in report.metadata.items() if k != "timestamp"}
+    return rows, meta
+
+
+def test_converge_from_config_matches_the_same_flags(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(
+        "problem = ex1-log\nn_list = 8, 16\nnewton_tol = 1e-11\nni_offset = 3\n"
+    )
+    from_cfg, from_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
+    assert main(["converge", "--config", str(cfg), "--out", str(from_cfg)]) == 0
+    assert main(["converge", "--problem", "ex1-log", "--n-list", "8,16",
+                 "--newton-tol", "1e-11", "--ni-offset", "3",
+                 "--out", str(from_flags)]) == 0
+    rows, meta = _report_without_runtime(from_cfg)
+    assert [row[1] for row in rows] == [11, 19]
+    assert meta["newton_tol"] == "9.9999999999999994e-12"
+    assert (rows, meta) == _report_without_runtime(from_flags)
+
+
+def test_config_key_of_another_command_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("problem = ex1-alg\nn = 4\nintegrand = moments\n")
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert "N=4" in capsys.readouterr().out
+
+
+def test_converge_newton_tol_defaults_to_the_solver_config(tmp_path):
+    out = tmp_path / "report.csv"
+    assert main(["converge", "--problem", "ex1-log", "--n-list", "8",
+                 "--out", str(out)]) == 0
+    _, meta = _report_without_runtime(out)
+    assert meta["newton_tol"] == _fmt(SolverConfig.newton_tol)
 
 
 def _failing_solve(problem, config):
