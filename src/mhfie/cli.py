@@ -25,7 +25,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -63,7 +63,11 @@ class UsageError(ValueError):
     """
 
 
-REPORT_HEADER = ("N", "NI", "alpha", "err_inf", "err_l2chi", "newton_iters", "runtime_ms")
+# the report's columns in ReportRow field order; err_colloc only with --with-colloc
+REPORT_COLUMNS = (("N", int), ("NI", int), ("alpha", float), ("err_inf", float),
+                  ("err_l2chi", float), ("newton_iters", int), ("runtime_ms", float),
+                  ("err_colloc", float))
+REPORT_HEADER = tuple(name for name, _ in REPORT_COLUMNS[:-1])
 
 CONFIG_KEYS = {
     "problem",
@@ -71,7 +75,6 @@ CONFIG_KEYS = {
     "alpha",
     "alpha2",
     "n",
-    "ni",
     "n_list",
     "ni_offset",
     "newton_tol",
@@ -172,60 +175,37 @@ class ConvergenceReport:
         return any(math.isnan(row.err_inf) for row in self.rows)
 
     def to_csv_text(self) -> str:
-        header = REPORT_HEADER + (("err_colloc",) if self.with_colloc else ())
-        rows = []
-        for r in self.rows:
-            row = [r.n, r.ni, r.alpha, r.err_inf, r.err_l2chi, r.newton_iters, r.runtime_ms]
-            if self.with_colloc:
-                row.append(r.err_colloc if r.err_colloc is not None else float("nan"))
-            rows.append(row)
+        columns = REPORT_COLUMNS if self.with_colloc else REPORT_COLUMNS[:-1]
+        rows = [
+            [float("nan") if v is None else v for v in astuple(r)[: len(columns)]]
+            for r in self.rows
+        ]
         meta = dict(self.metadata)
         meta.setdefault("problem", self.problem)
         meta.setdefault("method", self.method)
-        return _csv_text(meta, header, rows)
+        return _csv_text(meta, [name for name, _ in columns], rows)
 
     @classmethod
     def from_csv_text(cls, text: str) -> "ConvergenceReport":
-        metadata, header, data = {}, None, []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                metadata[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = tuple(line.split(","))
-                if header[: len(REPORT_HEADER)] != REPORT_HEADER:
-                    raise ValueError(f"unexpected report header {header}")
-                continue
-            data.append(line.split(","))
-        if header is None:
+        lines = [line.strip() for line in text.splitlines() if line.strip()]
+        comments = [line[1:].partition(":") for line in lines if line.startswith("#")]
+        table = [line.split(",") for line in lines if not line.startswith("#")]
+        if not table:
             raise ValueError("no header row found")
+        header = tuple(table[0])
+        if header[: len(REPORT_HEADER)] != REPORT_HEADER:
+            raise ValueError(f"unexpected report header {header}")
         with_colloc = "err_colloc" in header
-        rows = []
-        for parts in data:
-            rows.append(
-                ReportRow(
-                    n=int(parts[0]),
-                    ni=int(parts[1]),
-                    alpha=float(parts[2]),
-                    err_inf=float(parts[3]),
-                    err_l2chi=float(parts[4]),
-                    newton_iters=int(parts[5]),
-                    runtime_ms=float(parts[6]),
-                    err_colloc=float(parts[7]) if with_colloc else None,
-                )
-            )
-        report = cls(
+        columns = REPORT_COLUMNS if with_colloc else REPORT_COLUMNS[:-1]
+        metadata = {key.strip(): value.strip() for key, _, value in comments}
+        return cls(
             problem=metadata.get("problem", ""),
             method=metadata.get("method", ""),
-            rows=rows,
+            rows=[ReportRow(*(cast(v) for (_, cast), v in zip(columns, parts)))
+                  for parts in table[1:]],
             metadata=metadata,
             with_colloc=with_colloc,
         )
-        return report
 
 
 def _solution_errors(problem, config, solution):
@@ -314,10 +294,18 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
 # ---------------------------------------------------------------------------
 
 
+def _rule(alpha: float, n: int):
+    """The mapped Gauss rule; a scale or degree it rejects is a usage error."""
+    try:
+        return mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _cmd_nodes(args) -> int:
     if args.n is None:
         raise UsageError("nodes requires --n")
-    rule = mhf_gauss_rule(MhfBasis(alpha=args.alpha, degree=args.n))
+    rule = _rule(args.alpha, args.n)
     rows = [
         (j, rule.hermite.nodes[j], rule.nodes[j], rule.weights[j])
         for j in range(args.n + 1)
@@ -358,10 +346,10 @@ def _cmd_quad_test(args) -> int:
         )
     if args.n_list is None:
         raise UsageError("quad-test requires --n-list")
+    rules = [_rule(args.alpha, n) for n in args.n_list]
     oracle = _quad_oracle(args.integrand, args.alpha, args.k)
     rows = []
-    for n in args.n_list:
-        rule = mhf_gauss_rule(MhfBasis(alpha=args.alpha, degree=n))
+    for n, rule in zip(args.n_list, rules):
         value = _quad_value(args.integrand, rule, args.k)
         rows.append((n, value, abs(value - oracle)))
     meta = _metadata(
@@ -381,17 +369,17 @@ def _solver_args(args) -> tuple:
         problem = get_problem(args.problem)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
-    if args.method not in (METHOD_MHF, METHOD_SMOOTHED):
-        raise UsageError(f"unknown method {args.method!r}")
     alpha = problem.default_alpha if args.alpha is None else args.alpha
     return problem, dict(alpha=alpha, alpha2=args.alpha2, newton_tol=args.newton_tol)
 
 
 def _checked_config(problem, **fields) -> SolverConfig:
-    """SolverConfig for the problem; a setting it rejects is a usage error."""
+    """SolverConfig for the problem; a setting it or either rule rejects is a usage error."""
     try:
         config = SolverConfig(**fields)
         config.check_dimension(problem.dimension, problem.name)
+        for alpha in config.axis_scales(problem.dimension):
+            MhfBasis(alpha=alpha, degree=max(config.n, config.ni_value))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return config
@@ -401,8 +389,8 @@ def _cmd_solve(args) -> int:
     problem, shared = _solver_args(args)
     if args.n is None:
         raise UsageError("solve requires --n")
-    ni = args.n + args.ni_offset if args.ni is None else args.ni
-    config = _checked_config(problem, n=args.n, ni=ni, method=args.method, **shared)
+    config = _checked_config(problem, n=args.n, ni=args.n + args.ni_offset,
+                             method=args.method, **shared)
     solution = solve(problem, config)
     err_inf, err_l2, _ = _solution_errors(problem, config, solution)
     print(f"problem={problem.name} method={config.method} N={config.n} "
@@ -472,6 +460,7 @@ def build_parser() -> tuple:
     """
     parser = argparse.ArgumentParser(
         prog="mhfie",
+        allow_abbrev=False,
         description="Mapped Hermite collocation experiments for weakly "
         "singular integral equations.",
     )
@@ -479,7 +468,7 @@ def build_parser() -> tuple:
     commands = {}
 
     def add_command(name, func, summary, alpha=None, alpha_help="map scale parameter"):
-        p = commands[name] = sub.add_parser(name, help=summary)
+        p = commands[name] = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.set_defaults(func=func)
         p.add_argument("--config", help="key=value config file; flags override")
         p.add_argument("--alpha", type=float, default=alpha, help=alpha_help)
@@ -498,26 +487,23 @@ def build_parser() -> tuple:
         p = add_command(name, func, summary,
                         alpha_help="map scale parameter (default: the problem's)")
         p.add_argument("--problem", help=f"one of: {', '.join(problem_names())}")
-        p.add_argument("--method", choices=(METHOD_MHF, METHOD_SMOOTHED),
-                       default=SolverConfig.method)
         p.add_argument("--alpha2", type=float, help="second-axis map scale (2D)")
         p.add_argument("--newton-tol", type=float, default=SolverConfig.newton_tol)
-        p.add_argument("--ni-offset", type=int, default=1)
+        p.add_argument("--ni-offset", type=int, default=1, help="NI = N + this offset")
         return p
 
     p_solve = add_solver("solve", _cmd_solve, "solve one problem at one resolution")
     p_solve.add_argument("--n", type=int)
-    p_solve.add_argument("--ni", type=int)
     p_solve.add_argument("--dump", help="CSV of the solution on the evaluation grid")
 
     p_conv = add_solver("converge", _cmd_converge, "error sweep over resolutions")
-    p_conv.add_argument(
-        "--with-colloc",
-        action="store_true",
-        help="append a column with the collocation-point error",
-    )
+    p_conv.add_argument("--with-colloc", action="store_true",
+                        help="append a column with the collocation-point error")
 
     p_cmp = add_solver("compare", _cmd_compare, "mhf vs smoothed node values")
+    for p in (p_solve, p_conv):
+        p.add_argument("--method", choices=(METHOD_MHF, METHOD_SMOOTHED),
+                       default=SolverConfig.method)
     for p in (p_quad, p_conv, p_cmp):
         p.add_argument("--n-list", type=_parse_n_list, help="comma-separated resolutions")
 

@@ -1,12 +1,21 @@
 """In-process tests for the command-line harness (exit codes and outputs)."""
 
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mhfie.approx import eval_grid_axis_2d
-from mhfie.cli import ConvergenceReport, _fmt, main, run_convergence
+from mhfie.cli import (
+    REPORT_HEADER,
+    ConvergenceReport,
+    _fmt,
+    build_parser,
+    main,
+    run_convergence,
+)
 from mhfie.mhf import MhfBasis, mhf_gauss_rule
 from mhfie.problem import get_problem
 from mhfie.solver import SolverConfig, SolverError, solve
@@ -328,3 +337,67 @@ def test_converge_marks_an_error_norm_failure_as_a_failed_row(tmp_path, capsys):
     assert kept.n == 16 and kept.newton_iters == 1 and math.isfinite(kept.err_inf)
     assert failed.n == 100 and failed.newton_iters == -1
     assert math.isnan(failed.err_inf) and math.isnan(failed.err_l2chi)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["nodes", "--n", "4", "--alpha", "200"], "alpha must be in (0, 100.0]"),
+    (["nodes", "--n", "3000"], "degree must be in [0, 2000]"),
+    (["quad-test", "--integrand", "moments", "--n-list", "3000"],
+     "degree must be in [0, 2000]"),
+    (["solve", "--problem", "ex1-log", "--n", "8", "--alpha", "200"],
+     "alpha must be in (0, 100.0]"),
+    (["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "3000"],
+     "degree must be in [0, 2000]"),
+    (["converge", "--problem", "ex1-log", "--n-list", "8", "--alpha", "200"],
+     "alpha must be in (0, 100.0]"),
+    (["compare", "--problem", "ex3-alg", "--n-list", "4", "--alpha2", "200"],
+     "alpha must be in (0, 100.0]"),
+])
+def test_rule_range_errors_are_usage_errors(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--problem", "ex1-log", "--n-list", "8", "--method", "smoothed"],
+    ["converge", "--problem", "ex1-log", "--n-list", "9", "--ni", "12"],
+    ["compare", "--problem", "ex1-log", "--n-list", "9", "--ni", "12"],
+    ["solve", "--problem", "ex1-log", "--n", "8", "--ni", "9"],
+    ["solve", "--problem", "ex1-log", "--n", "8", "--newton", "1e-10"],
+])
+def test_an_option_that_cannot_apply_or_is_abbreviated_is_refused(argv, capsys):
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_config_ni_is_an_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "ni.cfg"
+    cfg.write_text("problem = ex1-log\nn = 8\nni = 9\n")
+    assert main(["solve", "--config", str(cfg)]) == 2
+    assert "unknown config key 'ni'" in capsys.readouterr().err
+
+
+def test_report_without_colloc_reads_back_without_it():
+    report = run_convergence("ex1-alg", [4, 8])
+    text = report.to_csv_text()
+    assert text.splitlines()[-3] == ",".join(REPORT_HEADER)
+    parsed = ConvergenceReport.from_csv_text(text)
+    assert not parsed.with_colloc
+    assert [row.err_colloc for row in parsed.rows] == [None, None]
+    assert parsed.rows == report.rows
+    assert parsed.to_csv_text() == text
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("mhfie ")]
+
+
+def test_readme_command_lines_parse():
+    parser, _ = build_parser()
+    lines = _readme_command_lines()
+    assert len(lines) >= 6
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
