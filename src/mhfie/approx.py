@@ -335,7 +335,7 @@ class Interpolant2D:
     def eval_grid(self, x, y) -> np.ndarray:
         """Values on the tensor grid of the two point sets, shape (len(x), len(y))."""
         lx = cardinal_matrix(self.basis_x, x)
-        ly = cardinal_matrix(self.basis_y, y)
+        ly = lx if self.basis_y is self.basis_x and y is x else cardinal_matrix(self.basis_y, y)
         return lx @ self.values @ ly.T
 
     def eval(self, x, y):

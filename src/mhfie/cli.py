@@ -373,6 +373,17 @@ def _solver_args(args) -> tuple:
     return problem, dict(alpha=alpha, alpha2=args.alpha2, newton_tol=args.newton_tol)
 
 
+def _check_node_families(n_list, ni_offset: int) -> None:
+    """Reject an even --ni-offset with an even N: a rule of even degree has
+    the node z = 0, so both node families would contain x = 0.5."""
+    for n in n_list:
+        if n % 2 == 0 and ni_offset % 2 == 0:
+            raise UsageError(
+                f"N={n} with --ni-offset {ni_offset} (NI={n + ni_offset}): both node "
+                "families contain x = 0.5; use an odd offset"
+            )
+
+
 def _checked_config(problem, **fields) -> SolverConfig:
     """SolverConfig for the problem; a setting it or either rule rejects is a usage error."""
     try:
@@ -391,6 +402,7 @@ def _cmd_solve(args) -> int:
         raise UsageError("solve requires --n")
     config = _checked_config(problem, n=args.n, ni=args.n + args.ni_offset,
                              method=args.method, **shared)
+    _check_node_families([args.n], args.ni_offset)
     solution = solve(problem, config)
     err_inf, err_l2, _ = _solution_errors(problem, config, solution)
     print(f"problem={problem.name} method={config.method} N={config.n} "
@@ -419,6 +431,7 @@ def _cmd_converge(args) -> int:
         raise UsageError("converge requires --n-list")
     # the settings every row shares; a resolution a row cannot take fails that row
     _checked_config(problem, n=0, method=args.method, **shared)
+    _check_node_families(args.n_list, args.ni_offset)
     report = run_convergence(
         problem.name,
         args.n_list,
@@ -435,6 +448,7 @@ def _cmd_compare(args) -> int:
     problem, shared = _solver_args(args)
     if args.n_list is None:
         raise UsageError("compare requires --n-list")
+    _check_node_families(args.n_list, args.ni_offset)
     threshold = 10.0 * args.newton_tol
     rows, all_ok = [], True
     for n in args.n_list:

@@ -18,7 +18,12 @@ only the per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
 Wx Psi Wy^T and Ex U Ey^T in O(N^3), and each Newton step is solved by
 GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
 (Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
-dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.
+dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.  The 2D steps
+are inexact on purpose: newton_driver passes each step the forcing
+eta = min(0.1, 0.01 |F|_inf), and GMRES stops once the linear residual is
+below eta |F| (or the fixed floors of _gmres_step), which keeps Newton's
+quadratic convergence with fewer Krylov iterations (Dembo, Eisenstat &
+Steihaug 1982).  The dense 1D step is exact and ignores the forcing.
 
 One builder makes the system for both dimensions: per axis it takes the
 axis plan, the kernel factor, the cardinal factor, the quadrature
@@ -40,6 +45,15 @@ keeps in its own memo: a pure function of one integer degree whose arrays
 cannot be written.  A plan builds its interpolation basis on first use,
 which the certificate never makes.
 
+A plan also keeps, per kernel singular factor (kind, mu), the read-only
+kernel factor W = theta * coeffs and, from the first 2D solve that asks, the
+eigenpairs of W E that the preconditioner diagonalizes; both axes of a 2D
+solve with one plan and one exponent share them, so each is built once.
+Custom kernels and kernels with a smooth factor depend on the problem and
+are built per call.  The factors of one plan are bounded by
+_PLAN_KERNEL_BYTES, so the memo holds at most 32 MiB of them.  The
+certificate's fresh plans start empty, so it never reads them.
+
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
 _synthesize_forcing), so the reported errors isolate the approximation
@@ -51,7 +65,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -87,10 +103,12 @@ METHOD_SMOOTHED = "smoothed"
 MAX_N_1D = 400
 MAX_N_2D = 80
 NODE_GAP = 1e-12
-# GMRES on the 2D Newton steps: stop at the larger of GMRES_RTOL * |rhs| and
-# GMRES_ATOL_FACTOR * newton_tol (2-norms), so the last steps are exact to
-# well below the Newton tolerance; the preconditioned iteration needs a few
-# to a few tens of iterations, far inside GMRES_RESTART * GMRES_MAX_CYCLES.
+# GMRES on the 2D Newton steps: stop at the largest of forcing * |rhs|,
+# GMRES_RTOL * |rhs| and GMRES_ATOL_FACTOR * newton_tol (2-norms).  The
+# forcing newton_driver passes shrinks with the residual, so the last steps
+# are exact to well below the Newton tolerance; the preconditioned iteration
+# needs a few to a few tens of iterations, far inside GMRES_RESTART *
+# GMRES_MAX_CYCLES.
 GMRES_RTOL = 1e-10
 GMRES_ATOL_FACTOR = 0.1
 GMRES_RESTART = 30
@@ -100,6 +118,11 @@ GMRES_MAX_CYCLES = 4
 # process that repeats an (alpha, n, ni, method) key gains from it, and only
 # while fewer than this many other keys come between the repeats.
 _PLAN_MEMO_SIZE = 16
+# Bytes of kernel factors one plan keeps (see _KernelFactors).  A W at
+# MAX_N_1D is 1.3 MB, so one fits there; a factor at MAX_N_2D with its
+# eigenpairs is 0.27 MB, so seven fit.  With _PLAN_MEMO_SIZE plans the
+# factors hold at most 32 MiB.
+_PLAN_KERNEL_BYTES = 2 * 2**20
 
 
 class AssemblyError(RuntimeError):
@@ -274,20 +297,109 @@ def _interp_matrix(method: str, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
     return _damped_rows(rule_c.hermite.nodes, rule_q.hermite.nodes, 1.0)
 
 
+@dataclass(frozen=True, eq=False)
+class _KernelFactor:
+    """Kernel factor W = theta * coeffs of one axis (read-only) and the
+    cardinal factor E of its plan."""
+
+    w: np.ndarray
+    e: np.ndarray
+
+    @functools.cached_property
+    def eigenpairs(self) -> tuple:
+        """(l, Q, Q^-1) with W E = Q diag(l) Q^-1, read-only; built on the
+        first 2D solve that needs them, once per factor."""
+        values, forward = np.linalg.eig(self.w @ self.e)
+        try:
+            backward = np.linalg.inv(forward)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(
+                f"preconditioner axis factor is not diagonalizable: {exc}"
+            ) from exc
+        for arr in (values, forward, backward):
+            arr.setflags(write=False)
+        return values, forward, backward
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held once complete: W and, where a 2D solve can use the plan
+        (n <= MAX_N_2D), at most m + 2 m^2 complex eigenpair values."""
+        m = self.w.shape[0]
+        eigen = 16 * m * (2 * m + 1) if m <= MAX_N_2D + 1 else 0
+        return self.w.nbytes + eigen
+
+
+class _KernelFactors:
+    """Kernel factors one plan keeps, by singular factor (kind, mu).
+
+    Each kept factor is charged its nbytes; the least recently used go first
+    once the total passes _PLAN_KERNEL_BYTES, and a factor above it is never
+    kept.  Thread-safe: two threads missing one key both build it, and the
+    first one kept is the one both get.
+    """
+
+    def __init__(self):
+        self.entries = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key, build: Callable) -> _KernelFactor:
+        with self._lock:
+            factor = self.entries.get(key)
+            if factor is not None:
+                self.entries.move_to_end(key)
+                return factor
+        factor = build()
+        with self._lock:
+            if key in self.entries:
+                return self.entries[key]
+            if factor.nbytes <= _PLAN_KERNEL_BYTES:
+                self.entries[key] = factor
+                self.nbytes += factor.nbytes
+                while self.nbytes > _PLAN_KERNEL_BYTES:
+                    self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+        return factor
+
+
 @dataclass(frozen=True)
 class _AxisPlan:
-    """Problem-independent parts of one axis; every array is read-only."""
+    """Problem-independent parts of one axis; every array is read-only.
+
+    kernels keeps the factors of kernels that are a singular factor alone;
+    it starts empty in every plan, dataclasses.replace included.
+    """
 
     rule_c: MhfRule
     rule_q: MhfRule
     coeffs: np.ndarray  # chi_k / chi(s_k) at the quadrature nodes
     e: np.ndarray  # damped cardinals of rule_c at the nodes of rule_q
+    kernels: _KernelFactors = field(init=False, default_factory=_KernelFactors,
+                                    repr=False, compare=False)
 
     @functools.cached_property
     def basis(self) -> LagrangeBasis:
         """Interpolation basis at the collocation nodes, built on first use:
         a solution needs it, the residual certificate does not."""
         return LagrangeBasis.from_mhf_rule(self.rule_c)
+
+    def kernel_factor(self, problem: ProblemSpec, axis: int) -> _KernelFactor:
+        """W = theta * coeffs for the problem's kernel on one axis.
+
+        A kernel that is its singular factor alone depends only on (kind, mu)
+        and this plan, so its factor is kept; a custom kernel or one with a
+        smooth factor is built anew on every call.
+        """
+
+        def build() -> _KernelFactor:
+            w = _theta_matrix(problem, self.rule_q, self.rule_c, axis) * self.coeffs[None, :]
+            w.setflags(write=False)
+            return _KernelFactor(w, self.e)
+
+        kernel = problem.kernel
+        if kernel.kind == "custom" or kernel.smooth_factor is not None:
+            return build()
+        mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
+        return self.kernels.get((kernel.kind, mu), build)
 
 
 def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
@@ -319,6 +431,7 @@ class _Discretization:
     dimension: int
     lam: float
     g: np.ndarray
+    kernels: tuple  # per axis _KernelFactor; axes that share a plan and kernel share one
     w: tuple
     e: tuple
     quad_coords: tuple
@@ -378,16 +491,17 @@ def _build(problem: ProblemSpec, config: SolverConfig,
             "by the factored solver, which needs a kernel that separates per axis"
         )
     scales = config.axis_scales(dim)
-    # one plan per distinct map scale: both axes share it by default; the
-    # kernel factors differ when the exponents do
+    # one plan per distinct map scale: both axes share it by default, and
+    # through it one kernel factor unless the exponents differ
     plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in set(scales)}
     axis_plans = [plans[a] for a in scales]
-    # per axis: kernel factor, cardinal factor, quadrature nodes, and
-    # collocation nodes with their complements
-    w, e, quad_nodes, nodes, complements = zip(*[
-        (_theta_matrix(problem, p.rule_q, p.rule_c, axis) * p.coeffs[None, :], p.e,
-         p.rule_q.nodes, p.rule_c.nodes, p.rule_c.nodes_complement)
-        for axis, p in enumerate(axis_plans)
+    kernels = tuple(p.kernel_factor(problem, axis) for axis, p in enumerate(axis_plans))
+    w = tuple(k.w for k in kernels)
+    # per axis: cardinal factor, quadrature nodes, and collocation nodes
+    # with their complements
+    e, quad_nodes, nodes, complements = zip(*[
+        (p.e, p.rule_q.nodes, p.rule_c.nodes, p.rule_c.nodes_complement)
+        for p in axis_plans
     ])
     quad_coords = _open_grid(quad_nodes)
     if problem.exact_solution is not None:
@@ -406,6 +520,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         dimension=dim,
         lam=problem.lam,
         g=g,
+        kernels=kernels,
         w=w,
         e=e,
         quad_coords=quad_coords,
@@ -423,7 +538,8 @@ def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatri
     """
     disc = _build(problem, config, _axis_plan)
     return NystromMatrix(
-        weights=disc.w[0] if disc.dimension == 1 else np.kron(*disc.w),
+        # a copy: the 1D factor may be the read-only one the plan keeps
+        weights=disc.w[0].copy() if disc.dimension == 1 else np.kron(*disc.w),
         colloc_points=disc.colloc_points,
         quad_points=tuple(a.ravel() for a in np.broadcast_arrays(*disc.quad_coords)),
         dimension=disc.dimension,
@@ -454,21 +570,19 @@ class _FastDiagonalization:
 
     With A = Q L Q^-1 for each axis product, the inverse is
     (Qx (x) Qy) diag(1 / (lam - c lx_i ly_j)) (Qx (x) Qy)^-1, applied per
-    axis.  The eigendecompositions are made once per solve; c may change with
-    every Newton step.  Complex eigenpairs are carried in complex arithmetic
-    and the result, real in exact arithmetic, is taken as its real part.
+    axis.  The eigendecompositions are the kernel factors' eigenpairs: made
+    once per distinct (W, E) pair, so two axes that share a kernel factor
+    share them, and kept with a kernel factor the plan keeps, so a repeated
+    solve makes none.  c may change with every Newton step.  Complex
+    eigenpairs are carried in complex arithmetic and the result, real in
+    exact arithmetic, is taken as its real part.  The preconditioner only
+    speeds GMRES up: each step's accuracy is set by its residual target.
     """
 
     def __init__(self, disc: _Discretization):
         self.lam = disc.lam
-        (lx, qx), (ly, qy) = (np.linalg.eig(w @ e) for w, e in zip(disc.w, disc.e))
-        try:
-            self.backward = (np.linalg.inv(qx), np.linalg.inv(qy))
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"preconditioner axis factor is not diagonalizable: {exc}"
-            ) from exc
-        self.forward = (qx, qy)
+        (lx, qx, bx), (ly, qy, by) = (k.eigenpairs for k in disc.kernels)
+        self.forward, self.backward = (qx, qy), (bx, by)
         self.products = lx[:, None] * ly[None, :]
 
     def inverse(self, c: float) -> Callable:
@@ -518,8 +632,10 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
     return factored
 
 
-def _dense_step(jac, rhs: np.ndarray):
+def _dense_step(jac, rhs: np.ndarray, forcing: Optional[float] = None):
     """Newton step from a dense Jacobian by LU; there are no Krylov iterations.
+
+    The step is exact to rounding, so the forcing is ignored.
 
     A Jacobian with a NaN or infinite entry raises SolverError before any
     factorization.  An exactly singular one raises SolverError with the
@@ -595,14 +711,20 @@ def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
 def _gmres_step(config: SolverConfig) -> Callable:
     """Newton step from a factored 2D Jacobian by preconditioned GMRES.
 
-    A step whose true residual misses the GMRES target raises SolverError;
-    an inexact step is never taken.
+    step(jac, rhs, forcing) stops at the true linear residual
+    max(forcing |rhs|, GMRES_RTOL |rhs|, GMRES_ATOL_FACTOR newton_tol); with
+    no forcing the first term drops.  So the step is inexact on purpose:
+    newton_driver's forcing solves it only as exactly as Newton needs
+    (Dembo, Eisenstat & Steihaug 1982).  A step whose true residual misses
+    its target raises SolverError.
     """
     atol = GMRES_ATOL_FACTOR * config.newton_tol
 
-    def step(jac: _Operator, rhs: np.ndarray):
+    def step(jac: _Operator, rhs: np.ndarray, forcing: Optional[float] = None):
         norm = float(np.linalg.norm(rhs))
         target = max(GMRES_RTOL * norm, atol)
+        if forcing is not None:
+            target = max(forcing * norm, target)
         v, iters, residual = _gmres(jac.matvec, jac.precond, rhs, target)
         if not residual <= target:
             raise SolverError(
@@ -628,14 +750,20 @@ def newton_driver(residual, jacobian, x0, tol: float = 1e-12, max_iter: int = 50
                   solve_step: Callable = _dense_step) -> NewtonResult:
     """Damped Newton iteration on a residual map.
 
-    Each step solves jacobian(x) step = -f(x) as solve_step(jacobian(x), -f),
-    which returns the step and its Krylov iteration count, or None for a
-    direct solve; the default factors a dense Jacobian.  Full steps are
-    halved (at most 30 times) until the max-norm of the residual strictly
-    decreases; failure to decrease, or running out of iterations, raises
-    NonConvergenceError carrying the monotone residual history.  Returns the
-    iterate, the iteration count, the residual history, the accepted scale
-    of every step and the Krylov iterations of every step.
+    Each step solves jacobian(x) step = -f(x) as
+    solve_step(jacobian(x), -f, forcing), which returns the step and its
+    Krylov iteration count, or None for a direct solve; the default factors a
+    dense Jacobian and ignores the forcing.  The forcing
+    eta = min(0.1, 0.01 |f|_inf) is the relative linear residual an
+    iterative step may leave: an inexact step, intended, that keeps Newton's
+    quadratic convergence because eta = O(|f|) (Dembo, Eisenstat & Steihaug,
+    SIAM J. Numer. Anal. 19, 1982; Eisenstat & Walker, SIAM J. Sci. Comput.
+    17, 1996).  Full steps are halved (at most 30 times) until the max-norm
+    of the residual strictly decreases; failure to decrease, or running out
+    of iterations, raises NonConvergenceError carrying the monotone residual
+    history.  Returns the iterate, the iteration count, the residual
+    history, the accepted scale of every step and the Krylov iterations of
+    every step.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     f = np.atleast_1d(np.asarray(residual(x), dtype=float))
@@ -645,7 +773,7 @@ def newton_driver(residual, jacobian, x0, tol: float = 1e-12, max_iter: int = 50
         if norm <= tol:
             return NewtonResult(x, it - 1, history, scales, krylov)
         try:
-            step, k = solve_step(jacobian(x), -f)
+            step, k = solve_step(jacobian(x), -f, min(0.1, 0.01 * norm))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular Jacobian at iteration {it}: {exc}") from exc
         except SolverError as exc:

@@ -359,6 +359,28 @@ def test_rule_range_errors_are_usage_errors(argv, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "2"], 8),
+    (["converge", "--problem", "ex1-log", "--n-list", "7,16", "--ni-offset", "2"], 16),
+    (["compare", "--problem", "ex1-log", "--n-list", "8", "--ni-offset", "0"], 8),
+])
+def test_node_families_sharing_the_midpoint_are_usage_errors(argv, n, capsys):
+    # an even offset with an even N puts x = 0.5 in both node families
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"N={n}" in err and "x = 0.5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "3"],
+    ["converge", "--problem", "ex1-log", "--n-list", "7,9", "--ni-offset", "2", "--out", "-"],
+])
+def test_interlacing_node_families_still_solve(argv, capsys):
+    # odd offsets, and even offsets with odd N, keep the families apart
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "--problem", "ex1-log", "--n-list", "8", "--method", "smoothed"],
     ["converge", "--problem", "ex1-log", "--n-list", "9", "--ni", "12"],

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -384,8 +386,15 @@ def _clear_memos():
     mhfie.hermite._memoized_rule.cache_clear()
 
 
+def _kept_arrays(plan) -> list:
+    """W and, once built, the eigenpairs of every kernel factor the plan keeps."""
+    return [arr for f in plan.kernels.entries.values()
+            for arr in (f.w, *f.__dict__.get("eigenpairs", ()))]
+
+
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
-@pytest.mark.parametrize("name, n", [("ex1-log", 24), ("ex2-sqrt", 24), ("ex3-alg", 8)])
+@pytest.mark.parametrize("name, n", [("ex1-log", 24), ("ex1-alg", 24), ("ex2-sqrt", 24),
+                                     ("ex3-alg", 8), ("ex3-log", 16)])
 def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeypatch):
     prob = get_problem(name)
     cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
@@ -398,18 +407,31 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     def no_plan_rule(basis):
         raise AssertionError(f"plan rebuilt at degree {basis.degree}")
 
-    # no Hermite rule is built, and the solve maps no rule: its plan is memoized
+    def no_rebuild_kernel(*args):
+        raise AssertionError("kernel matrix rebuilt")
+
+    # no Hermite rule is built, and the solve maps no rule: its plan is
+    # memoized; a kernel that is its singular factor alone keeps its W and,
+    # in 2D, its eigenpairs
     monkeypatch.setattr(mhfie.hermite, "_build_rule", no_rebuild)
     monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_plan_rule)
+    kept = prob.kernel.kind != "custom"
+    if kept:
+        monkeypatch.setattr(mhfie.solver, "_theta_matrix", no_rebuild_kernel)
+        monkeypatch.setattr(np.linalg, "eig", no_rebuild_kernel)
     warm, warm_norms = _solve_and_norms(prob, cfg)
     assert np.array_equal(warm.node_values, cold.node_values)
     assert warm.final_residual == cold.final_residual
+    assert warm.krylov_iters == cold.krylov_iters
     assert warm_norms == cold_norms
     plan = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, method)
+    assert len(plan.kernels.entries) == int(kept)
     rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
     arrays = _read_only_arrays(plan) + _read_only_arrays(plan.basis) + _read_only_arrays(rule)
     assert len(arrays) >= 20
-    assert not any(arr.flags.writeable for arr in arrays)
+    kernel_arrays = _kept_arrays(plan)
+    assert len(kernel_arrays) == (0 if not kept else 1 if prob.dimension == 1 else 4)
+    assert not any(arr.flags.writeable for arr in arrays + kernel_arrays)
 
 
 def test_memos_hold_at_most_their_bounds():
@@ -466,6 +488,166 @@ def test_verify_residual_reads_no_memo(dim, monkeypatch):
     sol = solve(prob, cfg)
     assert sol.final_residual <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol) > cfg.newton_tol
+
+
+@pytest.mark.parametrize("poison", ["w", "eigenpairs"])
+def test_verify_residual_reads_no_kept_kernel_factor(poison):
+    # a wrong kept factor changes what solve does; the certificate builds its
+    # own factors and reads the same residual.  identity-2d has two kernel
+    # factors (mu 0.3 and 0.6) and a given forcing.
+    prob = _identity_2d()
+    cfg = SolverConfig(n=8, alpha=0.5)
+    _clear_memos()
+    sol = solve(prob, cfg)
+    clean = verify_residual(prob, cfg, sol)
+    kept = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, cfg.method).kernels
+    assert len(kept.entries) == 2
+    for key, factor in kept.entries.items():
+        if poison == "w":
+            kept.entries[key] = replace(factor, w=factor.w * (1.0 + 1e-6))
+        else:
+            values, forward, backward = factor.eigenpairs
+            factor.__dict__["eigenpairs"] = (1.5 * values, forward, backward)
+    assert verify_residual(prob, cfg, sol) == clean
+    poisoned = solve(prob, cfg)
+    if poison == "w":
+        assert verify_residual(prob, cfg, poisoned) > cfg.newton_tol
+    else:
+        # the preconditioner is no longer exact, so the solve read the poison;
+        # it sets only the Krylov count, not the answer
+        assert sol.krylov_iters == (1,) * sol.newton_iters
+        assert poisoned.krylov_iters != sol.krylov_iters
+        assert verify_residual(prob, cfg, poisoned) <= cfg.newton_tol
+
+
+@pytest.mark.parametrize("name, alpha2, eigs, cardinals", [
+    ("ex3-log", None, 1, 2), ("ex3-alg", None, 1, 2), ("ex3-alg", 0.7, 2, 4),
+    ("identity-2d", None, 2, 2),
+])
+def test_each_axis_work_is_done_once(name, alpha2, eigs, cardinals, monkeypatch):
+    # axes that share a plan and a singular factor share one kernel factor,
+    # one eigendecomposition and, in the error norms, one cardinal matrix; a
+    # second map scale or a second exponent makes two.  A repeated solve
+    # diagonalizes nothing.
+    calls = {"eig": 0, "cardinal": 0}
+    eig, cardinal = np.linalg.eig, mhfie.approx.cardinal_matrix
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eig", counted("eig", eig))
+    monkeypatch.setattr(mhfie.approx, "cardinal_matrix", counted("cardinal", cardinal))
+    prob = _identity_2d() if name == "identity-2d" else get_problem(name)
+    cfg = SolverConfig(n=16, alpha=0.5, alpha2=alpha2)
+    _clear_memos()
+    sol = solve(prob, cfg)
+    disc = mhfie.solver._build(prob, cfg, mhfie.solver._axis_plan)
+    assert (disc.w[0] is disc.w[1]) == (eigs == 1)
+    assert calls["eig"] == eigs
+    error_norms(sol.interpolant, lambda x, y: 0.0 * x * y, (cfg.alpha, alpha2 or cfg.alpha),
+                dim=2, degree=cfg.n)
+    assert calls["cardinal"] == cardinals
+    again = solve(prob, cfg)
+    assert calls["eig"] == eigs
+    assert np.array_equal(again.node_values, sol.node_values)
+
+
+def test_inexact_newton_steps_cut_krylov_iterations():
+    # each 2D step is solved only to the forcing min(0.1, 0.01 |F|_inf)
+    # relative: the ladder took 212 Krylov iterations with steps solved to
+    # GMRES_RTOL, in the same Newton iterations as now
+    newton = {"ex3-log": 4, "ex3-alg": 3}
+    total = 0
+    for name, iters in newton.items():
+        prob = get_problem(name)
+        for n in (8, 16, 24, 32, 48, 64, 80):
+            sol = solve(prob, SolverConfig(n=n, alpha=prob.default_alpha))
+            assert sol.newton_iters == iters
+            assert sol.final_residual <= 1e-13
+            total += sum(sol.krylov_iters)
+    assert total <= 140
+
+
+def _algebraic_1d(mu: float) -> ProblemSpec:
+    return ProblemSpec(name="alg", dimension=1, lam=10.0,
+                       kernel=KernelSpec(kind="algebraic", mu=(mu,)),
+                       nonlinearity=Nonlinearity.identity(1),
+                       forcing=lambda x: 1.0 + x)
+
+
+def test_kept_kernel_factors_hold_at_most_their_bound():
+    bound = mhfie.solver._PLAN_KERNEL_BYTES
+
+    def factors(n: int, mus) -> tuple:
+        plan = mhfie.solver._build_axis_plan(2.0, n, n + 1, "mhf")
+        for mu in mus:
+            factor = plan.kernel_factor(_algebraic_1d(mu), 0)
+            assert not factor.w.flags.writeable
+            assert plan.kernels.nbytes <= bound
+        return plan.kernels, factor
+
+    # at MAX_N_1D one W of 1.3 MB fits, a second does not
+    kept, _ = factors(MAX_N_1D, (0.2, 0.4, 0.6))
+    w_bytes = (MAX_N_1D + 1) * (MAX_N_1D + 2) * 8
+    assert w_bytes > bound / 2
+    assert list(kept.entries) == [("algebraic", 0.6)]
+    assert kept.nbytes == w_bytes
+    # within MAX_N_2D a factor is charged for the eigenpairs a 2D solve may
+    # build, and what it builds stays within that charge
+    kept, last = factors(MAX_N_2D, [0.1 * k for k in range(1, 10)])
+    assert len(kept.entries) == bound // last.nbytes == 7
+    assert kept.nbytes == 7 * last.nbytes
+    assert sum(arr.nbytes for arr in (last.w, *last.eigenpairs)) <= last.nbytes
+
+
+def test_kept_kernel_factors_stay_consistent_under_threads(monkeypatch):
+    # more threads than cores ask one plan for six kernels while it keeps
+    # three: every factor returned is right, and the byte count matches the
+    # entries, which a lost update would break
+    probs = [_algebraic_1d(0.1 * k) for k in range(1, 7)]
+    reference = mhfie.solver._build_axis_plan(0.5, 32, 33, "mhf")
+    expected = [reference.kernel_factor(p, 0).w for p in probs]
+    charge = reference.kernel_factor(probs[0], 0).nbytes
+    monkeypatch.setattr(mhfie.solver, "_PLAN_KERNEL_BYTES", 3 * charge)
+    plan = mhfie.solver._build_axis_plan(0.5, 32, 33, "mhf")
+    errors = []
+
+    def work(offset: int) -> None:
+        try:
+            for i in range(300):
+                k = (i + offset) % len(probs)
+                if not np.array_equal(plan.kernel_factor(probs[k], 0).w, expected[k]):
+                    errors.append(k)
+        except Exception as exc:  # recorded, so the main thread sees it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    kept = plan.kernels
+    assert len(kept.entries) == 3
+    assert kept.nbytes == sum(f.nbytes for f in kept.entries.values()) == 3 * charge
+
+
+def test_assembled_weights_are_the_callers_to_write():
+    prob = get_problem("ex1-log")
+    cfg = SolverConfig(n=16, alpha=prob.default_alpha)
+    before = solve(prob, cfg)
+    assemble_nystrom(prob, cfg).weights[:] = 0.0
+    after = solve(prob, cfg)
+    np.testing.assert_array_equal(after.node_values, before.node_values)
 
 
 def test_verify_residual_builds_no_interpolation_basis(monkeypatch):
