@@ -11,13 +11,12 @@ Gauss nodes reproduces P^log_N = span{1, t, ..., t^N} exactly.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._memo import memo
 from .hermite import hermite_scaled_table, hermite_orthonormal_table
 from .mhf import (
     MhfBasis,
@@ -43,10 +42,6 @@ __all__ = [
 ]
 
 DUPLICATE_GAP = 1e-14
-# Bytes of Cauchy terms kept for the fixed evaluation grids.  Five 1D entries
-# at N = 16..80 hold 5.7 MiB; one 1D entry above N ~ 350 exceeds the cap and
-# is never kept.
-_CAUCHY_MEMO_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -184,44 +179,6 @@ class _CauchyTerms(NamedTuple):
         return sum(arr.nbytes for arr in self)
 
 
-class _TermsMemo:
-    """Least-recently-used memo of Cauchy terms, bounded by their total bytes.
-
-    An entry larger than the cap is never kept.  Stored arrays are read-only.
-    """
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.entries = OrderedDict()
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key) -> Optional[_CauchyTerms]:
-        with self._lock:
-            terms = self.entries.get(key)
-            if terms is not None:
-                self.entries.move_to_end(key)
-            return terms
-
-    def put(self, key, terms: _CauchyTerms) -> None:
-        if terms.nbytes > self.cap:
-            return
-        for arr in terms:
-            arr.setflags(write=False)
-        with self._lock:
-            if key in self.entries:
-                return
-            self.entries[key] = terms
-            self.nbytes += terms.nbytes
-            while self.nbytes > self.cap:
-                self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.nbytes = 0
-
-
 def _fixed_grid(t_count: int, uniform_count: int) -> np.ndarray:
     """Read-only union of logistic(t), t uniform on [-8, 8], and uniform points
     on [1e-3, 1-1e-3]."""
@@ -234,17 +191,17 @@ def _fixed_grid(t_count: int, uniform_count: int) -> np.ndarray:
 
 _GRID_1D = _fixed_grid(2001, 999)
 _GRID_AXIS_2D = _fixed_grid(68, 33)
-# Cauchy terms of a basis on one of the two fixed grids, keyed by the basis
-# content and the grid, so equal bases built apart (the mhf and smoothed
-# collocation bases at one (alpha, N)) share an entry.
-_cauchy_memo = _TermsMemo(_CAUCHY_MEMO_BYTES)
 
 
 def _compute_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
-    """Cauchy terms at any points, computed anew; d is divided in place."""
+    """Cauchy terms at any points, computed anew and read-only, so the memo
+    may share them; d is divided in place."""
     d, rows, cols = _differences(basis, x)
     c = np.divide(basis.weights[None, :], d, out=d)
-    return _CauchyTerms(c, np.sum(c, axis=1), rows, cols)
+    terms = _CauchyTerms(c, np.sum(c, axis=1), rows, cols)
+    for arr in terms:
+        arr.setflags(write=False)
+    return terms
 
 
 def _cauchy_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
@@ -252,7 +209,9 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
 
     Only the arrays returned by eval_grid_1d() and eval_grid_axis_2d() are
     looked up, by identity; any other points, a copy of a grid included,
-    are computed anew.  Memoized terms are read-only.
+    are computed anew.  The memo's key is the grid and the basis content,
+    so equal bases built apart (the mhf and smoothed collocation bases at
+    one (alpha, N)) share an entry.  Memoized terms are read-only.
     """
     if x is _GRID_1D:
         grid = "1d"
@@ -260,12 +219,9 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
         grid = "axis-2d"
     else:
         return _compute_terms(basis, x)
-    key = (grid, basis.nodes_t.tobytes(), basis.weights.tobytes(), basis.nodes_x.tobytes())
-    terms = _cauchy_memo.get(key)
-    if terms is None:
-        terms = _compute_terms(basis, x)
-        _cauchy_memo.put(key, terms)
-    return terms
+    key = ("terms", grid, basis.nodes_t.tobytes(), basis.weights.tobytes(),
+           basis.nodes_x.tobytes())
+    return memo.get(key, lambda: _compute_terms(basis, x))
 
 
 def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:

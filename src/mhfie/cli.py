@@ -95,7 +95,8 @@ def _fmt(value) -> str:
 def _read_config(path: str) -> dict:
     cfg = {}
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -375,13 +376,17 @@ def _solver_args(args) -> tuple:
 
 def _check_node_families(n_list, ni_offset: int) -> None:
     """Reject an even --ni-offset with an even N: a rule of even degree has
-    the node z = 0, so both node families would contain x = 0.5."""
+    the node z = 0, so both node families would contain x = 0.5.  Offset 0
+    is rejected for every N: the two families are then one."""
     for n in n_list:
         if n % 2 == 0 and ni_offset % 2 == 0:
             raise UsageError(
                 f"N={n} with --ni-offset {ni_offset} (NI={n + ni_offset}): both node "
                 "families contain x = 0.5; use an odd offset"
             )
+    if ni_offset == 0:
+        raise UsageError("--ni-offset 0 makes NI = N, so the quadrature nodes are "
+                         "the collocation nodes; use an odd offset")
 
 
 def _checked_config(problem, **fields) -> SolverConfig:

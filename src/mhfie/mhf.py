@@ -195,7 +195,7 @@ def mhf_quadrature(rule: MhfRule, f) -> float:
     if not np.all(np.isfinite(vals)):
         j = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(
-            f"integrand is not finite at node j={j}, x={rule.nodes[j]!r}"
+            f"integrand is not finite at node j={j}, x={float(rule.nodes[j])!r}"
         )
     return float(vals @ rule.weights)
 

@@ -218,7 +218,8 @@ def kernel_eval(spec: KernelSpec, s, x, t=None, y=None):
         gap = abs(xi - si)
         if gap < DIAG_GUARD:
             raise ValueError(
-                f"kernel is singular at the diagonal on axis {axis}: s={si!r}, x={xi!r}"
+                f"kernel is singular at the diagonal on axis {axis}: "
+                f"s={float(si)!r}, x={float(xi)!r}"
             )
         val = val * _axis_singular(spec, axis)(gap)
     if spec.smooth_factor is not None:

@@ -32,27 +32,27 @@ the one-axis case of the two-dimensional one.
 
 The collocation and quadrature rules, the quadrature coefficients and the
 damped cardinal matrix E of one axis depend only on (alpha, n, ni, method),
-never on the problem.  They are built once into a read-only axis plan and
-kept in a bounded least-recently-used memo (_PLAN_MEMO_SIZE plans), from
-which solve, assemble_nystrom and both axes of a 2D solve take them.  Only
-a process that repeats a key gains, such as a study of several problems or
-forcings at one discretization; a convergence ladder solves each key once.
-verify_residual never reads the plan memo: it builds its quadrature
-coefficients, E and kernel matrix anew, so its certificate stays
-independent of the arrays the solve used.  What it shares with the solve
-is the Gauss-Hermite rule under each mapped rule, which hermite_gauss_rule
-keeps in its own memo: a pure function of one integer degree whose arrays
-cannot be written.  A plan builds its interpolation basis on first use,
-which the certificate never makes.
+never on the problem.  They are built once into a read-only axis plan, kept
+in the package's one byte-bounded memo (mhfie._memo) under the key
+("plan", alpha, n, ni, method), from which solve, assemble_nystrom and both
+axes of a 2D solve take them.  A kernel that is its singular factor alone
+depends only on (kind, mu) and the plan, so its read-only kernel factor
+W = theta * coeffs and, from the first 2D solve that asks, the eigenpairs of
+W E that the preconditioner diagonalizes are kept as a second entry, under
+("kernel", alpha, n, ni, method, kind, mu); both axes of a 2D solve with one
+plan and one exponent share them, so each is built once.  Custom kernels and
+kernels with a smooth factor depend on the problem and are built per call.
+Only a process that repeats a key gains, such as a study of several problems
+or forcings at one discretization; a convergence ladder solves each key once.
 
-A plan also keeps, per kernel singular factor (kind, mu), the read-only
-kernel factor W = theta * coeffs and, from the first 2D solve that asks, the
-eigenpairs of W E that the preconditioner diagonalizes; both axes of a 2D
-solve with one plan and one exponent share them, so each is built once.
-Custom kernels and kernels with a smooth factor depend on the problem and
-are built per call.  The factors of one plan are bounded by
-_PLAN_KERNEL_BYTES, so the memo holds at most 32 MiB of them.  The
-certificate's fresh plans start empty, so it never reads them.
+verify_residual neither reads nor writes the memo: it builds its plans,
+quadrature coefficients, E and kernel factors anew, into a memo of its own
+that lives for the one call, so its certificate stays independent of the
+arrays the solve used.  What it shares
+with the solve is the Gauss-Hermite rule under each mapped rule, which
+hermite_gauss_rule keeps in its own memo: a pure function of one integer
+degree whose arrays cannot be written.  A plan builds its interpolation
+basis on first use, which the certificate never makes.
 
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
@@ -65,13 +65,12 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from ._memo import MEMO_BYTES, BoundedMemo, memo
 from .approx import (
     Interpolant1D,
     LagrangeBasis,
@@ -113,16 +112,6 @@ GMRES_RTOL = 1e-10
 GMRES_ATOL_FACTOR = 0.1
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 4
-# Axis plans kept by the memo.  The bound caps memory: a plan at MAX_N_1D
-# holds about 1.3 MB (mostly E), so the memo holds at most ~21 MB.  Only a
-# process that repeats an (alpha, n, ni, method) key gains from it, and only
-# while fewer than this many other keys come between the repeats.
-_PLAN_MEMO_SIZE = 16
-# Bytes of kernel factors one plan keeps (see _KernelFactors).  A W at
-# MAX_N_1D is 1.3 MB, so one fits there; a factor at MAX_N_2D with its
-# eigenpairs is 0.27 MB, so seven fit.  With _PLAN_MEMO_SIZE plans the
-# factors hold at most 32 MiB.
-_PLAN_KERNEL_BYTES = 2 * 2**20
 
 
 class AssemblyError(RuntimeError):
@@ -270,8 +259,8 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
                       if abs(rule_q.basis.degree - rule_c.basis.degree) == 1
                       else "pick ni so the node families interlace (default ni=n+1)")
             raise AssemblyError(
-                f"collocation node x[{i}]={rule_c.nodes[i]!r} and quadrature node "
-                f"s[{k}]={rule_q.nodes[k]!r} are {gmin:.2e} apart; {advice}"
+                f"collocation node x[{i}]={float(rule_c.nodes[i])!r} and quadrature node "
+                f"s[{k}]={float(rule_q.nodes[k])!r} are {gmin:.2e} apart; {advice}"
             )
         theta = _axis_singular(kernel, axis)(gap)
         if kernel.smooth_factor is not None:
@@ -322,59 +311,22 @@ class _KernelFactor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes held once complete: W and, where a 2D solve can use the plan
-        (n <= MAX_N_2D), at most m + 2 m^2 complex eigenpair values."""
+        """Bytes kept alive once complete: W, the E it references and, where
+        a 2D solve can use it (n <= MAX_N_2D), at most m + 2 m^2 complex
+        eigenpair values."""
         m = self.w.shape[0]
         eigen = 16 * m * (2 * m + 1) if m <= MAX_N_2D + 1 else 0
-        return self.w.nbytes + eigen
-
-
-class _KernelFactors:
-    """Kernel factors one plan keeps, by singular factor (kind, mu).
-
-    Each kept factor is charged its nbytes; the least recently used go first
-    once the total passes _PLAN_KERNEL_BYTES, and a factor above it is never
-    kept.  Thread-safe: two threads missing one key both build it, and the
-    first one kept is the one both get.
-    """
-
-    def __init__(self):
-        self.entries = OrderedDict()
-        self.nbytes = 0
-        self._lock = threading.Lock()
-
-    def get(self, key, build: Callable) -> _KernelFactor:
-        with self._lock:
-            factor = self.entries.get(key)
-            if factor is not None:
-                self.entries.move_to_end(key)
-                return factor
-        factor = build()
-        with self._lock:
-            if key in self.entries:
-                return self.entries[key]
-            if factor.nbytes <= _PLAN_KERNEL_BYTES:
-                self.entries[key] = factor
-                self.nbytes += factor.nbytes
-                while self.nbytes > _PLAN_KERNEL_BYTES:
-                    self.nbytes -= self.entries.popitem(last=False)[1].nbytes
-        return factor
+        return self.w.nbytes + self.e.nbytes + eigen
 
 
 @dataclass(frozen=True)
 class _AxisPlan:
-    """Problem-independent parts of one axis; every array is read-only.
-
-    kernels keeps the factors of kernels that are a singular factor alone;
-    it starts empty in every plan, dataclasses.replace included.
-    """
+    """Problem-independent parts of one axis; every array is read-only."""
 
     rule_c: MhfRule
     rule_q: MhfRule
     coeffs: np.ndarray  # chi_k / chi(s_k) at the quadrature nodes
     e: np.ndarray  # damped cardinals of rule_c at the nodes of rule_q
-    kernels: _KernelFactors = field(init=False, default_factory=_KernelFactors,
-                                    repr=False, compare=False)
 
     @functools.cached_property
     def basis(self) -> LagrangeBasis:
@@ -382,24 +334,15 @@ class _AxisPlan:
         a solution needs it, the residual certificate does not."""
         return LagrangeBasis.from_mhf_rule(self.rule_c)
 
-    def kernel_factor(self, problem: ProblemSpec, axis: int) -> _KernelFactor:
-        """W = theta * coeffs for the problem's kernel on one axis.
-
-        A kernel that is its singular factor alone depends only on (kind, mu)
-        and this plan, so its factor is kept; a custom kernel or one with a
-        smooth factor is built anew on every call.
-        """
-
-        def build() -> _KernelFactor:
-            w = _theta_matrix(problem, self.rule_q, self.rule_c, axis) * self.coeffs[None, :]
-            w.setflags(write=False)
-            return _KernelFactor(w, self.e)
-
-        kernel = problem.kernel
-        if kernel.kind == "custom" or kernel.smooth_factor is not None:
-            return build()
-        mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
-        return self.kernels.get((kernel.kind, mu), build)
+    @property
+    def nbytes(self) -> int:
+        """Bytes kept alive: both mapped rules with their Gauss-Hermite rules,
+        coeffs, E and the barycentric weights of the basis, built or not."""
+        rules = sum(arr.nbytes for rule in (self.rule_c, self.rule_q)
+                    for arr in (rule.nodes, rule.weights, rule.logits, rule.nodes_complement,
+                                rule.hermite.nodes, rule.hermite.weights,
+                                rule.hermite.log_weights))
+        return rules + self.coeffs.nbytes + self.e.nbytes + self.rule_c.nodes.nbytes
 
 
 def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
@@ -413,9 +356,26 @@ def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
     return _AxisPlan(rule_c, rule_q, coeffs, e)
 
 
-# The memoized plans.  A miss calls _build_axis_plan, which reaches the rule
-# builder through this module's attribute mhf_gauss_rule at call time.
-_axis_plan = functools.lru_cache(maxsize=_PLAN_MEMO_SIZE)(_build_axis_plan)
+def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, key: tuple,
+                   get: Callable) -> _KernelFactor:
+    """W = theta * coeffs for the problem's kernel on one axis, whose plan
+    has the key (alpha, n, ni, method).
+
+    A kernel that is its singular factor alone depends only on (kind, mu)
+    and the plan, so its factor is taken from get; a custom kernel or one
+    with a smooth factor is built anew on every call.
+    """
+
+    def build() -> _KernelFactor:
+        w = _theta_matrix(problem, plan.rule_q, plan.rule_c, axis) * plan.coeffs[None, :]
+        w.setflags(write=False)
+        return _KernelFactor(w, plan.e)
+
+    kernel = problem.kernel
+    if kernel.kind == "custom" or kernel.smooth_factor is not None:
+        return build()
+    mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
+    return get(("kernel", *key, kernel.kind, mu), build)
 
 
 @dataclass
@@ -477,11 +437,12 @@ def _open_grid(axes: tuple) -> tuple:
 
 
 def _build(problem: ProblemSpec, config: SolverConfig,
-           plan_for: Callable) -> _Discretization:
+           get: Callable = memo.get) -> _Discretization:
     """The discrete system, built axis by axis; 1D is the one-axis case.
 
-    plan_for(alpha, n, ni, method) supplies the axis plans: the memo for
-    solve and assemble_nystrom, the fresh builder for verify_residual.
+    get(key, build) supplies the axis plans and kept kernel factors: the
+    memo's for solve and assemble_nystrom; verify_residual passes that of a
+    memo of its own, which lives for the one call.
     """
     dim = problem.dimension
     config.check_dimension(dim, problem.name)
@@ -490,12 +451,14 @@ def _build(problem: ProblemSpec, config: SolverConfig,
             f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
             "by the factored solver, which needs a kernel that separates per axis"
         )
-    scales = config.axis_scales(dim)
+    keys = [(a, config.n, config.ni_value, config.method) for a in config.axis_scales(dim)]
     # one plan per distinct map scale: both axes share it by default, and
     # through it one kernel factor unless the exponents differ
-    plans = {a: plan_for(a, config.n, config.ni_value, config.method) for a in set(scales)}
-    axis_plans = [plans[a] for a in scales]
-    kernels = tuple(p.kernel_factor(problem, axis) for axis, p in enumerate(axis_plans))
+    plans = {key: get(("plan", *key), functools.partial(_build_axis_plan, *key))
+             for key in set(keys)}
+    axis_plans = [plans[key] for key in keys]
+    kernels = tuple(_kernel_factor(problem, axis, plans[key], key, get)
+                    for axis, key in enumerate(keys))
     w = tuple(k.w for k in kernels)
     # per axis: cardinal factor, quadrature nodes, and collocation nodes
     # with their complements
@@ -536,7 +499,7 @@ def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatri
     In two dimensions the dense Kronecker product is formed here, on request;
     the solvers only ever apply its factors.
     """
-    disc = _build(problem, config, _axis_plan)
+    disc = _build(problem, config)
     return NystromMatrix(
         # a copy: the 1D factor may be the read-only one the plan keeps
         weights=disc.w[0].copy() if disc.dimension == 1 else np.kron(*disc.w),
@@ -572,7 +535,7 @@ class _FastDiagonalization:
     (Qx (x) Qy) diag(1 / (lam - c lx_i ly_j)) (Qx (x) Qy)^-1, applied per
     axis.  The eigendecompositions are the kernel factors' eigenpairs: made
     once per distinct (W, E) pair, so two axes that share a kernel factor
-    share them, and kept with a kernel factor the plan keeps, so a repeated
+    share them, and kept with a kernel factor the memo keeps, so a repeated
     solve makes none.  c may change with every Newton step.  Complex
     eigenpairs are carried in complex arithmetic and the result, real in
     exact arithmetic, is taken as its real part.  The preconditioner only
@@ -815,7 +778,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
     one full step.  final_residual is the last entry of residual_history,
     which newton_driver leaves at or below newton_tol.
     """
-    disc = _build(problem, config, _axis_plan)
+    disc = _build(problem, config)
     result = newton_driver(
         _residual_fn(disc, problem),
         _jacobian_fn(disc, problem),
@@ -845,12 +808,13 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
 
     Accepts a Solution or a bare node-value array.  The mapped rules,
     quadrature coefficients, damped cardinal matrix and kernel matrix are
-    rebuilt here and never read from the axis-plan memo the solves share,
-    so this is the independent certificate check.  Only the read-only
-    Gauss-Hermite rules under the mapped rules come from the rule memo that
-    every caller shares.
+    rebuilt here, in a memo that lives for this call only, and the memo the
+    solves share is neither read nor written, so this is the independent
+    certificate check.  Only the
+    read-only Gauss-Hermite rules under the mapped rules come from the rule
+    memo that every caller shares.
     """
-    disc = _build(problem, config, _build_axis_plan)
+    disc = _build(problem, config, BoundedMemo(MEMO_BYTES).get)
     values = solution.node_values if isinstance(solution, Solution) else solution
     u = np.asarray(values, dtype=float).ravel()
     return float(np.max(np.abs(_residual_fn(disc, problem)(u))))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhfie.approx
+from mhfie._memo import memo
 from mhfie.hermite import hermite_orthonormal_table
 from mhfie.mhf import MhfBasis, gamma_n, mhf_gauss_rule
 from mhfie.approx import (
@@ -379,7 +380,6 @@ def test_series_eval_matches_direct_expansion():
 
 @pytest.fixture
 def empty_memo():
-    memo = mhfie.approx._cauchy_memo
     memo.clear()
     yield memo
     memo.clear()
@@ -419,7 +419,8 @@ def test_both_routes_share_one_memo_entry(empty_memo):
     assert solutions[0].interpolant.basis is not solutions[1].interpolant.basis
     for s in solutions:
         error_norms(s.interpolant, prob.exact_solution, 0.5)
-    assert len(empty_memo.entries) == 1
+    # the memo also keeps the two solves' plans and kernel factors
+    assert [key[:2] for key in empty_memo.entries if key[0] == "terms"] == [("terms", "1d")]
 
 
 def test_memo_holds_at_most_its_byte_cap(empty_memo):
@@ -431,10 +432,10 @@ def test_memo_holds_at_most_its_byte_cap(empty_memo):
         interp.eval(grid)
         assert empty_memo.nbytes <= empty_memo.cap
         assert empty_memo.nbytes == sum(t.nbytes for t in empty_memo.entries.values())
-    # the degree-MAX_N_1D terms alone exceed the cap: they are neither kept
-    # nor evict the degree-340 entry, which fills most of the cap by itself
-    assert 8 * grid.size * (MAX_N_1D + 1) > empty_memo.cap
-    assert [t.c.shape[1] for t in empty_memo.entries.values()] == [341]
+    # the degree-MAX_N_1D terms fit the cap and are kept; the least recently
+    # used entries make room for them
+    assert 8 * grid.size * (MAX_N_1D + 1) < empty_memo.cap
+    assert [t.c.shape[1] for t in empty_memo.entries.values()] == [221, 281, 341, 401]
 
 
 def test_fixed_grids_and_memoized_terms_are_read_only(empty_memo):

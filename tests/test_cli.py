@@ -372,6 +372,18 @@ def test_node_families_sharing_the_midpoint_are_usage_errors(argv, n, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "ex1-log", "--n", "7", "--ni-offset", "0"],
+    ["converge", "--problem", "ex1-log", "--n-list", "7,9", "--ni-offset", "0"],
+    ["compare", "--problem", "ex1-log", "--n-list", "7", "--ni-offset", "0"],
+])
+def test_ni_offset_zero_is_a_usage_error_for_every_n(argv, capsys):
+    # offset 0 makes the quadrature nodes the collocation nodes, odd N too
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--ni-offset 0" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "3"],
     ["converge", "--problem", "ex1-log", "--n-list", "7,9", "--ni-offset", "2", "--out", "-"],
 ])

@@ -13,14 +13,16 @@ import pytest
 import mhfie.approx
 import mhfie.hermite
 import mhfie.solver
+from mhfie._memo import BoundedMemo, memo
 from mhfie.approx import error_norms
-from mhfie.mhf import MhfBasis, mhf_gauss_rule
+from mhfie.mhf import MhfBasis, mhf_gauss_rule, mhf_quadrature
 from mhfie.problem import (
     KernelSpec,
     Nonlinearity,
     ProblemSpec,
     exact_smooth_integral,
     get_problem,
+    kernel_eval,
 )
 from mhfie.solver import (
     MAX_N_1D,
@@ -188,7 +190,7 @@ def test_newton_route_matches_direct_linear_solve():
         for method in ("mhf", "smoothed"):
             for n in (8, 32, 80):
                 cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
-                disc = mhfie.solver._build(prob, cfg, mhfie.solver._axis_plan)
+                disc = mhfie.solver._build(prob, cfg)
                 (w,), (e,) = disc.w, disc.e
                 direct = np.linalg.solve(disc.lam * np.eye(n + 1) - w @ e, disc.g)
                 sol = solve(prob, cfg)
@@ -382,14 +384,26 @@ def _solve_and_norms(prob, cfg):
 
 
 def _clear_memos():
-    mhfie.solver._axis_plan.cache_clear()
+    memo.clear()
     mhfie.hermite._memoized_rule.cache_clear()
 
 
-def _kept_arrays(plan) -> list:
-    """W and, once built, the eigenpairs of every kernel factor the plan keeps."""
-    return [arr for f in plan.kernels.entries.values()
-            for arr in (f.w, *f.__dict__.get("eigenpairs", ()))]
+@pytest.fixture
+def fresh_memos():
+    """Empty memos, emptied again after a test that poisons what they keep."""
+    _clear_memos()
+    yield
+    _clear_memos()
+
+
+def _plan_key(cfg: SolverConfig) -> tuple:
+    return (cfg.alpha, cfg.n, cfg.ni_value, cfg.method)
+
+
+def _kept_factors(plan_key: tuple) -> dict:
+    """The kernel factors the memo keeps for one plan, by memo key."""
+    return {key: f for key, f in memo.entries.items()
+            if key[0] == "kernel" and key[1:5] == plan_key}
 
 
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
@@ -424,24 +438,43 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     assert warm.final_residual == cold.final_residual
     assert warm.krylov_iters == cold.krylov_iters
     assert warm_norms == cold_norms
-    plan = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, method)
-    assert len(plan.kernels.entries) == int(kept)
+    plan = memo.entries[("plan", *_plan_key(cfg))]
+    factors = _kept_factors(_plan_key(cfg)).values()
+    assert len(factors) == int(kept)
     rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
     arrays = _read_only_arrays(plan) + _read_only_arrays(plan.basis) + _read_only_arrays(rule)
     assert len(arrays) >= 20
-    kernel_arrays = _kept_arrays(plan)
+    kernel_arrays = [arr for f in factors for arr in (f.w, *f.__dict__.get("eigenpairs", ()))]
     assert len(kernel_arrays) == (0 if not kept else 1 if prob.dimension == 1 else 4)
     assert not any(arr.flags.writeable for arr in arrays + kernel_arrays)
 
 
 def test_memos_hold_at_most_their_bounds():
-    prob = get_problem("ex1-log")
-    plans, rules = mhfie.solver._axis_plan, mhfie.hermite._memoized_rule
+    # solves and error norms up a 1D ladder to MAX_N_1D and a 2D ladder to
+    # MAX_N_2D keep plans, kernel factors and Cauchy terms in the one memo,
+    # within its cap, each charged at least the bytes it keeps alive
+    rules = mhfie.hermite._memoized_rule
     _clear_memos()
-    for n in range(2, 2 + mhfie.solver._PLAN_MEMO_SIZE + 4):
-        solve(prob, SolverConfig(n=n, alpha=prob.default_alpha))
-        assert plans.cache_info().currsize <= mhfie.solver._PLAN_MEMO_SIZE
-    assert plans.cache_info().currsize == mhfie.solver._PLAN_MEMO_SIZE
+    # alpha 3 keeps the nodes at MAX_N_1D apart; ex3-alg solves at its default
+    ladders = [("ex1-log", 3.0, list(range(40, MAX_N_1D, 60)) + [MAX_N_1D]),
+               ("ex3-alg", 0.5, list(range(8, MAX_N_2D, 24)) + [MAX_N_2D])]
+    for name, alpha, sizes in ladders:
+        for n in sizes:
+            _solve_and_norms(get_problem(name), SolverConfig(n=n, alpha=alpha))
+            assert memo.nbytes <= memo.cap
+            assert memo.nbytes == sum(v.nbytes for v in memo.entries.values())
+    # the 1D ladder alone overflows the cap: its first entries are gone
+    assert ("plan", 3.0, 40, 41, "mhf") not in memo.entries
+    assert {key[0] for key in memo.entries} == {"plan", "kernel", "terms"}
+    for key, value in memo.entries.items():
+        if key[0] == "plan":
+            held = _read_only_arrays(value) + [value.basis.weights]
+        elif key[0] == "kernel":
+            held = [value.w, value.e, *value.__dict__.get("eigenpairs", ())]
+        else:
+            held = list(value)
+        assert sum(arr.nbytes for arr in held) <= value.nbytes
+    prob = get_problem("ex1-log")
     sol = solve(prob, SolverConfig(n=4, alpha=prob.default_alpha))
     for degree in range(mhfie.hermite._RULE_MEMO_SIZE + 4):
         error_norms(sol.interpolant, prob.exact_solution, 0.5, degree=degree)
@@ -470,41 +503,37 @@ def test_solve_certificate_and_norms_build_each_rule_once(name, n, monkeypatch):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_verify_residual_reads_no_memo(dim, monkeypatch):
+def test_verify_residual_reads_no_memo(dim, fresh_memos):
     # a memo that hands out a perturbed E makes solve solve another system;
     # the certificate, built afresh, must see the difference.  The forcing is
     # given, not synthesized, so it does not follow the perturbation.
-    def poisoned(*key):
-        plan = mhfie.solver._build_axis_plan(*key)
-        return replace(plan, e=plan.e * (1.0 + 1e-6))
-
-    monkeypatch.setattr(mhfie.solver, "_axis_plan", poisoned)
     if dim == 1:
         prob = replace(get_problem("ex2-sqrt"), exact_solution=None,
                        exact_solution_c=None)
     else:
         prob = _identity_2d()
     cfg = SolverConfig(n=16 if dim == 1 else 8, alpha=0.5)
+    plan = mhfie.solver._build_axis_plan(*_plan_key(cfg))
+    memo.get(("plan", *_plan_key(cfg)), lambda: replace(plan, e=plan.e * (1.0 + 1e-6)))
     sol = solve(prob, cfg)
     assert sol.final_residual <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol) > cfg.newton_tol
 
 
 @pytest.mark.parametrize("poison", ["w", "eigenpairs"])
-def test_verify_residual_reads_no_kept_kernel_factor(poison):
+def test_verify_residual_reads_no_kept_kernel_factor(poison, fresh_memos):
     # a wrong kept factor changes what solve does; the certificate builds its
     # own factors and reads the same residual.  identity-2d has two kernel
     # factors (mu 0.3 and 0.6) and a given forcing.
     prob = _identity_2d()
     cfg = SolverConfig(n=8, alpha=0.5)
-    _clear_memos()
     sol = solve(prob, cfg)
     clean = verify_residual(prob, cfg, sol)
-    kept = mhfie.solver._axis_plan(cfg.alpha, cfg.n, cfg.ni_value, cfg.method).kernels
-    assert len(kept.entries) == 2
-    for key, factor in kept.entries.items():
+    kept = _kept_factors(_plan_key(cfg))
+    assert len(kept) == 2
+    for key, factor in kept.items():
         if poison == "w":
-            kept.entries[key] = replace(factor, w=factor.w * (1.0 + 1e-6))
+            memo.entries[key] = replace(factor, w=factor.w * (1.0 + 1e-6))
         else:
             values, forward, backward = factor.eigenpairs
             factor.__dict__["eigenpairs"] = (1.5 * values, forward, backward)
@@ -518,6 +547,25 @@ def test_verify_residual_reads_no_kept_kernel_factor(poison):
         assert sol.krylov_iters == (1,) * sol.newton_iters
         assert poisoned.krylov_iters != sol.krylov_iters
         assert verify_residual(prob, cfg, poisoned) <= cfg.newton_tol
+
+
+@pytest.mark.parametrize("name", ["ex1-log", "ex2-sqrt", "ex3-alg", "identity-2d"])
+def test_verify_residual_writes_no_memo(name):
+    # the certificate leaves the memo's keys, their order, the values and
+    # the byte count as the solve and its error norms left them, also at a
+    # discretization the memo has never seen
+    prob = _identity_2d() if name == "identity-2d" else get_problem(name)
+    cfg = SolverConfig(n=8, alpha=0.5)
+    _clear_memos()
+    sol = solve(prob, cfg)
+    error_norms(sol.interpolant, lambda *x: 0.0 * sum(x),
+                0.5 if prob.dimension == 1 else (0.5, 0.5), dim=prob.dimension, degree=cfg.n)
+    entries, nbytes = list(memo.entries.items()), memo.nbytes
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    verify_residual(prob, SolverConfig(n=6, alpha=0.7), np.zeros(7**prob.dimension))
+    assert [(key, id(value)) for key, value in memo.entries.items()] == [
+        (key, id(value)) for key, value in entries]
+    assert memo.nbytes == nbytes
 
 
 @pytest.mark.parametrize("name, alpha2, eigs, cardinals", [
@@ -544,7 +592,7 @@ def test_each_axis_work_is_done_once(name, alpha2, eigs, cardinals, monkeypatch)
     cfg = SolverConfig(n=16, alpha=0.5, alpha2=alpha2)
     _clear_memos()
     sol = solve(prob, cfg)
-    disc = mhfie.solver._build(prob, cfg, mhfie.solver._axis_plan)
+    disc = mhfie.solver._build(prob, cfg)
     assert (disc.w[0] is disc.w[1]) == (eigs == 1)
     assert calls["eig"] == eigs
     error_norms(sol.interpolant, lambda x, y: 0.0 * x * y, (cfg.alpha, alpha2 or cfg.alpha),
@@ -579,47 +627,48 @@ def _algebraic_1d(mu: float) -> ProblemSpec:
 
 
 def test_kept_kernel_factors_hold_at_most_their_bound():
-    bound = mhfie.solver._PLAN_KERNEL_BYTES
-
-    def factors(n: int, mus) -> tuple:
-        plan = mhfie.solver._build_axis_plan(2.0, n, n + 1, "mhf")
-        for mu in mus:
-            factor = plan.kernel_factor(_algebraic_1d(mu), 0)
-            assert not factor.w.flags.writeable
-            assert plan.kernels.nbytes <= bound
-        return plan.kernels, factor
-
-    # at MAX_N_1D one W of 1.3 MB fits, a second does not
-    kept, _ = factors(MAX_N_1D, (0.2, 0.4, 0.6))
-    w_bytes = (MAX_N_1D + 1) * (MAX_N_1D + 2) * 8
-    assert w_bytes > bound / 2
-    assert list(kept.entries) == [("algebraic", 0.6)]
-    assert kept.nbytes == w_bytes
-    # within MAX_N_2D a factor is charged for the eigenpairs a 2D solve may
-    # build, and what it builds stays within that charge
-    kept, last = factors(MAX_N_2D, [0.1 * k for k in range(1, 10)])
-    assert len(kept.entries) == bound // last.nbytes == 7
-    assert kept.nbytes == 7 * last.nbytes
-    assert sum(arr.nbytes for arr in (last.w, *last.eigenpairs)) <= last.nbytes
+    # the memo is least recently used by total bytes: a hit renews an entry,
+    # the oldest go first, and a value above the cap is returned but neither
+    # kept nor makes room for itself
+    kept = BoundedMemo(cap=100)
+    a = kept.get("a", lambda: np.zeros(5))
+    kept.get("b", lambda: np.zeros(5))
+    assert kept.get("a", lambda: np.ones(5)) is a
+    big = kept.get("big", lambda: np.zeros(13))
+    assert big.nbytes > kept.cap
+    assert list(kept.entries) == ["b", "a"] and kept.nbytes == 80
+    kept.get("c", lambda: np.zeros(4))
+    assert list(kept.entries) == ["a", "c"] and kept.nbytes == 72
+    # a W at MAX_N_1D with its E fits the cap; within MAX_N_2D a factor is
+    # also charged for the eigenpairs a 2D solve may build
+    for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (2 * MAX_N_2D + 3))):
+        key = (2.0, n, n + 1, "mhf")
+        plan = mhfie.solver._build_axis_plan(*key)
+        factor = mhfie.solver._kernel_factor(_algebraic_1d(0.5), 0, plan, key, kept.get)
+        assert not factor.w.flags.writeable
+        assert factor.nbytes == factor.w.nbytes + plan.e.nbytes + eigen < memo.cap
 
 
-def test_kept_kernel_factors_stay_consistent_under_threads(monkeypatch):
-    # more threads than cores ask one plan for six kernels while it keeps
-    # three: every factor returned is right, and the byte count matches the
-    # entries, which a lost update would break
+def test_kept_kernel_factors_stay_consistent_under_threads():
+    # more threads than cores ask a memo for six kernel factors while it
+    # keeps three: every factor returned is right, and the byte count
+    # matches the entries, which a lost update would break
     probs = [_algebraic_1d(0.1 * k) for k in range(1, 7)]
-    reference = mhfie.solver._build_axis_plan(0.5, 32, 33, "mhf")
-    expected = [reference.kernel_factor(p, 0).w for p in probs]
-    charge = reference.kernel_factor(probs[0], 0).nbytes
-    monkeypatch.setattr(mhfie.solver, "_PLAN_KERNEL_BYTES", 3 * charge)
-    plan = mhfie.solver._build_axis_plan(0.5, 32, 33, "mhf")
+    key = (0.5, 32, 33, "mhf")
+    plan = mhfie.solver._build_axis_plan(*key)
+
+    def factor(k: int, get):
+        return mhfie.solver._kernel_factor(probs[k], 0, plan, key, get)
+
+    expected = [factor(k, lambda _, build: build()) for k in range(len(probs))]
+    kept = BoundedMemo(3 * expected[0].nbytes)
     errors = []
 
     def work(offset: int) -> None:
         try:
             for i in range(300):
                 k = (i + offset) % len(probs)
-                if not np.array_equal(plan.kernel_factor(probs[k], 0).w, expected[k]):
+                if not np.array_equal(factor(k, kept.get).w, expected[k].w):
                     errors.append(k)
         except Exception as exc:  # recorded, so the main thread sees it
             errors.append(exc)
@@ -636,9 +685,17 @@ def test_kept_kernel_factors_stay_consistent_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    kept = plan.kernels
     assert len(kept.entries) == 3
-    assert kept.nbytes == sum(f.nbytes for f in kept.entries.values()) == 3 * charge
+    assert kept.nbytes == sum(f.nbytes for f in kept.entries.values()) == 3 * expected[0].nbytes
+    # a thread that lost the race to build a key gets the instance the
+    # winner kept, so both share one eigendecomposition
+    first = np.zeros(1)
+
+    def lose_race():
+        kept.get("race", lambda: first)
+        return np.ones(1)
+
+    assert kept.get("race", lose_race) is first
 
 
 def test_assembled_weights_are_the_callers_to_write():
@@ -657,7 +714,7 @@ def test_verify_residual_builds_no_interpolation_basis(monkeypatch):
     weights = mhfie.approx._bary_weights
     monkeypatch.setattr(mhfie.approx, "_bary_weights",
                         lambda t: calls.append(t.size) or weights(t))
-    mhfie.solver._axis_plan.cache_clear()
+    memo.clear()
     prob = get_problem("ex1-alg")
     cfg = SolverConfig(n=12, alpha=prob.default_alpha)
     sol = solve(prob, cfg)
@@ -735,7 +792,7 @@ def _dense_newton(problem, config, disc):
 def test_factored_two_dimensional_solve_matches_dense_newton(name, n, method):
     prob = _identity_2d() if name == "identity-2d" else get_problem(name)
     cfg = SolverConfig(n=n, alpha=0.5, method=method)
-    disc = mhfie.solver._build(prob, cfg, mhfie.solver._axis_plan)
+    disc = mhfie.solver._build(prob, cfg)
     ni = cfg.ni_value
     for value in vars(disc).values():
         for arr in value if isinstance(value, tuple) else (value,):
@@ -848,9 +905,10 @@ def test_build_makes_one_plan_per_distinct_map_scale():
     for alpha2, plans in ((None, 1), (0.5, 1), (0.7, 2)):
         keys = []
 
-        def counting(*key):
-            keys.append(key)
-            return mhfie.solver._build_axis_plan(*key)
+        def counting(key, build):
+            if key[0] == "plan":
+                keys.append(key)
+            return build()
 
         cfg = SolverConfig(n=n, alpha=0.5, alpha2=alpha2)
         disc = mhfie.solver._build(prob, cfg, counting)
@@ -864,3 +922,20 @@ def test_build_makes_one_plan_per_distinct_map_scale():
     sol = solve(prob, cfg)
     np.testing.assert_array_equal(sol.nodes_y, disc.colloc_points[1])
     assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+
+
+def test_error_messages_print_coordinates_as_plain_numbers():
+    # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
+    prob = get_problem("ex1-log")
+    rule = mhf_gauss_rule(MhfBasis(0.5, 7))
+    pole = rule.nodes[2]
+    failures = [
+        (AssemblyError, lambda: solve(prob, SolverConfig(n=7, ni=7, alpha=0.5))),
+        (ValueError, lambda: mhf_quadrature(rule, lambda x: np.where(x == pole, np.inf, x))),
+        (ValueError, lambda: kernel_eval(prob.kernel, pole, pole)),
+    ]
+    for error, fail in failures:
+        with pytest.raises(error) as info:
+            fail()
+        message = str(info.value)
+        assert "np.float64" not in message and "=0.0" in message
