@@ -41,7 +41,6 @@ from .problem import (
     Nonlinearity,
     OracleError,
     ProblemSpec,
-    estimate_solvability,
     exact_smooth_integral,
     get_problem,
     kernel_eval,
@@ -93,7 +92,6 @@ __all__ = [
     "Nonlinearity",
     "OracleError",
     "ProblemSpec",
-    "estimate_solvability",
     "exact_smooth_integral",
     "get_problem",
     "kernel_eval",

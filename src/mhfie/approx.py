@@ -10,6 +10,7 @@ Gauss nodes reproduces P^log_N = span{1, t, ..., t^N} exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -17,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._memo import memo
-from .hermite import hermite_scaled_table, hermite_orthonormal_table
+from .hermite import HermiteRule, hermite_scaled_table, hermite_orthonormal_table
 from .mhf import (
     MhfBasis,
     MhfRule,
@@ -148,6 +149,38 @@ def _damped_rows(nodes: np.ndarray, points: np.ndarray, scale: float) -> np.ndar
     return out
 
 
+def _gauss_cardinal_rows(colloc: HermiteRule, quad: HermiteRule) -> np.ndarray:
+    """_damped_rows at the nodes of quad for the nodes of colloc, scale one,
+    in closed form from the two rules; quad must have one node more.
+
+    With n = colloc.degree, the nodes z_j are the zeros of h_{n+1} and the
+    points zeta_i those of h_{n+2}.  There the damped cardinals are the
+    Hermite-function cardinals (Boyd, Chebyshev and Fourier Spectral
+    Methods, 2001, ch. 17)
+
+        E_ij = h_{n+1}(zeta_i) / (h'_{n+1}(z_j) (zeta_i - z_j)),
+
+    with h'_{n+1}(z_j) = sqrt(2(n+1)) h_n(z_j).  The rule's weight formula
+    w = exp(-z^2) / ((N+1) h_N(z)^2) gives both magnitudes from the
+    log-weights, log|h_n(z_j)| = -(z_j^2 + log((n+1) w_j)) / 2 and
+    log|h_{n+1}(zeta_i)| = -(zeta_i^2 + log((n+2) w^q_i)) / 2, and for
+    ascending nodes the signs are (-1)^(n-j) and (-1)^(n+1-i).  So E is a
+    Cauchy matrix scaled by O(N) exponentials.  Rules of consecutive degrees
+    interlace, so no difference is zero.
+    """
+    n = colloc.degree
+    z, zeta = colloc.nodes, quad.nodes
+    log_hn = -0.5 * (z * z + math.log(n + 1) + colloc.log_weights)
+    log_hq = -0.5 * (zeta * zeta + math.log(n + 2) + quad.log_weights)
+    sign = np.where((n + 1 - np.arange(n + 2)) % 2 == 0, 1.0, -1.0)  # (-1)^(n+1-i)
+    col = sign[1:] * np.exp(-log_hn) / math.sqrt(2.0 * (n + 1))  # sign[j+1] = (-1)^(n-j)
+    row = sign * np.exp(log_hq)
+    out = np.subtract.outer(zeta, z)
+    np.divide(row[:, None], out, out=out)
+    out *= col
+    return out
+
+
 def _differences(basis: LagrangeBasis, x) -> tuple:
     """Differences t - t_j at the points x, and the points that hit a node.
 
@@ -167,12 +200,15 @@ def _differences(basis: LagrangeBasis, x) -> tuple:
 
 
 class _CauchyTerms(NamedTuple):
-    """Terms c = w_j / (t - t_j) at a set of points, finite at node hits."""
+    """Terms c = w_j / (t - t_j) at a set of points, finite at node hits, and
+    what the two barycentric forms need to turn them into cardinal rows."""
 
     c: np.ndarray
-    rowsum: np.ndarray  # sum of each row of c
+    den: np.ndarray  # sum of each row of c, or one where it cancels (see _compute_terms)
     rows: np.ndarray  # (point, node) index pairs of the node hits
     cols: np.ndarray
+    cancelled: np.ndarray  # points whose row sum cancels to 0 or is not finite
+    first: np.ndarray  # their cardinal rows by the first form
 
     @property
     def nbytes(self) -> int:
@@ -195,10 +231,27 @@ _GRID_AXIS_2D = _fixed_grid(68, 33)
 
 def _compute_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
     """Cauchy terms at any points, computed anew and read-only, so the memo
-    may share them; d is divided in place."""
+    may share them; d is divided in place.
+
+    Near the ends of the node span, and past them, the terms of a row
+    cancel, and their sum can come out exactly 0 (at alpha 2 and N = 280,
+    at 4 points of the error norms' rule); a non-finite sum is as
+    unusable.  Such a row keeps
+    the denominator one, and its cardinal row is taken by the first
+    (modified Lagrange) form l_j(t) = w_j prod_k (t - t_k) / (t - t_j) in
+    log magnitude, which is _damped_rows at scale zero.  Every other row is
+    the second form's.
+    """
     d, rows, cols = _differences(basis, x)
     c = np.divide(basis.weights[None, :], d, out=d)
-    terms = _CauchyTerms(c, np.sum(c, axis=1), rows, cols)
+    den = np.sum(c, axis=1)
+    cancelled = np.flatnonzero((den == 0.0) | ~np.isfinite(den))
+    first = np.empty((0, basis.nodes_t.size))
+    if cancelled.size:
+        pts = np.atleast_1d(np.asarray(x, dtype=float))[cancelled]
+        first = _damped_rows(basis.nodes_t, np.log(pts) - np.log1p(-pts), 0.0)
+        den[cancelled] = 1.0
+    terms = _CauchyTerms(c, den, rows, cols, cancelled, first)
     for arr in terms:
         arr.setflags(write=False)
     return terms
@@ -229,10 +282,12 @@ def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:
 
     Exact hits are detected against the stored original nodes, so
     evaluation at a node returns the unit row (and interpolants return the
-    stored value) exactly.
+    stored value) exactly.  A row whose barycentric sum cancels to 0 is
+    taken by the first form (_compute_terms).
     """
-    c, rowsum, rows, cols = _cauchy_terms(basis, x)
-    out = c / rowsum[:, None]
+    c, den, rows, cols, cancelled, first = _cauchy_terms(basis, x)
+    out = c / den[:, None]
+    out[cancelled] = first
     out[rows] = 0.0
     out[rows, cols] = 1.0
     return out
@@ -250,11 +305,13 @@ class Interpolant1D:
     def eval(self, x):
         """Values at x by the barycentric formula (c @ values) / sum(c).
 
-        A point equal to a node returns the stored value exactly.
+        A point equal to a node returns the stored value exactly.  A row
+        whose sum cancels to 0 is taken by the first form (_compute_terms).
         """
         values = np.asarray(self.values, dtype=float)
-        c, rowsum, rows, cols = _cauchy_terms(self.basis, x)
-        out = (c @ values) / rowsum
+        c, den, rows, cols, cancelled, first = _cauchy_terms(self.basis, x)
+        out = (c @ values) / den
+        out[cancelled] = first @ values
         out[rows] = values[cols]
         return float(out[0]) if np.ndim(x) == 0 else out
 
@@ -415,6 +472,12 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         at = tuple(np.argwhere(~np.isfinite(d))[0])
         point = ", ".join(f"{name}={float(m[at])!r}" for name, m in zip("xy", mesh))
         raise ValueError(f"integrand is not finite at {point}")
+    # A node whose weight underflows to 0 adds nothing, however large the
+    # approximant is there; its square could overflow, and 0 * inf is NaN.
+    # The weights are smallest at the ends.
+    if any(rule.weights[0] == 0.0 for rule in rules):
+        keep = functools.reduce(np.logical_and.outer, [r.weights > 0.0 for r in rules])
+        d = np.where(keep, d, 0.0)
     # sum over x first, then y: another order changes the last bits
     total = d**2
     for rule in rules:

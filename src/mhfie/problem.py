@@ -41,7 +41,6 @@ __all__ = [
     "exact_values",
     "manufactured_forcing",
     "forcing_on_grid",
-    "estimate_solvability",
     "get_problem",
     "problem_names",
 ]
@@ -495,58 +494,6 @@ def forcing_on_grid(spec: ProblemSpec, axes: tuple) -> np.ndarray:
         return out
     values = [manufactured_forcing(spec, *point) for point in itertools.product(*axes)]
     return np.reshape(values, shape)
-
-
-def estimate_solvability(spec: ProblemSpec, samples: int = 41) -> dict:
-    """Sampled estimates of the standing solvability quantities.
-
-    M bounds the smooth kernel factor, P the singular integral, c1 the
-    Lipschitz constant of psi in u over the range of the exact solution
-    (or [-2, 2] without one); their product over |lambda| should stay
-    below 1 for the fixed-point argument to apply.
-    """
-    grid = np.linspace(0.02, 0.98, samples)
-    if spec.kernel.kind == "custom":
-        p = max(
-            abs(
-                _kernel_action_1d(
-                    spec.kernel, lambda s, oms: np.ones_like(s), x, tol=1e-9
-                )
-            )
-            for x in np.linspace(0.05, 0.95, 7)
-        )
-        m = 1.0
-    else:
-        axes = range(spec.dimension)
-        p = 1.0
-        for axis in axes:
-            kind = spec.kernel.kind
-            mu = spec.kernel.mu[axis] if kind == "algebraic" else None
-            p *= float(np.max(np.abs(exact_smooth_integral(kind, grid, mu=mu))))
-        if spec.kernel.smooth_factor is None:
-            m = 1.0
-        else:
-            # Every source and target argument, in kernel_eval's order; a
-            # 2D factor takes four, so it is sampled on every fourth point.
-            axis = grid if spec.dimension == 1 else grid[::4]
-            points = np.meshgrid(*(axis,) * (2 * spec.dimension), indexing="ij")
-            m = float(np.max(np.abs(spec.kernel.smooth_factor(*points))))
-    if spec.exact_solution is None:
-        urange = np.linspace(-2.0, 2.0, samples)
-    else:
-        points = np.meshgrid(*(grid,) * spec.dimension, indexing="ij")
-        uvals = np.asarray(spec.exact_solution(*points), dtype=float)
-        lo, hi = float(np.min(uvals)), float(np.max(uvals))
-        pad = 0.5 * max(1.0, hi - lo)
-        urange = np.linspace(lo - pad, hi + pad, samples)
-    c1 = float(
-        max(
-            np.max(np.abs(spec.nonlinearity.dpsi_du(*(s,) * spec.dimension, urange)))
-            for s in grid[:: max(1, samples // 8)]
-        )
-    )
-    return {"M": m, "P": p, "c1": c1, "product": m * p * c1,
-            "contraction": m * p * c1 / abs(spec.lam)}
 
 
 # ---------------------------------------------------------------------------

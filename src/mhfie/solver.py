@@ -25,6 +25,16 @@ below eta |F| (or the fixed floors of _gmres_step), which keeps Newton's
 quadratic convergence with fewer Krylov iterations (Dembo, Eisenstat &
 Steihaug 1982).  The dense 1D step is exact and ignores the forcing.
 
+E holds the damped cardinals of the collocation nodes at the quadrature
+nodes.  With the default ni = n+1 the quadrature rule has one node more, so
+in z the collocation nodes are the zeros of h_{n+1} and the quadrature nodes
+those of h_{n+2}, and E is the Hermite-function cardinal matrix
+E_ij = h_{n+1}(zeta_i) / (h'_{n+1}(z_j) (zeta_i - z_j)).  Both Hermite-function
+values follow from the two Gauss-Hermite rules' log-weights, so E costs
+O(N) exponentials and one Cauchy matrix (approx._gauss_cardinal_rows).  Any
+other ni builds E from logarithms of every node and point difference
+(approx._damped_rows).
+
 One builder makes the system for both dimensions: per axis it takes the
 axis plan, the kernel factor, the cardinal factor, the quadrature
 coordinates and the collocation nodes, so the one-dimensional system is
@@ -49,9 +59,10 @@ verify_residual neither reads nor writes the memo: it builds its plans,
 quadrature coefficients, E and kernel factors anew, into a memo of its own
 that lives for the one call, so its certificate stays independent of the
 arrays the solve used.  What it shares
-with the solve is the Gauss-Hermite rule under each mapped rule, which
-hermite_gauss_rule keeps in its own memo: a pure function of one integer
-degree whose arrays cannot be written.  A plan builds its interpolation
+with the solve is the Gauss-Hermite rule under each mapped rule, whose
+nodes and log-weights its quadrature coefficients and E are computed from,
+and which hermite_gauss_rule keeps in its own memo: a pure function of one
+integer degree whose arrays cannot be written.  A plan builds its interpolation
 basis on first use, which the certificate never makes.
 
 For problems that carry an exact solution the forcing vector is
@@ -75,6 +86,7 @@ from .approx import (
     Interpolant1D,
     LagrangeBasis,
     _damped_rows,
+    _gauss_cardinal_rows,
     tensor_interpolant,
 )
 from .mhf import MhfBasis, MhfRule, mhf_gauss_rule, mhf_unit_weights
@@ -136,7 +148,8 @@ class SolverConfig:
     """Discretization and Newton parameters.
 
     ni defaults to n+1: Hermite-Gauss node families of consecutive sizes
-    interlace, so collocation and quadrature points can never coincide.
+    interlace, so collocation and quadrature points can never coincide, and
+    the damped cardinal matrix E then has a closed form (_interp_matrix).
     """
 
     n: int
@@ -279,8 +292,13 @@ def _interp_matrix(method: str, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
     The mhf route works in the logit variable with damping scale alpha, the
     smoothed route in the Hermite variable with scale one; the two differ
     only by that affine change of variable, which the product form and the
-    Gaussian factor both cancel, so the routes build identical matrices.
+    Gaussian factor both cancel, so the routes build the same matrix.  When
+    the quadrature rule has one node more (ni = n+1, the default), both
+    take it in closed form from the two Gauss-Hermite rules in z
+    (_gauss_cardinal_rows); any other ni goes through _damped_rows.
     """
+    if rule_q.basis.degree == rule_c.basis.degree + 1:
+        return _gauss_cardinal_rows(rule_c.hermite, rule_q.hermite)
     if method == METHOD_MHF:
         return _damped_rows(rule_c.logits, rule_q.logits, rule_c.basis.alpha)
     return _damped_rows(rule_c.hermite.nodes, rule_q.hermite.nodes, 1.0)

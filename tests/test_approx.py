@@ -1,7 +1,9 @@
 """Tests for barycentric interpolation, projection, and error norms."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,16 @@ from hypothesis import strategies as st
 
 import mhfie.approx
 from mhfie._memo import memo
-from mhfie.hermite import hermite_orthonormal_table
+from mhfie.hermite import hermite_gauss_rule, hermite_orthonormal_table
 from mhfie.mhf import MhfBasis, gamma_n, mhf_gauss_rule
+from mhfie.problem import get_problem
+from mhfie.solver import SolverConfig, solve
 from mhfie.approx import (
     Interpolant1D,
     LagrangeBasis,
+    _cauchy_terms,
     _damped_rows,
+    _gauss_cardinal_rows,
     cardinal_matrix,
     error_norms,
     eval_grid_1d,
@@ -104,6 +110,88 @@ def test_damped_rows_match_point_loop(n):
         ref = _damped_rows_loop(nodes, points, scale)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         assert np.array_equal(_damped_rows(nodes, nodes, scale), np.eye(n + 1))
+
+
+def _mp_hermite(n, x):
+    """H_n(x) by the raw recurrence, in mpmath arithmetic."""
+    prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+    for k in range(n):
+        prev, cur = cur, 2 * x * cur - 2 * k * prev
+    return cur
+
+
+def _mp_hermite_zero(n, guess):
+    """The zero of H_n next to a double-precision node, by Newton steps with
+    H_n' = 2n H_{n-1}; from within an ulp, three steps reach 40 digits."""
+    x = mpmath.mpf(guess)
+    for _ in range(3):
+        x -= _mp_hermite(n, x) / (2 * n * _mp_hermite(n - 1, x))
+    return x
+
+
+@pytest.mark.parametrize("n", (16, 80))
+def test_gauss_cardinal_rows_match_a_40_digit_cardinal(n):
+    """Entries of the closed form against the Hermite-function cardinal
+    h_{n+1}(zeta) / (h'_{n+1}(z) (zeta - z)) at the exact zeros z of
+    H_{n+1} and zeta of H_{n+2}, at 40 digits; with h'_{n+1}(z) =
+    sqrt(2(n+1)) h_n(z) it is H_{n+1}(zeta) exp((z^2 - zeta^2)/2) /
+    (2(n+1) H_n(z) (zeta - z))."""
+    colloc, quad = hermite_gauss_rule(n), hermite_gauss_rule(n + 1)
+    e = _gauss_cardinal_rows(colloc, quad)
+    rng = np.random.default_rng(n)
+    with mpmath.workdps(40):
+        for i, j in zip(rng.integers(0, n + 2, 8), rng.integers(0, n + 1, 8)):
+            z = _mp_hermite_zero(n + 1, colloc.nodes[j])
+            zeta = _mp_hermite_zero(n + 2, quad.nodes[i])
+            want = (_mp_hermite(n + 1, zeta) * mpmath.exp((z * z - zeta * zeta) / 2)
+                    / (2 * (n + 1) * _mp_hermite(n, z) * (zeta - z)))
+            assert abs(e[i, j] - float(want)) <= 1e-14 * np.max(np.abs(e)), (i, j)
+
+
+def test_cancelled_row_sums_take_the_first_form():
+    """After solving ex1-log at alpha 2 and N = 280 the barycentric row sum
+    cancels to exactly 0 at 4 points of the norm rule near x = 1, where
+    error_norms used to divide by zero.  Those rows come from the first form
+    in log magnitude; every other row is the second form, bitwise."""
+    problem = get_problem("ex1-log")
+    solution = solve(problem, SolverConfig(n=280, alpha=2.0))
+    basis, values = solution.interpolant.basis, solution.node_values
+    points = mhf_gauss_rule(MhfBasis(alpha=2.0, degree=2 * 280 + 16)).nodes
+    c, den, rows, cols, cancelled, _ = _cauchy_terms(basis, points)
+    rowsum = np.sum(c, axis=1)
+    bad = rowsum == 0.0
+    assert np.count_nonzero(bad) == 4 and np.array_equal(cancelled, np.flatnonzero(bad))
+    assert np.array_equal(den, np.where(bad, 1.0, rowsum))
+    second, second_cards = (c @ values) / den, c / den[:, None]
+    second[rows] = values[cols]  # the node x = 0.5 is a point of both rules
+    second_cards[rows] = np.eye(values.size)[cols]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solution.interpolant.eval(points)
+        cards = cardinal_matrix(basis, points)
+        norms = error_norms(solution.interpolant, problem.exact_solution, 2.0)
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(cards))
+    assert math.isfinite(norms.err_inf) and math.isfinite(norms.err_l2chi)
+    assert np.array_equal(got[~bad], second[~bad])
+    assert np.array_equal(cards[~bad], second_cards[~bad])
+    t = np.log(points[bad]) - np.log1p(-points[bad])
+    first = _damped_rows(basis.nodes_t, t, 0.0)
+    assert np.array_equal(cards[bad], first)
+    assert np.array_equal(got[bad], first @ values)
+
+
+def test_error_norms_skip_nodes_whose_weight_underflows():
+    """At alpha 1.25 and N = 340 the first form gives about -3e171 and -8e193
+    at two points of the norm rule far past the last node, where the
+    weights underflow to 0: their squares overflow, and 0 * inf made the
+    weighted error NaN, reported as 0."""
+    rule = mhf_gauss_rule(MhfBasis(alpha=1.25, degree=340))
+    values = np.log(rule.nodes) * np.log(rule.nodes_complement)
+    interp = Interpolant1D(basis=LagrangeBasis.from_mhf_rule(rule), values=values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norms = error_norms(interp, lambda x: np.log(x) * np.log1p(-x), 1.25)
+    assert 0.0 < norms.err_l2chi < 1e-13
 
 
 @pytest.mark.parametrize("degree", (2, 16, 80))

@@ -24,12 +24,22 @@ def test_ladder_points_record_times_or_the_failure():
         assert "failed" not in point, point
         for stage in ("solve", "verify_residual", "error_norms"):
             assert point[f"{stage}_s"] > 0.0
+            assert point[f"{stage}_median_s"] == point[f"{stage}_s"]  # one call
         assert point["certificate"] <= mhfie.SolverConfig(n=8).newton_tol
         assert point["err_inf"] >= 0.0
     # ex1-log at N=92 and alpha 0.5 fails to assemble (ROADMAP item 4)
     failed = tool.ladder_point(mhfie, "ex1-log", 92, repeats=1)["failed"]
     assert failed["stage"] == "solve" and failed["error"] == "AssemblyError"
     assert "lower n or raise alpha" in failed["message"]
+
+
+def test_timed_reports_the_first_the_best_and_the_median_call(monkeypatch):
+    tool = _tool()
+    clock = iter([0.0, 4.0, 10.0, 11.0, 20.0, 22.0, 30.0, 39.0])  # calls of 4, 1, 2, 9 s
+    monkeypatch.setattr(tool.time, "perf_counter", lambda: next(clock))
+    calls = []
+    first, best, median, result = tool.timed(lambda: calls.append(1) or len(calls), 4)
+    assert (first, best, median, result) == (4.0, 1.0, 3.0, 4)
 
 
 def test_rule_times_build_every_repetition_cold(monkeypatch):

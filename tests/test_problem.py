@@ -16,7 +16,6 @@ from mhfie.problem import (
     ProblemSpec,
     exact_smooth_integral,
     forcing_on_grid,
-    estimate_solvability,
     get_problem,
     kernel_eval,
     manufactured_forcing,
@@ -551,21 +550,3 @@ def test_registry_exact_solutions_solve_their_equations():
     ) + tanh_sinh(lambda r, c: r**-0.5 * u(x + r), 1.0 - x, tol=1e-10)
     g = manufactured_forcing(spec, x)
     assert spec.lam * u(x) - integral == pytest.approx(g, abs=1e-9)
-
-
-def test_estimate_solvability_reports_contraction():
-    report = estimate_solvability(get_problem("ex1-log"))
-    assert set(report) == {"M", "P", "c1", "product", "contraction"}
-    assert report["contraction"] < 1.0
-    report2 = estimate_solvability(get_problem("ex3-alg"))
-    assert report2["P"] > 0.0
-
-
-def test_estimate_solvability_samples_every_2d_kernel_argument():
-    # kernel_eval passes (s, t, x, y); 1 + (t - x)^2 peaks at t, x = 0.02, 0.98
-    spec = get_problem("ex3-log")
-    kernel = dataclasses.replace(
-        spec.kernel, smooth_factor=lambda s, t, x, y: 1.0 + (t - x) ** 2
-    )
-    report = estimate_solvability(dataclasses.replace(spec, kernel=kernel))
-    assert report["M"] == pytest.approx(1.0 + 0.96**2, rel=1e-12)

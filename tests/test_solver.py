@@ -14,7 +14,7 @@ import mhfie.approx
 import mhfie.hermite
 import mhfie.solver
 from mhfie._memo import BoundedMemo, memo
-from mhfie.approx import error_norms
+from mhfie.approx import _damped_rows, error_norms
 from mhfie.mhf import MhfBasis, mhf_gauss_rule, mhf_quadrature
 from mhfie.problem import (
     KernelSpec,
@@ -105,6 +105,38 @@ def test_assembled_weights_identical_across_methods():
         prob, SolverConfig(n=12, alpha=0.7, method="smoothed")
     ).weights
     np.testing.assert_allclose(wa, wb, rtol=1e-12)
+
+
+def _route_cardinals(method: str, rule_c, rule_q):
+    """_damped_rows on the route's own variable: logits at scale alpha for
+    mhf, Hermite nodes at scale one for smoothed."""
+    if method == "mhf":
+        return _damped_rows(rule_c.logits, rule_q.logits, rule_c.basis.alpha)
+    return _damped_rows(rule_c.hermite.nodes, rule_q.hermite.nodes, 1.0)
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+@pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 63, 64, 200, MAX_N_1D])
+def test_default_cardinal_matrix_is_the_closed_form(n, method):
+    # ni = n+1 builds E from the two Gauss-Hermite rules; it matches the
+    # log-magnitude rows within 5.0e-13 max|E| at MAX_N_1D (measured, mhf
+    # route), and both routes build it bitwise alike
+    alpha = 0.5
+    rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
+    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1))
+    e = mhfie.solver._interp_matrix(method, rule_c, rule_q)
+    ref = _route_cardinals(method, rule_c, rule_q)
+    assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+    other = "smoothed" if method == "mhf" else "mhf"
+    assert np.array_equal(e, mhfie.solver._interp_matrix(other, rule_c, rule_q))
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+def test_other_quadrature_degrees_keep_the_log_magnitude_rows(method):
+    rule_c = mhf_gauss_rule(MhfBasis(alpha=0.7, degree=12))
+    rule_q = mhf_gauss_rule(MhfBasis(alpha=0.7, degree=15))
+    assert np.array_equal(mhfie.solver._interp_matrix(method, rule_c, rule_q),
+                          _route_cardinals(method, rule_c, rule_q))
 
 
 def test_assembly_rejects_coinciding_node_families():

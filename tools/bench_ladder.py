@@ -20,9 +20,11 @@ run records, under its tag:
   takes fresh registry instances, whose kernel-action caches are empty;
   the rules are built before the timing starts;
 - ``solve``, ``verify_residual`` and ``error_norms`` at every LADDER point
-  (the registry problem at its default alpha): the first call and the best
-  of POINT_REPEATS, with ``err_inf``.  A point that fails records the stage,
-  the error type and its message instead.
+  (the registry problem at its default alpha): the first call, and the best
+  and the median of POINT_REPEATS calls, the first included, with
+  ``err_inf``.  The best is the floor a call can reach; the median is the
+  typical call, which shows a stall the best hides.  A point that fails
+  records the stage, the error type and its message instead.
 
 The first call of a point builds the axis plans and rules unless an earlier
 point at the same (alpha, N) built them: ex1-log, ex1-alg and ex2-sqrt share
@@ -55,7 +57,7 @@ SRC = ROOT / "src"
 IMPORT_PROBES = 5
 RULE_DEGREES = (16, 64, 200, 1000, 2000)
 RULE_REPEATS = 5
-POINT_REPEATS = 3
+POINT_REPEATS = 5
 FORCING_PROBLEMS = ("ex1-log", "ex1-alg")
 FORCING_N = (16, 32, 48, 64, 80)
 FORCING_ALPHA = 0.5
@@ -102,13 +104,13 @@ def cold_import(probes: int = IMPORT_PROBES) -> dict:
 
 
 def timed(fn, repeats: int):
-    """(first-call seconds, best seconds, result) over repeats calls of fn."""
+    """(first-call, best and median seconds, result) over repeats calls of fn."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
-    return times[0], min(times), result
+    return times[0], min(times), statistics.median(times), result
 
 
 def rule_times(mhfie, degrees=RULE_DEGREES) -> dict:
@@ -156,13 +158,14 @@ def ladder_point(mhfie, name: str, n: int, repeats: int = POINT_REPEATS) -> dict
     }
     for stage, fn in stages.items():
         try:
-            first, best, result = timed(fn, repeats)
+            first, best, median, result = timed(fn, repeats)
         except Exception as exc:  # a failing point is recorded, not dropped
             record["failed"] = {"stage": stage, "error": type(exc).__name__,
                                 "message": str(exc)}
             return record
         point["solution" if stage == "solve" else stage] = result
         record[f"{stage}_first_s"], record[f"{stage}_s"] = first, best
+        record[f"{stage}_median_s"] = median
     record["certificate"] = point["verify_residual"]
     record["err_inf"] = point["error_norms"].err_inf
     return record
