@@ -64,7 +64,7 @@ class UsageError(ValueError):
 
 
 # the report's columns in ReportRow field order; err_colloc only with --with-colloc
-REPORT_COLUMNS = (("N", int), ("NI", int), ("alpha", float), ("err_inf", float),
+REPORT_COLUMNS = (("N", int), ("alpha", float), ("err_inf", float),
                   ("err_l2chi", float), ("newton_iters", int), ("runtime_ms", float),
                   ("err_colloc", float))
 REPORT_HEADER = tuple(name for name, _ in REPORT_COLUMNS[:-1])
@@ -76,7 +76,6 @@ CONFIG_KEYS = {
     "alpha2",
     "n",
     "n_list",
-    "ni_offset",
     "newton_tol",
     "out",
     "integrand",
@@ -154,7 +153,6 @@ def _csv_text(meta: dict, header, rows) -> str:
 @dataclass(frozen=True)
 class ReportRow:
     n: int
-    ni: int
     alpha: float
     err_inf: float
     err_l2chi: float
@@ -236,7 +234,7 @@ def _solution_errors(problem, config, solution):
 
 def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
                     alpha: float = None, alpha2: Optional[float] = None,
-                    ni_offset: int = 1, newton_tol: float = SolverConfig.newton_tol,
+                    newton_tol: float = SolverConfig.newton_tol,
                     with_colloc: bool = False) -> ConvergenceReport:
     """Solve at each resolution and collect the error report (rows sorted by N)."""
     problem = get_problem(problem_name)
@@ -251,7 +249,6 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
                 "problem": problem_name,
                 "method": method,
                 "alpha": _fmt(alpha),
-                "ni_offset": str(ni_offset),
                 "newton_tol": _fmt(newton_tol),
             }
         ),
@@ -259,7 +256,6 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
     for n in sorted(n_list):
         config = SolverConfig(
             n=n,
-            ni=n + ni_offset,
             alpha=alpha,
             alpha2=alpha2,
             method=method,
@@ -278,7 +274,6 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
         report.rows.append(
             ReportRow(
                 n=n,
-                ni=config.ni_value,
                 alpha=alpha,
                 err_inf=err_inf,
                 err_l2chi=err_l2,
@@ -374,28 +369,14 @@ def _solver_args(args) -> tuple:
     return problem, dict(alpha=alpha, alpha2=args.alpha2, newton_tol=args.newton_tol)
 
 
-def _check_node_families(n_list, ni_offset: int) -> None:
-    """Reject an even --ni-offset with an even N: a rule of even degree has
-    the node z = 0, so both node families would contain x = 0.5.  Offset 0
-    is rejected for every N: the two families are then one."""
-    for n in n_list:
-        if n % 2 == 0 and ni_offset % 2 == 0:
-            raise UsageError(
-                f"N={n} with --ni-offset {ni_offset} (NI={n + ni_offset}): both node "
-                "families contain x = 0.5; use an odd offset"
-            )
-    if ni_offset == 0:
-        raise UsageError("--ni-offset 0 makes NI = N, so the quadrature nodes are "
-                         "the collocation nodes; use an odd offset")
-
-
 def _checked_config(problem, **fields) -> SolverConfig:
-    """SolverConfig for the problem; a setting it or either rule rejects is a usage error."""
+    """SolverConfig for the problem; a setting it or either rule (degrees n
+    and n+1) rejects is a usage error."""
     try:
         config = SolverConfig(**fields)
         config.check_dimension(problem.dimension, problem.name)
         for alpha in config.axis_scales(problem.dimension):
-            MhfBasis(alpha=alpha, degree=max(config.n, config.ni_value))
+            MhfBasis(alpha=alpha, degree=config.n + 1)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return config
@@ -405,13 +386,11 @@ def _cmd_solve(args) -> int:
     problem, shared = _solver_args(args)
     if args.n is None:
         raise UsageError("solve requires --n")
-    config = _checked_config(problem, n=args.n, ni=args.n + args.ni_offset,
-                             method=args.method, **shared)
-    _check_node_families([args.n], args.ni_offset)
+    config = _checked_config(problem, n=args.n, method=args.method, **shared)
     solution = solve(problem, config)
     err_inf, err_l2, _ = _solution_errors(problem, config, solution)
     print(f"problem={problem.name} method={config.method} N={config.n} "
-          f"NI={config.ni_value} alpha={_fmt(config.alpha)}")
+          f"alpha={_fmt(config.alpha)}")
     if not math.isnan(err_inf):
         print(f"err_inf={_fmt(err_inf)} err_l2chi={_fmt(err_l2)}")
     print(f"newton_iters={solution.newton_iters} residual={_fmt(solution.final_residual)}")
@@ -436,12 +415,10 @@ def _cmd_converge(args) -> int:
         raise UsageError("converge requires --n-list")
     # the settings every row shares; a resolution a row cannot take fails that row
     _checked_config(problem, n=0, method=args.method, **shared)
-    _check_node_families(args.n_list, args.ni_offset)
     report = run_convergence(
         problem.name,
         args.n_list,
         method=args.method,
-        ni_offset=args.ni_offset,
         with_colloc=args.with_colloc,
         **shared,
     )
@@ -453,11 +430,10 @@ def _cmd_compare(args) -> int:
     problem, shared = _solver_args(args)
     if args.n_list is None:
         raise UsageError("compare requires --n-list")
-    _check_node_families(args.n_list, args.ni_offset)
     threshold = 10.0 * args.newton_tol
     rows, all_ok = [], True
     for n in args.n_list:
-        base = dict(n=n, ni=n + args.ni_offset, **shared)
+        base = dict(n=n, **shared)
         sol_m = solve(problem, _checked_config(problem, method=METHOD_MHF, **base))
         sol_s = solve(problem, _checked_config(problem, method=METHOD_SMOOTHED, **base))
         disc = float(np.max(np.abs(sol_m.node_values - sol_s.node_values)))
@@ -508,7 +484,6 @@ def build_parser() -> tuple:
         p.add_argument("--problem", help=f"one of: {', '.join(problem_names())}")
         p.add_argument("--alpha2", type=float, help="second-axis map scale (2D)")
         p.add_argument("--newton-tol", type=float, default=SolverConfig.newton_tol)
-        p.add_argument("--ni-offset", type=int, default=1, help="NI = N + this offset")
         return p
 
     p_solve = add_solver("solve", _cmd_solve, "solve one problem at one resolution")

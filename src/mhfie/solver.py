@@ -26,14 +26,14 @@ quadratic convergence with fewer Krylov iterations (Dembo, Eisenstat &
 Steihaug 1982).  The dense 1D step is exact and ignores the forcing.
 
 E holds the damped cardinals of the collocation nodes at the quadrature
-nodes.  With the default ni = n+1 the quadrature rule has one node more, so
-in z the collocation nodes are the zeros of h_{n+1} and the quadrature nodes
-those of h_{n+2}, and E is the Hermite-function cardinal matrix
+nodes.  The quadrature rule has degree n+1, one node more than the
+collocation rule, so in z the collocation nodes are the zeros of h_{n+1} and
+the quadrature nodes those of h_{n+2}: the two families interlace and never
+coincide, and E is the Hermite-function cardinal matrix
 E_ij = h_{n+1}(zeta_i) / (h'_{n+1}(z_j) (zeta_i - z_j)).  Both Hermite-function
 values follow from the two Gauss-Hermite rules' log-weights, so E costs
-O(N) exponentials and one Cauchy matrix (approx._gauss_cardinal_rows).  Any
-other ni builds E from logarithms of every node and point difference
-(approx._damped_rows).
+O(N) exponentials and one Cauchy matrix (approx._gauss_cardinal_rows), the
+same for both routes.
 
 One builder makes the system for both dimensions: per axis it takes the
 axis plan, the kernel factor, the cardinal factor, the quadrature
@@ -41,15 +41,17 @@ coordinates and the collocation nodes, so the one-dimensional system is
 the one-axis case of the two-dimensional one.
 
 The collocation and quadrature rules, the quadrature coefficients and the
-damped cardinal matrix E of one axis depend only on (alpha, n, ni, method),
+damped cardinal matrix E of one axis depend only on (alpha, n, method),
 never on the problem.  They are built once into a read-only axis plan, kept
 in the package's one byte-bounded memo (mhfie._memo) under the key
-("plan", alpha, n, ni, method), from which solve, assemble_nystrom and both
-axes of a 2D solve take them.  A kernel that is its singular factor alone
+("plan", alpha, n, method), from which solve, assemble_nystrom and both
+axes of a 2D solve take them.  A plan builds E on first use, after the
+kernel factor has checked the node gap, so a solve the check refuses builds
+none.  A kernel that is its singular factor alone
 depends only on (kind, mu) and the plan, so its read-only kernel factor
 W = theta * coeffs and, from the first 2D solve that asks, the eigenpairs of
 W E that the preconditioner diagonalizes are kept as a second entry, under
-("kernel", alpha, n, ni, method, kind, mu); both axes of a 2D solve with one
+("kernel", alpha, n, method, kind, mu); both axes of a 2D solve with one
 plan and one exponent share them, so each is built once.  Custom kernels and
 kernels with a smooth factor depend on the problem and are built per call.
 Only a process that repeats a key gains, such as a study of several problems
@@ -85,7 +87,6 @@ from ._memo import MEMO_BYTES, BoundedMemo, memo
 from .approx import (
     Interpolant1D,
     LagrangeBasis,
-    _damped_rows,
     _gauss_cardinal_rows,
     tensor_interpolant,
 )
@@ -147,13 +148,11 @@ class NonConvergenceError(RuntimeError):
 class SolverConfig:
     """Discretization and Newton parameters.
 
-    ni defaults to n+1: Hermite-Gauss node families of consecutive sizes
-    interlace, so collocation and quadrature points can never coincide, and
-    the damped cardinal matrix E then has a closed form (_interp_matrix).
+    n is the degree of the collocation rule (n+1 nodes); the quadrature rule
+    always has degree n+1 (see the module docstring).
     """
 
     n: int
-    ni: Optional[int] = None
     alpha: float = 1.0
     alpha2: Optional[float] = None
     method: str = METHOD_MHF
@@ -163,8 +162,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.ni is not None and self.ni < 0:
-            raise ValueError(f"ni must be nonnegative, got {self.ni}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         if self.alpha2 is not None and not (
@@ -178,18 +175,13 @@ class SolverConfig:
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
-    @property
-    def ni_value(self) -> int:
-        return self.n + 1 if self.ni is None else self.ni
-
     def axis_scales(self, dim: int) -> tuple:
         """Map scale of each of dim axes: alpha, then alpha2 (default alpha)."""
         return (self.alpha, self.alpha if self.alpha2 is None else self.alpha2)[:dim]
 
     def check_dimension(self, dim: int, problem: str = "") -> None:
         """Raise ValueError for settings a problem of this dimension cannot use:
-        n above the limit, or alpha2 on a one-dimensional problem.  ni is
-        bounded, in either dimension, by the rule's own MAX_RULE_DEGREE."""
+        n above the limit, or alpha2 on a one-dimensional problem."""
         if dim == 1 and self.alpha2 is not None:
             raise ValueError(
                 f"alpha2={self.alpha2} sets the second axis, but problem "
@@ -198,7 +190,7 @@ class SolverConfig:
         limit = MAX_N_1D if dim == 1 else MAX_N_2D
         if self.n > limit:
             raise ValueError(
-                f"n={self.n}, ni={self.ni_value} exceeds limit {limit} in {dim}D"
+                f"n={self.n} exceeds limit {limit} in {dim}D"
             )
 
 
@@ -268,12 +260,10 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
             i, k = np.unravel_index(int(np.argmin(gap)), gap.shape)
             # Rules of consecutive degrees interlace; their nodes still meet
             # where the map clusters them at an endpoint.
-            advice = ("nodes cluster at an endpoint; lower n or raise alpha"
-                      if abs(rule_q.basis.degree - rule_c.basis.degree) == 1
-                      else "pick ni so the node families interlace (default ni=n+1)")
             raise AssemblyError(
                 f"collocation node x[{i}]={float(rule_c.nodes[i])!r} and quadrature node "
-                f"s[{k}]={float(rule_q.nodes[k])!r} are {gmin:.2e} apart; {advice}"
+                f"s[{k}]={float(rule_q.nodes[k])!r} are {gmin:.2e} apart; nodes cluster "
+                "at an endpoint; lower n or raise alpha"
             )
         theta = _axis_singular(kernel, axis)(gap)
         if kernel.smooth_factor is not None:
@@ -284,24 +274,6 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
             f"kernel value is not finite at collocation node {i}, quadrature node {k}"
         )
     return theta
-
-
-def _interp_matrix(method: str, rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
-    """Dense matrix of damped cardinal functions at the quadrature nodes.
-
-    The mhf route works in the logit variable with damping scale alpha, the
-    smoothed route in the Hermite variable with scale one; the two differ
-    only by that affine change of variable, which the product form and the
-    Gaussian factor both cancel, so the routes build the same matrix.  When
-    the quadrature rule has one node more (ni = n+1, the default), both
-    take it in closed form from the two Gauss-Hermite rules in z
-    (_gauss_cardinal_rows); any other ni goes through _damped_rows.
-    """
-    if rule_q.basis.degree == rule_c.basis.degree + 1:
-        return _gauss_cardinal_rows(rule_c.hermite, rule_q.hermite)
-    if method == METHOD_MHF:
-        return _damped_rows(rule_c.logits, rule_q.logits, rule_c.basis.alpha)
-    return _damped_rows(rule_c.hermite.nodes, rule_q.hermite.nodes, 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,15 +314,26 @@ class _AxisPlan:
     """Problem-independent parts of one axis; every array is read-only."""
 
     rule_c: MhfRule
-    rule_q: MhfRule
+    rule_q: MhfRule  # degree n+1: one node more than rule_c
     coeffs: np.ndarray  # chi_k / chi(s_k) at the quadrature nodes
-    e: np.ndarray  # damped cardinals of rule_c at the nodes of rule_q
 
     @functools.cached_property
     def basis(self) -> LagrangeBasis:
         """Interpolation basis at the collocation nodes, built on first use:
         a solution needs it, the residual certificate does not."""
         return LagrangeBasis.from_mhf_rule(self.rule_c)
+
+    @functools.cached_property
+    def e(self) -> np.ndarray:
+        """Damped cardinals of rule_c at the nodes of rule_q, built on first
+        use: the kernel factor reads it only once the node gap is checked.
+        The mhf route's cardinals (logits, damping scale alpha) and the
+        smoothed route's (z, scale one) differ only by an affine change of
+        variable, which the product form and the Gaussian factor both
+        cancel, so both take E in closed form from the Gauss-Hermite rules."""
+        e = _gauss_cardinal_rows(self.rule_c.hermite, self.rule_q.hermite)
+        e.setflags(write=False)
+        return e
 
     @property
     def nbytes(self) -> int:
@@ -360,24 +343,24 @@ class _AxisPlan:
                     for arr in (rule.nodes, rule.weights, rule.logits, rule.nodes_complement,
                                 rule.hermite.nodes, rule.hermite.weights,
                                 rule.hermite.log_weights))
-        return rules + self.coeffs.nbytes + self.e.nbytes + self.rule_c.nodes.nbytes
+        m = self.rule_c.nodes.size
+        return rules + self.coeffs.nbytes + 8 * m * (m + 1) + self.rule_c.nodes.nbytes
 
 
-def _build_axis_plan(alpha: float, n: int, ni: int, method: str) -> _AxisPlan:
-    """Build the rules, quadrature coefficients and E of one axis anew."""
+def _build_axis_plan(alpha: float, n: int, method: str) -> _AxisPlan:
+    """Build the rules and quadrature coefficients of one axis anew; the
+    quadrature rule has degree n+1."""
     rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
-    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=ni))
+    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1))
     coeffs = _quad_coeffs(rule_q, method)
-    e = _interp_matrix(method, rule_c, rule_q)
-    for arr in (coeffs, e):
-        arr.setflags(write=False)
-    return _AxisPlan(rule_c, rule_q, coeffs, e)
+    coeffs.setflags(write=False)
+    return _AxisPlan(rule_c, rule_q, coeffs)
 
 
 def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, key: tuple,
                    get: Callable) -> _KernelFactor:
     """W = theta * coeffs for the problem's kernel on one axis, whose plan
-    has the key (alpha, n, ni, method).
+    has the key (alpha, n, method).
 
     A kernel that is its singular factor alone depends only on (kind, mu)
     and the plan, so its factor is taken from get; a custom kernel or one
@@ -469,7 +452,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
             f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
             "by the factored solver, which needs a kernel that separates per axis"
         )
-    keys = [(a, config.n, config.ni_value, config.method) for a in config.axis_scales(dim)]
+    keys = [(a, config.n, config.method) for a in config.axis_scales(dim)]
     # one plan per distinct map scale: both axes share it by default, and
     # through it one kernel factor unless the exponents differ
     plans = {key: get(("plan", *key), functools.partial(_build_axis_plan, *key))

@@ -170,7 +170,7 @@ def test_second_kind_example_at_high_resolution(capsys):
     # direct solve at N=48: node values match sqrt(x) to 1e-8, and the
     # manufactured forcing collapses to sqrt(x) - pi/2 to 1e-10
     prob = get_problem("ex2-sqrt")
-    sol = solve(prob, SolverConfig(n=48, ni=49, alpha=1.0))
+    sol = solve(prob, SolverConfig(n=48, alpha=1.0))
     err = float(np.max(np.abs(sol.node_values - np.sqrt(sol.nodes_x))))
     fid = max(
         abs(manufactured_forcing(prob, x) - (math.sqrt(x) - math.pi / 2.0))

@@ -92,7 +92,7 @@ def test_solve_prints_summary(capsys):
     assert main(["solve", "--problem", "ex2-sqrt", "--n", "12"]) == 0
     out = capsys.readouterr().out
     assert "problem=ex2-sqrt" in out
-    assert "N=12 NI=13" in out
+    assert "N=12 alpha=" in out
     assert "err_inf=" in out
     assert "newton_iters=1" in out
 
@@ -141,7 +141,7 @@ def test_config_rejected_by_the_solver_is_usage_error(command, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "alpha2" in err and "ex1-log" in err
     assert main(["solve", "--problem", "ex1-log", "--n", "500"]) == 2
-    assert capsys.readouterr().err.startswith("error: n=500, ni=501 exceeds limit 400")
+    assert capsys.readouterr().err.startswith("error: n=500 exceeds limit 400 in 1D")
 
 
 def test_malformed_n_list_is_usage_error(capsys):
@@ -163,7 +163,6 @@ def test_converge_writes_report(tmp_path):
     assert rc == 0
     report = ConvergenceReport.from_csv_text(out.read_text())
     assert [row.n for row in report.rows] == [8, 16]
-    assert [row.ni for row in report.rows] == [9, 17]
     assert report.metadata["problem"] == "ex1-alg"
     assert not report.failed
     assert report.rows[1].err_inf < report.rows[0].err_inf
@@ -173,7 +172,7 @@ def test_converge_rows_are_deterministic():
     a = run_convergence("ex1-log", [4, 8])
     b = run_convergence("ex1-log", [4, 8])
     for ra, rb in zip(a.rows, b.rows):
-        assert (ra.n, ra.ni, ra.alpha) == (rb.n, rb.ni, rb.alpha)
+        assert (ra.n, ra.alpha) == (rb.n, rb.alpha)
         assert ra.err_inf == rb.err_inf
         assert ra.err_l2chi == rb.err_l2chi
         assert ra.newton_iters == rb.newton_iters
@@ -251,7 +250,7 @@ def test_config_method_is_checked(tmp_path, capsys):
 
 def _report_without_runtime(path):
     report = ConvergenceReport.from_csv_text(path.read_text())
-    rows = [(r.n, r.ni, r.alpha, r.err_inf, r.err_l2chi, r.newton_iters)
+    rows = [(r.n, r.alpha, r.err_inf, r.err_l2chi, r.newton_iters)
             for r in report.rows]
     meta = {k: v for k, v in report.metadata.items() if k != "timestamp"}
     return rows, meta
@@ -260,15 +259,15 @@ def _report_without_runtime(path):
 def test_converge_from_config_matches_the_same_flags(tmp_path):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(
-        "problem = ex1-log\nn_list = 8, 16\nnewton_tol = 1e-11\nni_offset = 3\n"
+        "problem = ex1-log\nn_list = 8, 16\nnewton_tol = 1e-11\nalpha = 0.75\n"
     )
     from_cfg, from_flags = tmp_path / "cfg.csv", tmp_path / "flags.csv"
     assert main(["converge", "--config", str(cfg), "--out", str(from_cfg)]) == 0
     assert main(["converge", "--problem", "ex1-log", "--n-list", "8,16",
-                 "--newton-tol", "1e-11", "--ni-offset", "3",
+                 "--newton-tol", "1e-11", "--alpha", "0.75",
                  "--out", str(from_flags)]) == 0
     rows, meta = _report_without_runtime(from_cfg)
-    assert [row[1] for row in rows] == [11, 19]
+    assert [row[1] for row in rows] == [0.75, 0.75]
     assert meta["newton_tol"] == "9.9999999999999994e-12"
     assert (rows, meta) == _report_without_runtime(from_flags)
 
@@ -346,11 +345,9 @@ def test_converge_marks_an_error_norm_failure_as_a_failed_row(tmp_path, capsys):
      "degree must be in [0, 2000]"),
     (["solve", "--problem", "ex1-log", "--n", "8", "--alpha", "200"],
      "alpha must be in (0, 100.0]"),
-    (["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "3000"],
-     "degree must be in [0, 2000]"),
-    (["converge", "--problem", "ex1-log", "--n-list", "8", "--alpha", "200"],
-     "alpha must be in (0, 100.0]"),
     (["compare", "--problem", "ex3-alg", "--n-list", "4", "--alpha2", "200"],
+     "alpha must be in (0, 100.0]"),
+    (["converge", "--problem", "ex1-log", "--n-list", "8", "--alpha", "200"],
      "alpha must be in (0, 100.0]"),
 ])
 def test_rule_range_errors_are_usage_errors(argv, message, capsys):
@@ -359,46 +356,13 @@ def test_rule_range_errors_are_usage_errors(argv, message, capsys):
     assert err.startswith("error: ") and message in err
 
 
-@pytest.mark.parametrize("argv, n", [
-    (["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "2"], 8),
-    (["converge", "--problem", "ex1-log", "--n-list", "7,16", "--ni-offset", "2"], 16),
-    (["compare", "--problem", "ex1-log", "--n-list", "8", "--ni-offset", "0"], 8),
-])
-def test_node_families_sharing_the_midpoint_are_usage_errors(argv, n, capsys):
-    # an even offset with an even N puts x = 0.5 in both node families
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"N={n}" in err and "x = 0.5" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "--problem", "ex1-log", "--n", "7", "--ni-offset", "0"],
-    ["converge", "--problem", "ex1-log", "--n-list", "7,9", "--ni-offset", "0"],
-    ["compare", "--problem", "ex1-log", "--n-list", "7", "--ni-offset", "0"],
-])
-def test_ni_offset_zero_is_a_usage_error_for_every_n(argv, capsys):
-    # offset 0 makes the quadrature nodes the collocation nodes, odd N too
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--ni-offset 0" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "3"],
-    ["converge", "--problem", "ex1-log", "--n-list", "7,9", "--ni-offset", "2", "--out", "-"],
-])
-def test_interlacing_node_families_still_solve(argv, capsys):
-    # odd offsets, and even offsets with odd N, keep the families apart
-    assert main(argv) == 0
-    capsys.readouterr()
-
-
 @pytest.mark.parametrize("argv", [
     ["compare", "--problem", "ex1-log", "--n-list", "8", "--method", "smoothed"],
     ["converge", "--problem", "ex1-log", "--n-list", "9", "--ni", "12"],
     ["compare", "--problem", "ex1-log", "--n-list", "9", "--ni", "12"],
     ["solve", "--problem", "ex1-log", "--n", "8", "--ni", "9"],
     ["solve", "--problem", "ex1-log", "--n", "8", "--newton", "1e-10"],
+    ["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "1"],
 ])
 def test_an_option_that_cannot_apply_or_is_abbreviated_is_refused(argv, capsys):
     assert main(argv) == 2
@@ -407,9 +371,10 @@ def test_an_option_that_cannot_apply_or_is_abbreviated_is_refused(argv, capsys):
 
 def test_config_ni_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "ni.cfg"
-    cfg.write_text("problem = ex1-log\nn = 8\nni = 9\n")
-    assert main(["solve", "--config", str(cfg)]) == 2
-    assert "unknown config key 'ni'" in capsys.readouterr().err
+    for key, value in (("ni", 9), ("ni_offset", 1)):
+        cfg.write_text(f"problem = ex1-log\nn = 8\n{key} = {value}\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
 
 
 def test_report_without_colloc_reads_back_without_it():

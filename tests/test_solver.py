@@ -41,8 +41,6 @@ from mhfie.solver import (
 def test_config_validation():
     with pytest.raises(ValueError, match="n must"):
         SolverConfig(n=-1)
-    with pytest.raises(ValueError, match="ni must"):
-        SolverConfig(n=4, ni=-2)
     with pytest.raises(ValueError, match="alpha"):
         SolverConfig(n=4, alpha=0.0)
     with pytest.raises(ValueError, match="alpha2"):
@@ -53,8 +51,6 @@ def test_config_validation():
         SolverConfig(n=4, newton_tol=0.0)
     with pytest.raises(ValueError, match="newton_max_iter"):
         SolverConfig(n=4, newton_max_iter=0)
-    assert SolverConfig(n=4).ni_value == 5
-    assert SolverConfig(n=4, ni=9).ni_value == 9
 
 
 def test_config_dimension_limits():
@@ -85,11 +81,12 @@ def test_row_sums_converge_to_smooth_integral():
     # with u = 1 the quadrature row sums approximate the exactly known
     # integral of the log kernel; the weak singularity makes this converge
     # slowly, which is precisely why forcing is synthesized through the
-    # discrete operator for the convergence experiments
+    # discrete operator for the convergence experiments.  At alpha = 0.5 the
+    # node families meet at x = 1 from n = 92, so the ladder runs at alpha = 1
     prob = get_problem("ex1-log")
     errs = []
-    for ni in (15, 63, 255):
-        ny = assemble_nystrom(prob, SolverConfig(n=8, ni=ni, alpha=0.5))
+    for n in (14, 62, 254):
+        ny = assemble_nystrom(prob, SolverConfig(n=n, alpha=1.0))
         xs = ny.colloc_points[0]
         exact = np.array([exact_smooth_integral("log", x) for x in xs])
         errs.append(float(np.max(np.abs(ny.weights.sum(axis=1) - exact))))
@@ -118,41 +115,39 @@ def _route_cardinals(method: str, rule_c, rule_q):
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
 @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 63, 64, 200, MAX_N_1D])
 def test_default_cardinal_matrix_is_the_closed_form(n, method):
-    # ni = n+1 builds E from the two Gauss-Hermite rules; it matches the
+    # the plan builds E from the two Gauss-Hermite rules; it matches the
     # log-magnitude rows within 5.0e-13 max|E| at MAX_N_1D (measured, mhf
     # route), and both routes build it bitwise alike
     alpha = 0.5
-    rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
-    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1))
-    e = mhfie.solver._interp_matrix(method, rule_c, rule_q)
-    ref = _route_cardinals(method, rule_c, rule_q)
-    assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
+    plan = mhfie.solver._build_axis_plan(alpha, n, method)
+    ref = _route_cardinals(method, plan.rule_c, plan.rule_q)
+    assert np.max(np.abs(plan.e - ref)) <= 1e-12 * np.max(np.abs(ref))
     other = "smoothed" if method == "mhf" else "mhf"
-    assert np.array_equal(e, mhfie.solver._interp_matrix(other, rule_c, rule_q))
-
-
-@pytest.mark.parametrize("method", ["mhf", "smoothed"])
-def test_other_quadrature_degrees_keep_the_log_magnitude_rows(method):
-    rule_c = mhf_gauss_rule(MhfBasis(alpha=0.7, degree=12))
-    rule_q = mhf_gauss_rule(MhfBasis(alpha=0.7, degree=15))
-    assert np.array_equal(mhfie.solver._interp_matrix(method, rule_c, rule_q),
-                          _route_cardinals(method, rule_c, rule_q))
-
-
-def test_assembly_rejects_coinciding_node_families():
-    with pytest.raises(AssemblyError, match="interlace"):
-        assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=8, ni=8))
+    assert np.array_equal(plan.e, mhfie.solver._build_axis_plan(alpha, n, other).e)
 
 
 def test_assembly_names_endpoint_clustering_when_families_interlace():
-    # With ni = n+1 the families interlace, but at alpha = 0.5 the nodes
-    # x[92] and s[93] cluster at x = 1 to within 8.7e-13.
+    # The families interlace, but at alpha = 0.5 the nodes x[92] and s[93]
+    # cluster at x = 1 to within 8.7e-13.
     with pytest.raises(AssemblyError, match="lower n or raise alpha") as info:
         assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=92, alpha=0.5))
     assert "interlace" not in str(info.value)
-    with pytest.raises(AssemblyError) as info:
-        assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=8, ni=8))
-    assert "lower n" not in str(info.value)
+
+
+def test_a_solve_refused_for_its_node_gap_builds_no_cardinal_matrix(fresh_memos,
+                                                                    monkeypatch):
+    # the failing solve leaves its plan in the memo without E; the next
+    # solve at the same (alpha, n) builds E once
+    calls = []
+    rows = mhfie.solver._gauss_cardinal_rows
+    monkeypatch.setattr(mhfie.solver, "_gauss_cardinal_rows",
+                        lambda *rules: calls.append(1) or rows(*rules))
+    cfg = SolverConfig(n=92, alpha=0.5)
+    with pytest.raises(AssemblyError):
+        solve(get_problem("ex1-log"), cfg)
+    assert calls == []
+    assert solve(get_problem("ex2-sqrt"), cfg).final_residual <= cfg.newton_tol
+    assert calls == [1]
 
 
 def test_assembly_rejects_nonfinite_kernel():
@@ -429,13 +424,13 @@ def fresh_memos():
 
 
 def _plan_key(cfg: SolverConfig) -> tuple:
-    return (cfg.alpha, cfg.n, cfg.ni_value, cfg.method)
+    return (cfg.alpha, cfg.n, cfg.method)
 
 
 def _kept_factors(plan_key: tuple) -> dict:
     """The kernel factors the memo keeps for one plan, by memo key."""
     return {key: f for key, f in memo.entries.items()
-            if key[0] == "kernel" and key[1:5] == plan_key}
+            if key[0] == "kernel" and key[1:4] == plan_key}
 
 
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
@@ -474,7 +469,8 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     factors = _kept_factors(_plan_key(cfg)).values()
     assert len(factors) == int(kept)
     rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
-    arrays = _read_only_arrays(plan) + _read_only_arrays(plan.basis) + _read_only_arrays(rule)
+    arrays = (_read_only_arrays(plan) + [plan.e] + _read_only_arrays(plan.basis)
+              + _read_only_arrays(rule))
     assert len(arrays) >= 20
     kernel_arrays = [arr for f in factors for arr in (f.w, *f.__dict__.get("eigenpairs", ()))]
     assert len(kernel_arrays) == (0 if not kept else 1 if prob.dimension == 1 else 4)
@@ -496,11 +492,11 @@ def test_memos_hold_at_most_their_bounds():
             assert memo.nbytes <= memo.cap
             assert memo.nbytes == sum(v.nbytes for v in memo.entries.values())
     # the 1D ladder alone overflows the cap: its first entries are gone
-    assert ("plan", 3.0, 40, 41, "mhf") not in memo.entries
+    assert ("plan", 3.0, 40, "mhf") not in memo.entries
     assert {key[0] for key in memo.entries} == {"plan", "kernel", "terms"}
     for key, value in memo.entries.items():
         if key[0] == "plan":
-            held = _read_only_arrays(value) + [value.basis.weights]
+            held = _read_only_arrays(value) + [value.e, value.basis.weights]
         elif key[0] == "kernel":
             held = [value.w, value.e, *value.__dict__.get("eigenpairs", ())]
         else:
@@ -546,7 +542,8 @@ def test_verify_residual_reads_no_memo(dim, fresh_memos):
         prob = _identity_2d()
     cfg = SolverConfig(n=16 if dim == 1 else 8, alpha=0.5)
     plan = mhfie.solver._build_axis_plan(*_plan_key(cfg))
-    memo.get(("plan", *_plan_key(cfg)), lambda: replace(plan, e=plan.e * (1.0 + 1e-6)))
+    plan.__dict__["e"] = plan.e * (1.0 + 1e-6)
+    memo.get(("plan", *_plan_key(cfg)), lambda: plan)
     sol = solve(prob, cfg)
     assert sol.final_residual <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol) > cfg.newton_tol
@@ -674,7 +671,7 @@ def test_kept_kernel_factors_hold_at_most_their_bound():
     # a W at MAX_N_1D with its E fits the cap; within MAX_N_2D a factor is
     # also charged for the eigenpairs a 2D solve may build
     for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (2 * MAX_N_2D + 3))):
-        key = (2.0, n, n + 1, "mhf")
+        key = (2.0, n, "mhf")
         plan = mhfie.solver._build_axis_plan(*key)
         factor = mhfie.solver._kernel_factor(_algebraic_1d(0.5), 0, plan, key, kept.get)
         assert not factor.w.flags.writeable
@@ -686,7 +683,7 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
     # keeps three: every factor returned is right, and the byte count
     # matches the entries, which a lost update would break
     probs = [_algebraic_1d(0.1 * k) for k in range(1, 7)]
-    key = (0.5, 32, 33, "mhf")
+    key = (0.5, 32, "mhf")
     plan = mhfie.solver._build_axis_plan(*key)
 
     def factor(k: int, get):
@@ -825,11 +822,10 @@ def test_factored_two_dimensional_solve_matches_dense_newton(name, n, method):
     prob = _identity_2d() if name == "identity-2d" else get_problem(name)
     cfg = SolverConfig(n=n, alpha=0.5, method=method)
     disc = mhfie.solver._build(prob, cfg)
-    ni = cfg.ni_value
     for value in vars(disc).values():
         for arr in value if isinstance(value, tuple) else (value,):
             if isinstance(arr, np.ndarray):
-                assert arr.size <= (ni + 1) ** 2
+                assert arr.size <= (n + 2) ** 2
     sol = solve(prob, cfg)
     np.testing.assert_allclose(
         sol.node_values.ravel(), _dense_newton(prob, cfg, disc),
@@ -962,7 +958,7 @@ def test_error_messages_print_coordinates_as_plain_numbers():
     rule = mhf_gauss_rule(MhfBasis(0.5, 7))
     pole = rule.nodes[2]
     failures = [
-        (AssemblyError, lambda: solve(prob, SolverConfig(n=7, ni=7, alpha=0.5))),
+        (AssemblyError, lambda: solve(prob, SolverConfig(n=92, alpha=0.5))),
         (ValueError, lambda: mhf_quadrature(rule, lambda x: np.where(x == pole, np.inf, x))),
         (ValueError, lambda: kernel_eval(prob.kernel, pole, pole)),
     ]
@@ -970,4 +966,4 @@ def test_error_messages_print_coordinates_as_plain_numbers():
         with pytest.raises(error) as info:
             fail()
         message = str(info.value)
-        assert "np.float64" not in message and "=0.0" in message
+        assert "np.float64" not in message and "=0." in message
