@@ -14,7 +14,7 @@ from typing import Callable
 # Bytes the memo keeps.  A 1D plan at MAX_N_1D is charged 1.3 MB, its kernel
 # factor 2.6 MB (W and the E it references) and its Cauchy terms on the 1D
 # error grid 9.6 MB, so one of each fits with room to spare; the benchmark's
-# 1D sweep keeps 9.1 MB in all and evicts nothing.
+# 1D sweep keeps 9.0 MB in all and evicts nothing.
 MEMO_BYTES = 32 * 2**20
 
 

@@ -263,8 +263,9 @@ def _cauchy_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
     Only the arrays returned by eval_grid_1d() and eval_grid_axis_2d() are
     looked up, by identity; any other points, a copy of a grid included,
     are computed anew.  The memo's key is the grid and the basis content,
-    so equal bases built apart (the mhf and smoothed collocation bases at
-    one (alpha, N)) share an entry.  Memoized terms are read-only.
+    so equal bases built apart (a solution's and one rebuilt from the same
+    rule) share an entry; the mhf and smoothed solutions at one (alpha, N)
+    share one basis.  Memoized terms are read-only.
     """
     if x is _GRID_1D:
         grid = "1d"

@@ -73,7 +73,6 @@ CONFIG_KEYS = {
     "problem",
     "method",
     "alpha",
-    "alpha2",
     "n",
     "n_list",
     "newton_tol",
@@ -216,12 +215,11 @@ def _solution_errors(problem, config, solution):
     if problem.exact_solution is None:
         return float("nan"), float("nan"), float("nan")
     dim = problem.dimension
-    scales = config.axis_scales(dim)
     try:
         norms = error_norms(
             solution.interpolant,
             problem.exact_solution,
-            scales[0] if dim == 1 else scales,
+            config.alpha if dim == 1 else (config.alpha,) * 2,
             dim=dim,
         )
     except ValueError as exc:
@@ -233,7 +231,7 @@ def _solution_errors(problem, config, solution):
 
 
 def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
-                    alpha: float = None, alpha2: Optional[float] = None,
+                    alpha: float = None,
                     newton_tol: float = SolverConfig.newton_tol,
                     with_colloc: bool = False) -> ConvergenceReport:
     """Solve at each resolution and collect the error report (rows sorted by N)."""
@@ -257,7 +255,6 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
         config = SolverConfig(
             n=n,
             alpha=alpha,
-            alpha2=alpha2,
             method=method,
             newton_tol=newton_tol,
         )
@@ -357,8 +354,7 @@ def _cmd_quad_test(args) -> int:
 
 def _solver_args(args) -> tuple:
     """The named problem and the SolverConfig fields every solver command
-    shares: alpha (the problem's default_alpha unless given), alpha2 and
-    newton_tol."""
+    shares: alpha (the problem's default_alpha unless given) and newton_tol."""
     if args.problem is None:
         raise UsageError("a problem name is required (--problem)")
     try:
@@ -366,17 +362,15 @@ def _solver_args(args) -> tuple:
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
     alpha = problem.default_alpha if args.alpha is None else args.alpha
-    return problem, dict(alpha=alpha, alpha2=args.alpha2, newton_tol=args.newton_tol)
+    return problem, dict(alpha=alpha, newton_tol=args.newton_tol)
 
 
 def _checked_config(problem, **fields) -> SolverConfig:
-    """SolverConfig for the problem; a setting it or either rule (degrees n
-    and n+1) rejects is a usage error."""
+    """SolverConfig for the problem; a setting it rejects, or an n above the
+    problem's dimension limit, is a usage error."""
     try:
         config = SolverConfig(**fields)
-        config.check_dimension(problem.dimension, problem.name)
-        for alpha in config.axis_scales(problem.dimension):
-            MhfBasis(alpha=alpha, degree=config.n + 1)
+        config.check_dimension(problem.dimension)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return config
@@ -482,7 +476,6 @@ def build_parser() -> tuple:
         p = add_command(name, func, summary,
                         alpha_help="map scale parameter (default: the problem's)")
         p.add_argument("--problem", help=f"one of: {', '.join(problem_names())}")
-        p.add_argument("--alpha2", type=float, help="second-axis map scale (2D)")
         p.add_argument("--newton-tol", type=float, default=SolverConfig.newton_tol)
         return p
 

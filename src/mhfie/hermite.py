@@ -230,17 +230,19 @@ def _initial_roots(count: int) -> np.ndarray:
     return np.concatenate([np.zeros(count % 2), z])
 
 
-def _check_degree(degree) -> int:
-    """degree as an int in [0, MAX_RULE_DEGREE].
-
-    operator.index accepts Python and numpy integers alike and rejects
-    floats, integral ones included, with a TypeError; a degree out of range
-    raises ValueError.
-    """
+def _as_integer(value, name: str) -> int:
+    """value as an int: operator.index accepts Python and numpy integers
+    alike and rejects floats, integral ones included, with a TypeError."""
     try:
-        degree = operator.index(degree)
+        return operator.index(value)
     except TypeError:
-        raise TypeError(f"degree must be an integer, got {degree!r}") from None
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_degree(degree) -> int:
+    """degree as an int in [0, MAX_RULE_DEGREE]; one out of range raises
+    ValueError."""
+    degree = _as_integer(degree, "degree")
     if not 0 <= degree <= MAX_RULE_DEGREE:
         raise ValueError(f"degree must be in [0, {MAX_RULE_DEGREE}], got {degree}")
     return degree

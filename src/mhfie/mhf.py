@@ -56,9 +56,15 @@ class MhfBasis:
     degree: int
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= MAX_ALPHA) or not math.isfinite(self.alpha):
-            raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {self.alpha}")
+        _check_alpha(self.alpha)
         _check_degree(self.degree)
+
+
+def _check_alpha(alpha) -> None:
+    """Raise ValueError unless alpha is in (0, MAX_ALPHA]; MhfBasis and
+    SolverConfig both check their map scale here."""
+    if not 0.0 < alpha <= MAX_ALPHA:
+        raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {alpha}")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ registry's manufactured forcing converges.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -303,9 +302,13 @@ class Nonlinearity:
 class ProblemSpec:
     """A Fredholm-Hammerstein problem instance.
 
-    forcing None means "manufacture it from exact_solution" via the
-    reference integrator.  In two dimensions manufacturing additionally
-    needs psi_u_separable: pairs (a_r, b_r) with
+    At least one of forcing and exact_solution is given.  With an
+    exact_solution the solver ignores forcing and synthesizes g through the
+    discrete operator (solver._synthesize_forcing), so the exact node values
+    solve the discrete system; without one it evaluates forcing at the
+    collocation nodes.  manufactured_forcing gives the true forcing of an
+    exact_solution by the reference integrator; in two dimensions it
+    additionally needs psi_u_separable: pairs (a_r, b_r) with
     psi(s, t, u(s,t)) = sum_r a_r(s) b_r(t), which covers every registry
     problem; the double integral then factors into one-dimensional pieces.
 
@@ -469,31 +472,35 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
 
 
 def forcing_on_grid(spec: ProblemSpec, axes: tuple) -> np.ndarray:
-    """Forcing on the tensor grid of the per-axis points in axes.
+    """The problem's given forcing on the tensor grid of the per-axis points
+    in axes.
 
-    The result has shape (len(axes[0]), ...), x-major.  An explicit forcing
-    is called once on the indexing="ij" meshgrid and its result broadcast to
-    that shape; otherwise the forcing is manufactured point by point.
+    The result has shape (len(axes[0]), ...), x-major: the forcing is called
+    once on the indexing="ij" meshgrid and its result broadcast to that
+    shape.  A problem without a forcing raises ValueError; its true forcing
+    comes from manufactured_forcing, point by point.
     """
     axes = tuple(np.asarray(a, dtype=float) for a in axes)
     if len(axes) != spec.dimension:
         raise ValueError(
             f"problem {spec.name!r} is {spec.dimension}D, got {len(axes)} axes"
         )
+    if spec.forcing is None:
+        raise ValueError(
+            f"problem {spec.name!r} has no forcing; manufactured_forcing gives "
+            "the forcing of its exact solution point by point"
+        )
     shape = tuple(a.size for a in axes)
-    if spec.forcing is not None:
-        values = np.asarray(spec.forcing(*np.meshgrid(*axes, indexing="ij")), dtype=float)
-        out = np.empty(shape)
-        try:
-            out[...] = values
-        except ValueError:
-            raise ValueError(
-                f"problem {spec.name!r}: forcing returned shape {values.shape}, "
-                f"which does not broadcast to the grid shape {shape}"
-            ) from None
-        return out
-    values = [manufactured_forcing(spec, *point) for point in itertools.product(*axes)]
-    return np.reshape(values, shape)
+    values = np.asarray(spec.forcing(*np.meshgrid(*axes, indexing="ij")), dtype=float)
+    out = np.empty(shape)
+    try:
+        out[...] = values
+    except ValueError:
+        raise ValueError(
+            f"problem {spec.name!r}: forcing returned shape {values.shape}, "
+            f"which does not broadcast to the grid shape {shape}"
+        ) from None
+    return out
 
 
 # ---------------------------------------------------------------------------

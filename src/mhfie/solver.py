@@ -40,24 +40,25 @@ axis plan, the kernel factor, the cardinal factor, the quadrature
 coordinates and the collocation nodes, so the one-dimensional system is
 the one-axis case of the two-dimensional one.
 
-The collocation and quadrature rules, the quadrature coefficients and the
-damped cardinal matrix E of one axis depend only on (alpha, n, method),
-never on the problem.  They are built once into a read-only axis plan, kept
-in the package's one byte-bounded memo (mhfie._memo) under the key
-("plan", alpha, n, method), from which solve, assemble_nystrom and both
-axes of a 2D solve take them.  A plan builds E on first use, after the
-kernel factor has checked the node gap, so a solve the check refuses builds
-none.  A kernel that is its singular factor alone
-depends only on (kind, mu) and the plan, so its read-only kernel factor
-W = theta * coeffs and, from the first 2D solve that asks, the eigenpairs of
-W E that the preconditioner diagonalizes are kept as a second entry, under
+Both axes use one map scale alpha, as in the paper.  The collocation and
+quadrature rules and the damped cardinal matrix E of an axis depend only on
+(alpha, n): not on the problem, nor on the route, which changes only the
+quadrature coefficients chi_k / chi(s_k) inside W.  So one read-only axis
+plan, kept in the package's one byte-bounded memo (mhfie._memo) under
+("plan", alpha, n), serves both axes and both routes of solve and
+assemble_nystrom.  A plan builds E on first use, after the kernel factor
+has checked the node gap, so a solve the check refuses builds none.  A
+kernel that is its singular factor alone depends only on (kind, mu), the
+plan and the route, so its read-only kernel factor W = theta * coeffs and,
+from the first 2D solve that asks, the eigenpairs of W E that the
+preconditioner diagonalizes are kept under
 ("kernel", alpha, n, method, kind, mu); both axes of a 2D solve with one
-plan and one exponent share them, so each is built once.  Custom kernels and
-kernels with a smooth factor depend on the problem and are built per call.
+exponent share them.  Custom kernels and kernels with a smooth factor
+depend on the problem and are built per call.
 Only a process that repeats a key gains, such as a study of several problems
 or forcings at one discretization; a convergence ladder solves each key once.
 
-verify_residual neither reads nor writes the memo: it builds its plans,
+verify_residual neither reads nor writes the memo: it builds its plan,
 quadrature coefficients, E and kernel factors anew, into a memo of its own
 that lives for the one call, so its certificate stays independent of the
 arrays the solve used.  What it shares
@@ -90,7 +91,8 @@ from .approx import (
     _gauss_cardinal_rows,
     tensor_interpolant,
 )
-from .mhf import MhfBasis, MhfRule, mhf_gauss_rule, mhf_unit_weights
+from .hermite import _as_integer
+from .mhf import MhfBasis, MhfRule, _check_alpha, mhf_gauss_rule, mhf_unit_weights
 from .problem import ProblemSpec, _axis_singular, exact_values, forcing_on_grid
 
 __all__ = [
@@ -149,49 +151,32 @@ class SolverConfig:
     """Discretization and Newton parameters.
 
     n is the degree of the collocation rule (n+1 nodes); the quadrature rule
-    always has degree n+1 (see the module docstring).
+    always has degree n+1.  alpha is the map scale of every axis, checked
+    against the rule's own range (see the module docstring).
     """
 
     n: int
     alpha: float = 1.0
-    alpha2: Optional[float] = None
     method: str = METHOD_MHF
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
 
     def __post_init__(self):
-        if self.n < 0:
+        if _as_integer(self.n, "n") < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-        if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.alpha2 is not None and not (
-            self.alpha2 > 0.0 and math.isfinite(self.alpha2)
-        ):
-            raise ValueError(f"alpha2 must be positive, got {self.alpha2}")
+        _check_alpha(self.alpha)
         if self.method not in (METHOD_MHF, METHOD_SMOOTHED):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.newton_tol <= 0.0:
-            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
+        if not 0.0 < self.newton_tol < math.inf:
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if _as_integer(self.newton_max_iter, "newton_max_iter") < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
 
-    def axis_scales(self, dim: int) -> tuple:
-        """Map scale of each of dim axes: alpha, then alpha2 (default alpha)."""
-        return (self.alpha, self.alpha if self.alpha2 is None else self.alpha2)[:dim]
-
-    def check_dimension(self, dim: int, problem: str = "") -> None:
-        """Raise ValueError for settings a problem of this dimension cannot use:
-        n above the limit, or alpha2 on a one-dimensional problem."""
-        if dim == 1 and self.alpha2 is not None:
-            raise ValueError(
-                f"alpha2={self.alpha2} sets the second axis, but problem "
-                f"{problem!r} is one-dimensional"
-            )
+    def check_dimension(self, dim: int) -> None:
+        """Raise ValueError if n is above the limit of this dimension."""
         limit = MAX_N_1D if dim == 1 else MAX_N_2D
         if self.n > limit:
-            raise ValueError(
-                f"n={self.n} exceeds limit {limit} in {dim}D"
-            )
+            raise ValueError(f"n={self.n} exceeds limit {limit} in {dim}D")
 
 
 @dataclass(frozen=True)
@@ -311,11 +296,11 @@ class _KernelFactor:
 
 @dataclass(frozen=True)
 class _AxisPlan:
-    """Problem-independent parts of one axis; every array is read-only."""
+    """Problem- and route-independent parts of one axis; every array is
+    read-only."""
 
     rule_c: MhfRule
     rule_q: MhfRule  # degree n+1: one node more than rule_c
-    coeffs: np.ndarray  # chi_k / chi(s_k) at the quadrature nodes
 
     @functools.cached_property
     def basis(self) -> LagrangeBasis:
@@ -338,37 +323,35 @@ class _AxisPlan:
     @property
     def nbytes(self) -> int:
         """Bytes kept alive: both mapped rules with their Gauss-Hermite rules,
-        coeffs, E and the barycentric weights of the basis, built or not."""
+        E and the barycentric weights of the basis, built or not."""
         rules = sum(arr.nbytes for rule in (self.rule_c, self.rule_q)
                     for arr in (rule.nodes, rule.weights, rule.logits, rule.nodes_complement,
                                 rule.hermite.nodes, rule.hermite.weights,
                                 rule.hermite.log_weights))
         m = self.rule_c.nodes.size
-        return rules + self.coeffs.nbytes + 8 * m * (m + 1) + self.rule_c.nodes.nbytes
+        return rules + 8 * m * (m + 1) + self.rule_c.nodes.nbytes
 
 
-def _build_axis_plan(alpha: float, n: int, method: str) -> _AxisPlan:
-    """Build the rules and quadrature coefficients of one axis anew; the
-    quadrature rule has degree n+1."""
-    rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
-    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1))
-    coeffs = _quad_coeffs(rule_q, method)
-    coeffs.setflags(write=False)
-    return _AxisPlan(rule_c, rule_q, coeffs)
+def _build_axis_plan(alpha: float, n: int) -> _AxisPlan:
+    """Build the rules of one axis anew; the quadrature rule has degree n+1."""
+    return _AxisPlan(mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n)),
+                     mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1)))
 
 
-def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, key: tuple,
+def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, method: str,
                    get: Callable) -> _KernelFactor:
-    """W = theta * coeffs for the problem's kernel on one axis, whose plan
-    has the key (alpha, n, method).
+    """W = theta * coeffs for the problem's kernel on one axis, coeffs the
+    quadrature coefficients of the plan's quadrature rule by the method's
+    route.
 
-    A kernel that is its singular factor alone depends only on (kind, mu)
-    and the plan, so its factor is taken from get; a custom kernel or one
-    with a smooth factor is built anew on every call.
+    A kernel that is its singular factor alone depends only on (kind, mu),
+    the plan and the method, so its factor is taken from get; a custom
+    kernel or one with a smooth factor is built anew on every call.
     """
 
     def build() -> _KernelFactor:
-        w = _theta_matrix(problem, plan.rule_q, plan.rule_c, axis) * plan.coeffs[None, :]
+        coeffs = _quad_coeffs(plan.rule_q, method)
+        w = _theta_matrix(problem, plan.rule_q, plan.rule_c, axis) * coeffs[None, :]
         w.setflags(write=False)
         return _KernelFactor(w, plan.e)
 
@@ -376,7 +359,8 @@ def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, key: tuple,
     if kernel.kind == "custom" or kernel.smooth_factor is not None:
         return build()
     mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
-    return get(("kernel", *key, kernel.kind, mu), build)
+    basis = plan.rule_c.basis
+    return get(("kernel", basis.alpha, basis.degree, method, kernel.kind, mu), build)
 
 
 @dataclass
@@ -392,7 +376,7 @@ class _Discretization:
     dimension: int
     lam: float
     g: np.ndarray
-    kernels: tuple  # per axis _KernelFactor; axes that share a plan and kernel share one
+    kernels: tuple  # per axis _KernelFactor; axes with one exponent share one
     w: tuple
     e: tuple
     quad_coords: tuple
@@ -441,32 +425,30 @@ def _build(problem: ProblemSpec, config: SolverConfig,
            get: Callable = memo.get) -> _Discretization:
     """The discrete system, built axis by axis; 1D is the one-axis case.
 
-    get(key, build) supplies the axis plans and kept kernel factors: the
+    get(key, build) supplies the axis plan and kept kernel factors: the
     memo's for solve and assemble_nystrom; verify_residual passes that of a
     memo of its own, which lives for the one call.
     """
     dim = problem.dimension
-    config.check_dimension(dim, problem.name)
+    config.check_dimension(dim)
     if dim == 2 and problem.kernel.smooth_factor is not None:
         raise AssemblyError(
             f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
             "by the factored solver, which needs a kernel that separates per axis"
         )
-    keys = [(a, config.n, config.method) for a in config.axis_scales(dim)]
-    # one plan per distinct map scale: both axes share it by default, and
-    # through it one kernel factor unless the exponents differ
-    plans = {key: get(("plan", *key), functools.partial(_build_axis_plan, *key))
-             for key in set(keys)}
-    axis_plans = [plans[key] for key in keys]
-    kernels = tuple(_kernel_factor(problem, axis, plans[key], key, get)
-                    for axis, key in enumerate(keys))
+    # one plan for both axes; through it one kernel factor unless the
+    # exponents differ
+    plan = get(("plan", config.alpha, config.n),
+               functools.partial(_build_axis_plan, config.alpha, config.n))
+    kernels = tuple(_kernel_factor(problem, axis, plan, config.method, get)
+                    for axis in range(dim))
     w = tuple(k.w for k in kernels)
     # per axis: cardinal factor, quadrature nodes, and collocation nodes
     # with their complements
-    e, quad_nodes, nodes, complements = zip(*[
-        (p.e, p.rule_q.nodes, p.rule_c.nodes, p.rule_c.nodes_complement)
-        for p in axis_plans
-    ])
+    e, quad_nodes, nodes, complements = (
+        (arr,) * dim
+        for arr in (plan.e, plan.rule_q.nodes, plan.rule_c.nodes, plan.rule_c.nodes_complement)
+    )
     quad_coords = _open_grid(quad_nodes)
     if problem.exact_solution is not None:
         u_nodes = exact_values(problem, _open_grid(nodes), _open_grid(complements))
@@ -475,10 +457,9 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         g = forcing_on_grid(problem, nodes).ravel()
 
     def interp(values: np.ndarray):
-        bases = [p.basis for p in axis_plans]
         if dim == 1:
-            return Interpolant1D(basis=bases[0], values=values)
-        return tensor_interpolant(*bases, values)
+            return Interpolant1D(basis=plan.basis, values=values)
+        return tensor_interpolant(plan.basis, plan.basis, values)
 
     return _Discretization(
         dimension=dim,

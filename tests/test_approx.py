@@ -382,6 +382,26 @@ def test_error_norms_constant_offset():
     )
 
 
+def test_error_norms_2d_takes_one_scale_per_axis(monkeypatch):
+    # a tensor interpolant of two bases (alpha 0.5 and 0.7) is normed with
+    # the pair: each axis takes its own weight and its own cardinal matrix
+    # on both the sup grid and the quadrature rule
+    calls = []
+    cardinal = mhfie.approx.cardinal_matrix
+    monkeypatch.setattr(mhfie.approx, "cardinal_matrix",
+                        lambda *args: calls.append(1) or cardinal(*args))
+    bases = [LagrangeBasis.from_mhf_rule(mhf_gauss_rule(MhfBasis(alpha=a, degree=12)))
+             for a in (0.5, 0.7)]
+    interp = tensor_interpolant(*bases, np.ones((13, 13)))
+    norms = error_norms(interp, lambda x, y: np.full(np.broadcast(x, y).shape, 1.0 - 1e-3),
+                        (0.5, 0.7), dim=2)
+    assert len(calls) == 4
+    assert norms.err_inf == pytest.approx(1e-3, rel=1e-6)
+    assert norms.err_l2chi == pytest.approx(
+        1e-3 * math.sqrt(SQRT_PI / 0.5 * SQRT_PI / 0.7), rel=1e-6
+    )
+
+
 def test_error_norms_requires_degree_for_plain_callables():
     with pytest.raises(ValueError, match="degree"):
         error_norms(lambda x: x, lambda x: x, 1.0, dim=1)
@@ -501,13 +521,17 @@ def test_both_routes_share_one_memo_entry(empty_memo):
     from mhfie.problem import get_problem
     from mhfie.solver import SolverConfig, solve
 
+    # the two routes share one plan and so one basis; an equal basis built
+    # apart shares the entry too, because the key is the basis content
     prob = get_problem("ex1-log")
     solutions = [solve(prob, SolverConfig(n=24, alpha=0.5, method=m))
                  for m in ("mhf", "smoothed")]
-    assert solutions[0].interpolant.basis is not solutions[1].interpolant.basis
-    for s in solutions:
-        error_norms(s.interpolant, prob.exact_solution, 0.5)
-    # the memo also keeps the two solves' plans and kernel factors
+    assert solutions[0].interpolant.basis is solutions[1].interpolant.basis
+    apart = mhf_interpolant(0.5, 24, prob.exact_solution)
+    assert apart.basis is not solutions[0].interpolant.basis
+    for interp in (*(s.interpolant for s in solutions), apart):
+        error_norms(interp, prob.exact_solution, 0.5)
+    # the memo also keeps the solves' plan and kernel factors
     assert [key[:2] for key in empty_memo.entries if key[0] == "terms"] == [("terms", "1d")]
 
 

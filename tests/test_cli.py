@@ -136,10 +136,11 @@ def test_unknown_problem_is_usage_error(capsys):
 
 @pytest.mark.parametrize("command", ["solve", "converge", "compare"])
 def test_config_rejected_by_the_solver_is_usage_error(command, capsys):
+    # an infinite tolerance would accept the initial guess g/lam unsolved
     sizes = ["--n", "16"] if command == "solve" else ["--n-list", "8,16"]
-    assert main([command, "--problem", "ex1-log", "--alpha2", "0.9", *sizes]) == 2
+    assert main([command, "--problem", "ex1-log", "--newton-tol", "inf", *sizes]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "alpha2" in err and "ex1-log" in err
+    assert err.startswith("error: newton_tol must be positive and finite, got inf")
     assert main(["solve", "--problem", "ex1-log", "--n", "500"]) == 2
     assert capsys.readouterr().err.startswith("error: n=500 exceeds limit 400 in 1D")
 
@@ -345,7 +346,7 @@ def test_converge_marks_an_error_norm_failure_as_a_failed_row(tmp_path, capsys):
      "degree must be in [0, 2000]"),
     (["solve", "--problem", "ex1-log", "--n", "8", "--alpha", "200"],
      "alpha must be in (0, 100.0]"),
-    (["compare", "--problem", "ex3-alg", "--n-list", "4", "--alpha2", "200"],
+    (["compare", "--problem", "ex3-alg", "--n-list", "4", "--alpha", "200"],
      "alpha must be in (0, 100.0]"),
     (["converge", "--problem", "ex1-log", "--n-list", "8", "--alpha", "200"],
      "alpha must be in (0, 100.0]"),
@@ -363,6 +364,7 @@ def test_rule_range_errors_are_usage_errors(argv, message, capsys):
     ["solve", "--problem", "ex1-log", "--n", "8", "--ni", "9"],
     ["solve", "--problem", "ex1-log", "--n", "8", "--newton", "1e-10"],
     ["solve", "--problem", "ex1-log", "--n", "8", "--ni-offset", "1"],
+    ["compare", "--problem", "ex3-alg", "--n-list", "8", "--alpha2", "0.9"],
 ])
 def test_an_option_that_cannot_apply_or_is_abbreviated_is_refused(argv, capsys):
     assert main(argv) == 2
@@ -371,7 +373,7 @@ def test_an_option_that_cannot_apply_or_is_abbreviated_is_refused(argv, capsys):
 
 def test_config_ni_is_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "ni.cfg"
-    for key, value in (("ni", 9), ("ni_offset", 1)):
+    for key, value in (("ni", 9), ("ni_offset", 1), ("alpha2", 0.9)):
         cfg.write_text(f"problem = ex1-log\nn = 8\n{key} = {value}\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert f"unknown config key '{key}'" in capsys.readouterr().err

@@ -424,6 +424,13 @@ def test_forcing_on_grid_takes_one_axis_per_dimension():
         forcing_on_grid(spec, np.array([0.25, 0.5]))
 
 
+def test_forcing_on_grid_evaluates_only_a_given_forcing():
+    # a problem defined by its exact solution has no forcing to evaluate;
+    # its true forcing comes from manufactured_forcing
+    with pytest.raises(ValueError, match="'ex1-log' has no forcing; manufactured_forcing"):
+        forcing_on_grid(get_problem("ex1-log"), (np.array([0.25, 0.5]),))
+
+
 def test_manufactured_forcing_symmetry():
     # symmetric kernel and symmetric solution give symmetric forcing
     spec = get_problem("ex1-log")
@@ -495,11 +502,10 @@ def test_two_dimensional_forcing_for_constant_solution():
     # u = 1, psi = u^2: the double integral splits into the product of the
     # one-dimensional smooth integrals
     spec = unit_2d_problem(KernelSpec(kind="algebraic", mu=(0.5, 0.5), dimension=2))
-    grid = forcing_on_grid(spec, (np.array([0.25, 0.5]), np.array([0.5])))
-    for i, x in enumerate((0.25, 0.5)):
+    for x in (0.25, 0.5):
         ix = exact_smooth_integral("algebraic", x, mu=0.5)
         iy = exact_smooth_integral("algebraic", 0.5, mu=0.5)
-        assert grid[i, 0] == pytest.approx(10.0 - ix * iy, abs=1e-9)
+        assert manufactured_forcing(spec, x, 0.5) == pytest.approx(10.0 - ix * iy, abs=1e-9)
 
 
 def test_two_dimensional_forcing_requires_a_product_kernel():

@@ -41,16 +41,25 @@ from mhfie.solver import (
 def test_config_validation():
     with pytest.raises(ValueError, match="n must"):
         SolverConfig(n=-1)
-    with pytest.raises(ValueError, match="alpha"):
-        SolverConfig(n=4, alpha=0.0)
-    with pytest.raises(ValueError, match="alpha2"):
-        SolverConfig(n=4, alpha2=-1.0)
+    # alpha is checked against the rule's own range, with its message
+    for alpha in (0.0, -1.0, 100.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 100\.0\]"):
+            SolverConfig(n=4, alpha=alpha)
+    assert SolverConfig(n=4, alpha=100.0).alpha == 100.0
     with pytest.raises(ValueError, match="method"):
         SolverConfig(n=4, method="spline")
-    with pytest.raises(ValueError, match="newton_tol"):
-        SolverConfig(n=4, newton_tol=0.0)
+    for tol in (0.0, -1e-12, math.inf, math.nan):
+        with pytest.raises(ValueError, match="newton_tol must be positive and finite"):
+            SolverConfig(n=4, newton_tol=tol)
     with pytest.raises(ValueError, match="newton_max_iter"):
         SolverConfig(n=4, newton_max_iter=0)
+    # the integer fields take integers only, numpy ones included
+    with pytest.raises(TypeError, match="newton_max_iter must be an integer, got 2.5"):
+        SolverConfig(n=4, newton_max_iter=2.5)
+    for n in (4.0, 4.5, "4"):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            SolverConfig(n=n)
+    assert SolverConfig(n=np.int64(4), newton_max_iter=np.int32(3)).n == 4
 
 
 def test_config_dimension_limits():
@@ -60,21 +69,6 @@ def test_config_dimension_limits():
         SolverConfig(n=MAX_N_2D + 1).check_dimension(2)
     SolverConfig(n=MAX_N_2D).check_dimension(2)
     SolverConfig(n=64).check_dimension(1)
-
-
-def test_alpha2_on_a_1d_problem_is_rejected():
-    prob = get_problem("ex1-log")
-    with pytest.raises(ValueError, match=r"alpha2=0\.9.*'ex1-log'"):
-        solve(prob, SolverConfig(n=16, alpha=0.5, alpha2=0.9))
-    with pytest.raises(ValueError, match="alpha2"):
-        verify_residual(prob, SolverConfig(n=16, alpha=0.5, alpha2=0.9), np.zeros(17))
-    SolverConfig(n=8, alpha2=0.9).check_dimension(2)
-
-
-def test_axis_scales_default_the_second_axis_to_alpha():
-    assert SolverConfig(n=8, alpha=0.5).axis_scales(1) == (0.5,)
-    assert SolverConfig(n=8, alpha=0.5).axis_scales(2) == (0.5, 0.5)
-    assert SolverConfig(n=8, alpha=0.5, alpha2=0.9).axis_scales(2) == (0.5, 0.9)
 
 
 def test_row_sums_converge_to_smooth_integral():
@@ -115,15 +109,12 @@ def _route_cardinals(method: str, rule_c, rule_q):
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
 @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 63, 64, 200, MAX_N_1D])
 def test_default_cardinal_matrix_is_the_closed_form(n, method):
-    # the plan builds E from the two Gauss-Hermite rules; it matches the
-    # log-magnitude rows within 5.0e-13 max|E| at MAX_N_1D (measured, mhf
-    # route), and both routes build it bitwise alike
-    alpha = 0.5
-    plan = mhfie.solver._build_axis_plan(alpha, n, method)
+    # the plan builds one E from the two Gauss-Hermite rules for both
+    # routes; it matches each route's log-magnitude rows within 5.0e-13
+    # max|E| at MAX_N_1D (measured, mhf route)
+    plan = mhfie.solver._build_axis_plan(0.5, n)
     ref = _route_cardinals(method, plan.rule_c, plan.rule_q)
     assert np.max(np.abs(plan.e - ref)) <= 1e-12 * np.max(np.abs(ref))
-    other = "smoothed" if method == "mhf" else "mhf"
-    assert np.array_equal(plan.e, mhfie.solver._build_axis_plan(alpha, n, other).e)
 
 
 def test_assembly_names_endpoint_clustering_when_families_interlace():
@@ -424,13 +415,14 @@ def fresh_memos():
 
 
 def _plan_key(cfg: SolverConfig) -> tuple:
-    return (cfg.alpha, cfg.n, cfg.method)
+    return (cfg.alpha, cfg.n)
 
 
-def _kept_factors(plan_key: tuple) -> dict:
-    """The kernel factors the memo keeps for one plan, by memo key."""
+def _kept_factors(cfg: SolverConfig) -> dict:
+    """The kernel factors the memo keeps for the plan and route of cfg, by
+    memo key."""
     return {key: f for key, f in memo.entries.items()
-            if key[0] == "kernel" and key[1:4] == plan_key}
+            if key[0] == "kernel" and key[1:4] == (*_plan_key(cfg), cfg.method)}
 
 
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
@@ -466,7 +458,7 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     assert warm.krylov_iters == cold.krylov_iters
     assert warm_norms == cold_norms
     plan = memo.entries[("plan", *_plan_key(cfg))]
-    factors = _kept_factors(_plan_key(cfg)).values()
+    factors = _kept_factors(cfg).values()
     assert len(factors) == int(kept)
     rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
     arrays = (_read_only_arrays(plan) + [plan.e] + _read_only_arrays(plan.basis)
@@ -492,7 +484,7 @@ def test_memos_hold_at_most_their_bounds():
             assert memo.nbytes <= memo.cap
             assert memo.nbytes == sum(v.nbytes for v in memo.entries.values())
     # the 1D ladder alone overflows the cap: its first entries are gone
-    assert ("plan", 3.0, 40, "mhf") not in memo.entries
+    assert ("plan", 3.0, 40) not in memo.entries
     assert {key[0] for key in memo.entries} == {"plan", "kernel", "terms"}
     for key, value in memo.entries.items():
         if key[0] == "plan":
@@ -558,7 +550,7 @@ def test_verify_residual_reads_no_kept_kernel_factor(poison, fresh_memos):
     cfg = SolverConfig(n=8, alpha=0.5)
     sol = solve(prob, cfg)
     clean = verify_residual(prob, cfg, sol)
-    kept = _kept_factors(_plan_key(cfg))
+    kept = _kept_factors(cfg)
     assert len(kept) == 2
     for key, factor in kept.items():
         if poison == "w":
@@ -597,14 +589,13 @@ def test_verify_residual_writes_no_memo(name):
     assert memo.nbytes == nbytes
 
 
-@pytest.mark.parametrize("name, alpha2, eigs, cardinals", [
-    ("ex3-log", None, 1, 2), ("ex3-alg", None, 1, 2), ("ex3-alg", 0.7, 2, 4),
-    ("identity-2d", None, 2, 2),
+@pytest.mark.parametrize("name, eigs", [
+    ("ex3-log", 1), ("ex3-alg", 1), ("identity-2d", 2),
 ])
-def test_each_axis_work_is_done_once(name, alpha2, eigs, cardinals, monkeypatch):
-    # axes that share a plan and a singular factor share one kernel factor,
-    # one eigendecomposition and, in the error norms, one cardinal matrix; a
-    # second map scale or a second exponent makes two.  A repeated solve
+def test_each_axis_work_is_done_once(name, eigs, monkeypatch):
+    # both axes share the plan and, in the error norms, one cardinal matrix;
+    # axes that share a singular factor share one kernel factor and one
+    # eigendecomposition, and a second exponent makes two.  A repeated solve
     # diagonalizes nothing.
     calls = {"eig": 0, "cardinal": 0}
     eig, cardinal = np.linalg.eig, mhfie.approx.cardinal_matrix
@@ -618,15 +609,15 @@ def test_each_axis_work_is_done_once(name, alpha2, eigs, cardinals, monkeypatch)
     monkeypatch.setattr(np.linalg, "eig", counted("eig", eig))
     monkeypatch.setattr(mhfie.approx, "cardinal_matrix", counted("cardinal", cardinal))
     prob = _identity_2d() if name == "identity-2d" else get_problem(name)
-    cfg = SolverConfig(n=16, alpha=0.5, alpha2=alpha2)
+    cfg = SolverConfig(n=16, alpha=0.5)
     _clear_memos()
     sol = solve(prob, cfg)
     disc = mhfie.solver._build(prob, cfg)
     assert (disc.w[0] is disc.w[1]) == (eigs == 1)
     assert calls["eig"] == eigs
-    error_norms(sol.interpolant, lambda x, y: 0.0 * x * y, (cfg.alpha, alpha2 or cfg.alpha),
+    error_norms(sol.interpolant, lambda x, y: 0.0 * x * y, (cfg.alpha, cfg.alpha),
                 dim=2, degree=cfg.n)
-    assert calls["cardinal"] == cardinals
+    assert calls["cardinal"] == 2
     again = solve(prob, cfg)
     assert calls["eig"] == eigs
     assert np.array_equal(again.node_values, sol.node_values)
@@ -671,9 +662,8 @@ def test_kept_kernel_factors_hold_at_most_their_bound():
     # a W at MAX_N_1D with its E fits the cap; within MAX_N_2D a factor is
     # also charged for the eigenpairs a 2D solve may build
     for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (2 * MAX_N_2D + 3))):
-        key = (2.0, n, "mhf")
-        plan = mhfie.solver._build_axis_plan(*key)
-        factor = mhfie.solver._kernel_factor(_algebraic_1d(0.5), 0, plan, key, kept.get)
+        plan = mhfie.solver._build_axis_plan(2.0, n)
+        factor = mhfie.solver._kernel_factor(_algebraic_1d(0.5), 0, plan, "mhf", kept.get)
         assert not factor.w.flags.writeable
         assert factor.nbytes == factor.w.nbytes + plan.e.nbytes + eigen < memo.cap
 
@@ -683,11 +673,10 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
     # keeps three: every factor returned is right, and the byte count
     # matches the entries, which a lost update would break
     probs = [_algebraic_1d(0.1 * k) for k in range(1, 7)]
-    key = (0.5, 32, "mhf")
-    plan = mhfie.solver._build_axis_plan(*key)
+    plan = mhfie.solver._build_axis_plan(0.5, 32)
 
     def factor(k: int, get):
-        return mhfie.solver._kernel_factor(probs[k], 0, plan, key, get)
+        return mhfie.solver._kernel_factor(probs[k], 0, plan, "mhf", get)
 
     expected = [factor(k, lambda _, build: build()) for k in range(len(probs))]
     kept = BoundedMemo(3 * expected[0].nbytes)
@@ -927,29 +916,21 @@ def test_solver_evaluates_the_complement_aware_exact_solution(name, n):
     assert np.max(np.abs(sol.node_values - plain)) > 0.1
 
 
-def test_build_makes_one_plan_per_distinct_map_scale():
+def test_both_routes_and_both_axes_share_one_plan(fresh_memos):
+    # an mhf and a smoothed solve of ex3-alg leave one plan, keyed by
+    # (alpha, n) alone, whose collocation nodes both axes read; the routes
+    # differ only in their kernel factors
     prob = get_problem("ex3-alg")
     n = 16
-    for alpha2, plans in ((None, 1), (0.5, 1), (0.7, 2)):
-        keys = []
-
-        def counting(key, build):
-            if key[0] == "plan":
-                keys.append(key)
-            return build()
-
-        cfg = SolverConfig(n=n, alpha=0.5, alpha2=alpha2)
-        disc = mhfie.solver._build(prob, cfg, counting)
-        assert len(keys) == plans
-    np.testing.assert_array_equal(
-        disc.colloc_points[0], mhf_gauss_rule(MhfBasis(0.5, n)).nodes
-    )
-    np.testing.assert_array_equal(
-        disc.colloc_points[1], mhf_gauss_rule(MhfBasis(0.7, n)).nodes
-    )
-    sol = solve(prob, cfg)
-    np.testing.assert_array_equal(sol.nodes_y, disc.colloc_points[1])
-    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    nodes = mhf_gauss_rule(MhfBasis(0.5, n)).nodes
+    for method in ("mhf", "smoothed"):
+        cfg = SolverConfig(n=n, alpha=0.5, method=method)
+        sol = solve(prob, cfg)
+        np.testing.assert_array_equal(sol.nodes_x, nodes)
+        assert sol.nodes_y is sol.nodes_x
+        assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    assert [key for key in memo.entries if key[0] == "plan"] == [("plan", 0.5, n)]
+    assert sorted(key[3] for key in memo.entries if key[0] == "kernel") == ["mhf", "smoothed"]
 
 
 def test_error_messages_print_coordinates_as_plain_numbers():
