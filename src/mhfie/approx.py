@@ -350,7 +350,9 @@ class Interpolant2D:
         """Values on the tensor grid of the two point sets, shape (len(x), len(y))."""
         lx = cardinal_matrix(self.basis_x, x)
         ly = lx if self.basis_y is self.basis_x and y is x else cardinal_matrix(self.basis_y, y)
-        return lx @ self.values @ ly.T
+        # A transposed right operand sends OpenBLAS with two threads down a
+        # GEMM path that stalls for milliseconds at the 2D norm rule's size.
+        return lx @ self.values @ np.ascontiguousarray(ly.T)
 
     def eval(self, x, y):
         x1, y1 = np.atleast_1d(x), np.atleast_1d(y)

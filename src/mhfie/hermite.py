@@ -9,19 +9,26 @@ so large-degree work goes through the normalized Hermite functions
 
     h_n(z) = H_n(z) exp(-z^2/2) / sqrt(gamma_n),
 
-which stay bounded for all n and z and satisfy the stable recurrence
+which stay bounded for all n and z.  They are computed from the monic
+polynomials q_n = H_n / 2^n, whose recurrence
 
-    h_{n+1} = z sqrt(2/(n+1)) h_n - sqrt(n/(n+1)) h_{n-1}.
+    q_{n+1} = z q_n - (n/2) q_{n-1}
+
+has exact coefficients.  h_n = q_n sqrt(2^n / n!) exp(-z^2/2) / pi^(1/4):
+q_n and the normalization are each carried as a mantissa and an integer
+power of two, and the normalization is applied per row outside the loop.
 
 One rescaled loop of that recurrence, _hermite_rows, serves the tables,
 hermite_eval_scaled and the Gauss-Hermite rule.  The rule needs no
-eigensolver: asymptotic expansions place every nonnegative node to a few
-thousandths of the local zero spacing (Tricomi's interior formula and
-Gatteschi's Airy-type formula near the largest zero; Gatteschi, J. Comput.
-Appl. Math. 144, 2002), and one pass of the recurrence there, with the
-Hermite differential equation for the higher derivatives, corrects them to
-roundoff (compare Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007;
-Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36, 2016).  Because
+normalization, which is common to every node and removed when the weights
+are scaled to sum to sqrt(pi), and no eigensolver: asymptotic expansions
+place every nonnegative node to a few thousandths of the local zero
+spacing (Tricomi's interior formula and Gatteschi's Airy-type formula near
+the largest zero; Gatteschi, J. Comput. Appl. Math. 144, 2002), and one
+pass of the recurrence there, with the Hermite differential equation for
+the higher derivatives, corrects them to roundoff (compare Glaser, Liu &
+Rokhlin, SIAM J. Sci. Comput. 29, 2007; Townsend, Trogdon & Olver, IMA J.
+Numer. Anal. 36, 2016).  Because
 exp(-z^2) is even, only the nonnegative nodes are computed and the rule is
 mirrored.  hermite_gauss_rule keeps the rules it builds in one bounded memo
 keyed by degree; every mapped rule in the package, the residual
@@ -83,9 +90,9 @@ def hermite_eval_scaled(n: int, z: float) -> float:
 
     Bounded by about 0.816 for every n and z, so this is safe for degrees
     and arguments far beyond the raw recurrence (n up to 10^4, |z| up to
-    10^2 and beyond).  It returns 0.0 only where h_n(z) itself underflows,
-    as for n = 3, z = 50.  The value is the last row of
-    hermite_scaled_table(n, z).
+    10^2 and beyond; tested against mpmath at n = 10^4, z = 100).  It
+    returns 0.0 only where h_n(z) itself underflows, as for n = 3, z = 50.
+    The value is the last row of hermite_scaled_table(n, z).
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
@@ -96,49 +103,75 @@ def hermite_eval_scaled(n: int, z: float) -> float:
 
 
 # Rescale the recurrence every _RESCALE_STRIDE steps.  One step multiplies
-# max(|p_k|, |p_{k-1}|) by at most sqrt(2)|z| + 1 < 2^7 for |z| < 64 (the
-# nodes of any rule up to MAX_RULE_DEGREE), so between rescalings the values
-# stay below 2^112, far from overflow.
+# max(|q_k|, |q_{k-1}|) by at most |z| + k/2 < 2^11 for |z| < 64 and
+# k <= MAX_RULE_DEGREE + 1 (the nodes of any rule), so between rescalings the
+# values stay below 2^176, far from overflow.
 _RESCALE_STRIDE = 16
 
 
 def _hermite_rows(nmax: int, z: np.ndarray):
-    """Yield (p_k, e_k), k = 0..nmax: h_k(z) = p_k 2^e_k exp(-z^2/2) / pi^(1/4).
+    """Yield (q_{k-1}, q_k, e_k), k = 0..nmax: H_k(z) / 2^k = q_k 2^e_k.
 
-    The recurrence runs from p_0 = 1 (p_{-1} = 0) and scales the pair it
-    carries by exact powers of two, so neither the Gaussian nor the growth
-    of p_k can underflow or overflow.  e_k is one array object from one
-    rescale to the next; an earlier row read at a later exponent e is
-    np.ldexp(p_k, e_k - e), the very operation a rescale applies.
+    The monic recurrence q_{k+1} = z q_k - (k/2) q_{k-1} runs from q_0 = 1
+    (q_{-1} = 0) on three buffers, in place, and scales the pair it carries
+    by exact powers of two, so q_k cannot overflow however fast H_k grows.
+    The pair is yielded at one exponent; e_k is one array object from one
+    rescale to the next.  The buffers are overwritten as the loop goes on,
+    so read a row before asking for the next one.
     """
     exponent = np.zeros(z.shape, dtype=int)
-    prev, cur = np.zeros_like(z), np.ones_like(z)
-    yield cur, exponent
+    prev, cur, nxt = np.zeros_like(z), np.ones_like(z), np.empty_like(z)
+    yield prev, cur, exponent
     for k in range(nmax):
-        prev, cur = cur, z * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
+        # Outputs are passed positionally: parsing out= as a keyword costs
+        # about a tenth of a step at the sizes of the rules.
+        np.multiply(prev, -0.5 * k, prev)
+        np.multiply(z, cur, nxt)
+        np.add(nxt, prev, nxt)
+        prev, cur, nxt = cur, nxt, prev
         if k and k % _RESCALE_STRIDE == 0:
             _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
-            cur, prev = np.ldexp(cur, -e), np.ldexp(prev, -e)
+            np.ldexp(cur, -e, out=cur)
+            np.ldexp(prev, -e, out=prev)
             exponent = exponent + e
-        yield cur, exponent
+        yield prev, cur, exponent
 
 
-def _table(nmax: int, z: np.ndarray, log_row0) -> np.ndarray:
-    """Rows 0..nmax of p_k 2^e_k exp(log_row0); the exponent and log_row0
-    are added before exponentiating, so neither over- or underflows alone."""
+# log(2) in two parts (Cody and Waite, as in fdlibm's exp): the first has 32
+# significant bits, so its product with any integer below 2^21 is exact.
+_LN2_HI, _LN2_LO = 0.6931471803691238, 1.9082149292705877e-10
+
+
+def _table(nmax: int, z: np.ndarray, log_gauss) -> np.ndarray:
+    """Rows 0..nmax of H_k(z) exp(log_gauss) / sqrt(gamma_k).
+
+    Row k is q_k 2^e_k s_k exp(log_gauss) with s_k = sqrt(2^k / k!) / pi^(1/4).
+    s_k^2 is carried as a mantissa m and an integer exponent f, and the
+    integer exponents are added before the one conversion to a float log, so
+    neither the row scale nor q_k 2^e_k over- or underflows alone and no
+    rounded float log of either enters the result.
+    """
     table = np.empty((nmax + 1, z.size))
-    exponent = None
-    for k, (p, e) in enumerate(_hermite_rows(nmax, z)):
+    exponent, m, f = None, 1.0 / SQRT_PI, 0
+    for k, (_, q, e) in enumerate(_hermite_rows(nmax, z)):
+        if k:
+            m, df = math.frexp(m * (2.0 / k))
+            f += df
+        half = f >> 1  # s_k = sqrt(m 2^(f - 2 half)) 2^half
         if e is not exponent:
-            exponent, scale = e, np.exp(e * math.log(2.0) + log_row0)
-        table[k] = p * scale
+            exponent, base = e, half
+            total = e + base
+            scale = np.exp((total * _LN2_HI + log_gauss) + total * _LN2_LO)
+        row = table[k]
+        np.multiply(q, scale, row)
+        row *= math.ldexp(math.sqrt(math.ldexp(m, f - 2 * half)), half - base)
     return table
 
 
 def hermite_scaled_table(nmax: int, z: np.ndarray) -> np.ndarray:
     """Table of normalized Hermite functions h_n(z), shape (nmax+1, len(z))."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _table(nmax, z, -0.5 * z * z - 0.25 * math.log(math.pi))
+    return _table(nmax, z, -0.5 * z * z)
 
 
 def hermite_orthonormal_table(nmax: int, z: np.ndarray) -> np.ndarray:
@@ -148,7 +181,7 @@ def hermite_orthonormal_table(nmax: int, z: np.ndarray) -> np.ndarray:
     grow like exp(z^2/2); intended for evaluating expansions at moderate z.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    return _table(nmax, z, -0.25 * math.log(math.pi))
+    return _table(nmax, z, 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,7 +191,7 @@ class HermiteRule:
     Nodes ascend and are exactly antisymmetric, z_j = -z_{N-j}; for even N
     the middle node is exactly 0.0.  The weights are
     w_j = exp(-z_j^2) / ((N+1) h_N(z_j)^2), evaluated in log space from the
-    normalized recurrence: log_weights holds log(w_j), exactly symmetric,
+    monic recurrence: log_weights holds log(w_j), exactly symmetric,
     and weights is exactly exp(log_weights).  The log form stays meaningful
     where the weights themselves underflow (|z| large).  Sum of weights is
     sqrt(pi).
@@ -195,8 +228,8 @@ _GATTESCHI_TERMS = np.array(
 # apart.  The rule therefore runs its pass over three copies of the guesses,
 # scaled by these factors, and averages each node's log-weights over them,
 # which cuts that error by sqrt(3): over degrees 200-764 the worst error of
-# the Gaussian moments 0, 2 and 4 falls from about 2.5e-15 with one copy to
-# 1.5e-15, and the 99th percentile from 1.6e-15 to 1.2e-15.  The pass is bound
+# the Gaussian moments 0 to 4 falls from about 2.2e-15 with one copy to
+# 1.2e-15, and the 99th percentile from 1.5e-15 to 8.8e-16.  The pass is bound
 # by call overhead for small rules, so the extra copies cost little there.
 _SAMPLE_SCALES = 1.0 + 2.0**-30 * np.arange(3.0)
 
@@ -270,13 +303,13 @@ def _build_rule(degree: int) -> HermiteRule:
     """Build the (degree+1)-point Gauss-Hermite rule anew.
 
     With N = degree and n = N+1 nodes, the nonnegative nodes start from the
-    asymptotic zeros of _initial_roots.  One pass of the rescaled normalized
-    recurrence over them gives p = p_n and p_N, so p' = sqrt(2n) p_N, and the
-    Hermite equation p'' = 2z p' - 2n p gives the higher derivatives by
-    p^(k+2) = 2z p^(k+1) - 2(n-k) p^(k).  The Newton step -p/p', reverted
-    through the Taylor series of p to third order and then refined by one
+    asymptotic zeros of _initial_roots.  One pass of the rescaled monic
+    recurrence over them gives q = q_n and q_N, so q' = n q_N, and the
+    Hermite equation q'' = 2z q' - 2n q gives the higher derivatives by
+    q^(k+2) = 2z q^(k+1) - 2(n-k) q^(k).  The Newton step -q/q', reverted
+    through the Taylor series of q to third order and then refined by one
     Newton step on its degree-5 Taylor polynomial, moves each guess to the
-    root; the derivative of that polynomial there gives p_N at the node,
+    root; the derivative of that polynomial there gives q_N at the node,
     and with it the weight w = exp(-z^2) / (n h_N(z)^2), evaluated in log
     space so that it keeps its relative accuracy far into the tail.  Each
     log-weight is the mean over three evaluation points 2^-30 apart
@@ -296,16 +329,13 @@ def _build_rule(degree: int) -> HermiteRule:
     size = z.size
     z = np.multiply.outer(_SAMPLE_SCALES, z).ravel()
 
-    # p_N and p_{N+1} from one pass of the recurrence, the first read at the
-    # exponent of the last.
-    rows = collections.deque(_hermite_rows(count, z), maxlen=2)
-    (p_sub, e_sub), (p_top, exponent) = rows
-    p_deg = np.ldexp(p_sub, e_sub - exponent)
-    # Derivatives b_k = p^(k) / p' at the guesses, b_0 = -u and b_1 = 1, u
+    # q_N and q_{N+1} at one exponent from one pass of the recurrence.
+    q_deg, q_top, exponent = collections.deque(_hermite_rows(count, z), maxlen=1).pop()
+    # Derivatives b_k = q^(k) / q' at the guesses, b_0 = -u and b_1 = 1, u
     # the Newton step; c_k = b_k / k! are the Taylor coefficients and
-    # k c_k = b_k / (k-1)! those of the derivative.  At z = 0 the odd p_{N+1} is exactly zero,
+    # k c_k = b_k / (k-1)! those of the derivative.  At z = 0 the odd q_{N+1} is exactly zero,
     # and so is every step.
-    u = p_top / (-math.sqrt(2.0 * count) * p_deg)
+    u = q_top / (-count * q_deg)
     two_z = 2.0 * z
     b = [-u, 1.0, two_z + (2.0 * count) * u]
     for k in range(1, 4):
@@ -319,22 +349,22 @@ def _build_rule(degree: int) -> HermiteRule:
     d = u * (1.0 + u * (u * (2.0 * c2 * c2 - c3) - c2))
     d = d - (d * (1.0 + d * (c2 + d * (c3 + d * (c4 + d * c5)))) - u) / slope(d)
     z = z[:size] + d[:size]
-    # p_N at the node, from p' = sqrt(2n) p_N.
-    p_deg = p_deg * slope(d)
+    # q_N at the node, from q' = n q_N, as a mantissa and an integer exponent.
+    mantissa, e = np.frexp(q_deg * slope(d))
+    e = e + exponent
 
-    # With h_N = p_N 2^e exp(-z^2/2) / pi^(1/4) the Gaussian cancels:
-    # log w_j = log(sqrt(pi)) - log(N+1) - 2 log|p_N| - 2 e log(2).
-    log_w = (
-        0.5 * math.log(math.pi)
-        - math.log(count)
-        - 2.0 * (np.log(np.abs(p_deg)) + exponent * math.log(2.0))
-    )
+    # With h_N = q_N 2^e s_N exp(-z^2/2) / pi^(1/4), s_N = sqrt(2^N / N!),
+    # the Gaussian cancels: log w_j = log(sqrt(pi) / ((N+1) s_N^2))
+    # - 2 log|q_N| - 2 e log(2).  The first term is common to every node, so
+    # it is left to the renormalization below, and the exponents, which reach
+    # thousands, are taken relative to the smallest before the one conversion
+    # to a float log: a rounded log of a large |q_N| would cost the weights
+    # digits.
+    log_w = -2.0 * (np.log(np.abs(mantissa)) + (e - e.min()) * math.log(2.0))
     log_w = log_w.reshape(_SAMPLE_SCALES.size, size).sum(axis=0) / _SAMPLE_SCALES.size
     nodes = np.concatenate([-z[odd:][::-1], z])
     log_weights = np.concatenate([log_w[odd:][::-1], log_w])
-    # The rounded recurrence coefficients leave about the same relative
-    # error, growing like sqrt(N) eps, in every weight; the exact zeroth
-    # moment sqrt(pi) removes that common factor.
+    # The exact zeroth moment sqrt(pi) fixes the common factor.
     log_weights = log_weights + math.log(SQRT_PI / np.sum(np.exp(log_weights)))
     weights = np.exp(log_weights)
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mhfie.approx
 from mhfie._memo import memo
 from mhfie.hermite import hermite_gauss_rule, hermite_orthonormal_table
-from mhfie.mhf import MhfBasis, gamma_n, mhf_gauss_rule
+from mhfie.mhf import MhfBasis, gamma_n, map_to_unit, mhf_gauss_rule
 from mhfie.problem import get_problem
 from mhfie.solver import SolverConfig, solve
 from mhfie.approx import (
@@ -149,27 +149,43 @@ def test_gauss_cardinal_rows_match_a_40_digit_cardinal(n):
 
 
 def test_cancelled_row_sums_take_the_first_form():
-    """After solving ex1-log at alpha 2 and N = 280 the barycentric row sum
-    cancels to exactly 0 at 4 points of the norm rule near x = 1, where
-    error_norms used to divide by zero.  Those rows come from the first form
-    in log magnitude; every other row is the second form, bitwise."""
-    problem = get_problem("ex1-log")
-    solution = solve(problem, SolverConfig(n=280, alpha=2.0))
-    basis, values = solution.interpolant.basis, solution.node_values
-    points = mhf_gauss_rule(MhfBasis(alpha=2.0, degree=2 * 280 + 16)).nodes
+    """A row whose barycentric sum cancels to exactly 0, where error_norms
+    used to divide by zero, comes from the first form in log magnitude;
+    every other row is the second form, bitwise.
+
+    The cancelling row is built, not found: the nodes are the dyadic
+    t = +-1, +-2, +-4, +-8 and the weights are symmetric, so at x = 1/2
+    (t = 0, a point of every even-degree norm rule and of the fixed grid)
+    the terms w_j / (t - t_j) pair off into exact negatives, and every
+    partial sum is exact, so the sum is 0.0 in any order.
+    """
+    t_nodes = np.array([-8.0, -4.0, -2.0, -1.0, 1.0, 2.0, 4.0, 8.0])
+    basis = LagrangeBasis(
+        nodes_t=t_nodes,
+        weights=np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0]),
+        nodes_x=map_to_unit(1.0, t_nodes),
+    )
+
+    def exact(x):
+        return x * (1.0 - x)
+
+    interp = Interpolant1D(basis=basis, values=exact(basis.nodes_x))
+    values = interp.values
+    points = mhf_gauss_rule(MhfBasis(alpha=1.0, degree=2 * basis.degree + 16)).nodes
     c, den, rows, cols, cancelled, _ = _cauchy_terms(basis, points)
     rowsum = np.sum(c, axis=1)
     bad = rowsum == 0.0
-    assert np.count_nonzero(bad) == 4 and np.array_equal(cancelled, np.flatnonzero(bad))
+    assert np.array_equal(points[bad], [0.5])
+    assert np.array_equal(cancelled, np.flatnonzero(bad))
     assert np.array_equal(den, np.where(bad, 1.0, rowsum))
     second, second_cards = (c @ values) / den, c / den[:, None]
-    second[rows] = values[cols]  # the node x = 0.5 is a point of both rules
+    second[rows] = values[cols]
     second_cards[rows] = np.eye(values.size)[cols]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = solution.interpolant.eval(points)
+        got = interp.eval(points)
         cards = cardinal_matrix(basis, points)
-        norms = error_norms(solution.interpolant, problem.exact_solution, 2.0)
+        norms = error_norms(interp, exact, 1.0)
     assert np.all(np.isfinite(got)) and np.all(np.isfinite(cards))
     assert math.isfinite(norms.err_inf) and math.isfinite(norms.err_l2chi)
     assert np.array_equal(got[~bad], second[~bad])

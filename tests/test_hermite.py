@@ -11,6 +11,7 @@ import scipy.linalg
 from mhfie.hermite import (
     MAX_RULE_DEGREE,
     HermiteRule,
+    _build_rule,
     _hermite_rows,
     _initial_roots,
     hermite_eval,
@@ -85,19 +86,43 @@ def test_scaled_eval_underflows_to_zero():
     assert hermite_eval_scaled(3, 50.0) == 0.0
 
 
+def scaled_mp(n: int, z: float) -> float:
+    """h_n(z) from mpmath at 50 digits, rounded to a double."""
+    with mpmath.workdps(50):
+        zm = mpmath.mpf(z)
+        return float(
+            mpmath.hermite(n, zm)
+            * mpmath.exp(-zm * zm / 2)
+            / mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
+        )
+
+
 def test_scaled_eval_and_table_where_the_gaussian_underflows():
     for (n, z), rounded in H_SCALED_FAR.items():
-        with mpmath.workdps(50):
-            zm = mpmath.mpf(z)
-            expected = float(
-                mpmath.hermite(n, zm)
-                * mpmath.exp(-zm * zm / 2)
-                / mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
-            )
+        expected = scaled_mp(n, z)
         assert expected == pytest.approx(rounded, rel=1e-14)
         assert hermite_eval_scaled(n, z) == pytest.approx(expected, rel=1e-12)
         table = hermite_scaled_table(n, np.array([-z, z]))
         np.testing.assert_allclose(table[n], [expected, expected], rtol=1e-12)
+
+
+def test_scaled_table_against_mpmath_up_to_max_degree():
+    # The monic values may grow by 2^176 between rescalings and the row
+    # scale sqrt(2^k / k!) falls to 2^-8527 at k = 2000; only their
+    # product, taken through integer exponents, is a double.  Values below
+    # the smallest normal double may round to 0.0, as h_n itself does.
+    z = np.array([0.3, 5.0, 12.0, 40.0, 62.8])
+    rows = [0, 1, 17, 100, 500, 1000, 1999, 2000]
+    table = hermite_scaled_table(MAX_RULE_DEGREE, z)
+    expected = np.array([[scaled_mp(n, zj) for zj in z] for n in rows])
+    np.testing.assert_allclose(table[rows], expected, rtol=1e-12, atol=np.finfo(float).tiny)
+
+
+def test_scaled_eval_at_degree_ten_thousand():
+    # the range the docstring promises: the row scale is 2^-54229 and
+    # exp(-z^2/2) is e^-5000, far outside double range on their own
+    expected = scaled_mp(10**4, 100.0)
+    assert hermite_eval_scaled(10**4, 100.0) == pytest.approx(expected, rel=1e-13)
 
 
 def test_scaled_table_matches_pointwise_eval():
@@ -209,6 +234,24 @@ def test_log_weights_survive_underflow():
     assert rule.log_weights[0] < rule.log_weights[rule.degree // 2]
 
 
+def test_rule_gaussian_moments_over_the_benchmark_degrees():
+    # One degree in nine over 200-764, the rule-hi benchmark's range: the
+    # flat quadrature sums of z^k, k <= 4, stay within 2e-15 of the exact
+    # moments.  A float log of |q_N| 2^e, with e in the thousands, would
+    # leave errors near 1e-13 in the weights.
+    worst = 0.0
+    for degree in range(200, 765, 9):
+        rule = _build_rule(degree)
+        for k in range(5):
+            value = float(rule.weights @ rule.nodes**k)
+            if k % 2 == 0:
+                exact = math.gamma((k + 1) / 2.0)
+                worst = max(worst, abs(value - exact) / exact)
+            else:
+                worst = max(worst, abs(value) / math.gamma((k + 2) / 2.0))
+    assert worst <= 2e-15
+
+
 @pytest.mark.parametrize("degree", [765, 1000, MAX_RULE_DEGREE])
 def test_rule_holds_up_to_max_degree(degree):
     # from degree 765 up exp(-z^2/2) underflows at the extreme nodes, so the
@@ -245,8 +288,8 @@ def eigen_rule(degree: int):
 
     The squared nonnegative nodes are the eigenvalues of the Laguerre Jacobi
     matrix with parameter -1/2 (even node count) or +1/2 (odd count, plus
-    the exact node 0.0); one Newton step on the normalized recurrence
-    polishes them, and the weight takes p_N there to first order.  Returns
+    the exact node 0.0); one Newton step on the monic recurrence polishes
+    them, and the weight takes q_N there to first order.  Returns
     the nodes and log-weights, both mirrored and renormalized to sqrt(pi).
     """
     count = degree + 1
@@ -259,18 +302,13 @@ def eigen_rule(degree: int):
             2.0 * j + (a + 1.0), np.sqrt(j[1:] * (j[1:] + a))
         )
     z = np.concatenate([np.zeros(odd), np.sqrt(squares)])
-    rows = collections.deque([(np.zeros_like(z), 0)], maxlen=3)
-    rows.extend(_hermite_rows(count, z))
-    p_top, exponent = rows[2]
-    p_sub, p_deg = (np.ldexp(p, e - exponent) for p, e in (rows[0], rows[1]))
-    delta = -p_top / (math.sqrt(2.0 * count) * p_deg)
+    q_deg, q_top, exponent = collections.deque(_hermite_rows(count, z), maxlen=1).pop()
+    delta = -q_top / (count * q_deg)
+    # q_N' = N q_{N-1} = 2 (z q_N - q_{N+1}) by the monic recurrence
+    mantissa, e = np.frexp(q_deg + delta * 2.0 * (z * q_deg - q_top))
     z = z + delta
-    p_deg = p_deg + delta * math.sqrt(2.0 * degree) * p_sub
-    log_w = (
-        0.5 * math.log(math.pi)
-        - math.log(count)
-        - 2.0 * (np.log(np.abs(p_deg)) + exponent * math.log(2.0))
-    )
+    e = e + exponent
+    log_w = -2.0 * (np.log(np.abs(mantissa)) + (e - e.min()) * math.log(2.0))
     nodes = np.concatenate([-z[odd:][::-1], z])
     log_weights = np.concatenate([log_w[odd:][::-1], log_w])
     log_weights = log_weights + math.log(SQRT_PI / np.sum(np.exp(log_weights)))
