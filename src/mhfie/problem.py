@@ -5,8 +5,11 @@ Equations have the form
     lambda u(x) = g(x) + integral_0^1 theta(s, x) psi(s, u(s)) ds
 
 on (0,1) (and the tensor analog on the unit square), with theta weakly
-singular: |x-s|^(-mu) or log|x-s| times a smooth factor, or a custom
-kernel with endpoint singularities only.
+singular.  Every kernel has one form: a diagonal type, |x-s|^(-mu),
+log|x-s| or none (1), times an optional factor k(s, 1-s, x, 1-x) that
+takes each point with its complement, so endpoint singularities such as
+(1-s)^(-1/2) are evaluated at full precision.  2D kernels are per-axis
+products of diagonal types and take no factor.
 
 Forcing for manufactured solutions is produced by a reference integrator:
 the integral is split at the diagonal singularity and each piece handled
@@ -82,10 +85,21 @@ def _level_table(level: int) -> tuple:
 
 
 def _weighted_values(f, length: float, level: int) -> np.ndarray:
-    """w * f(r, length - r) at every node of one level, w the map's derivative."""
+    """w * f(r, length - r) at every node of one level, w the map's derivative.
+
+    A node whose offset r or length - r underflows to 0 contributes 0, not
+    f at an endpoint.  r rises and length - r falls along the nodes, so
+    when the first r and the last length - r are positive, all are.
+    """
     sig, sig_c, cosh = _level_table(level)
     w = length * math.pi * cosh * sig * sig_c
-    return w * np.asarray(f(length * sig, length * sig_c), dtype=float)
+    r, comp = length * sig, length * sig_c
+    if r[0] > 0.0 and comp[-1] > 0.0:
+        return w * np.asarray(f(r, comp), dtype=float)
+    keep = (r > 0.0) & (comp > 0.0)
+    out = np.zeros_like(w)
+    out[keep] = w[keep] * np.asarray(f(r[keep], comp[keep]), dtype=float)
+    return out
 
 
 def tanh_sinh(f, length: float, tol: float = 1e-12,
@@ -95,7 +109,8 @@ def tanh_sinh(f, length: float, tol: float = 1e-12,
     f(r, length - r) receives the offsets from both endpoints, each
     computed from the logistic form of the node map without cancellation,
     so integrable endpoint singularities can be evaluated at full
-    precision arbitrarily close to the endpoints.  f must accept arrays.
+    precision arbitrarily close to the endpoints; a node where either
+    offset underflows to 0 contributes 0.  f must accept arrays.
 
     Level l has the nodes t = j 2^-l, |t| <= 6.1, whose unit abscissae come
     from a per-process table (levels up to 12).  Levels halve the step
@@ -148,24 +163,24 @@ def tanh_sinh(f, length: float, tol: float = 1e-12,
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Weakly singular kernel description.
+    """Weakly singular kernel: a diagonal type times an optional factor.
 
-    kind "algebraic": theta(s,x) = |x-s|^(-mu) * k(s,x), mu in (0,1)
-    (per-dimension tuple in 2D); kind "log": theta(s,x) = log|x-s| * k(s,x).
-    kind "custom" carries the kernel whole as fn(s, x, one_minus_s) - the
-    complement argument lets endpoint-singular kernels such as
-    (1-s)^(-1/2) be evaluated at full precision; custom kernels must not
-    be singular on the diagonal and take no smooth_factor.
+    kind "algebraic": theta(s,x) = |x-s|^(-mu) * k, mu in (0,1) (per-dimension
+    tuple in 2D); kind "log": theta(s,x) = log|x-s| * k; kind "none":
+    theta(s,x) = k.  The factor k = factor(s, 1-s, x, 1-x) defaults to 1
+    and takes each point with its complement, so endpoint-singular factors
+    such as (1-s)^(-1/2) are evaluated at full precision.  It must accept
+    arrays and is one-dimensional only: a 2D kernel is the per-axis product
+    of its diagonal types.
     """
 
     kind: str
     mu: Optional[tuple] = None
-    smooth_factor: Optional[Callable] = None
-    fn: Optional[Callable] = None
+    factor: Optional[Callable] = None
     dimension: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("algebraic", "log", "custom"):
+        if self.kind not in ("algebraic", "log", "none"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
@@ -178,50 +193,51 @@ class KernelSpec:
                     f"algebraic kernels need mu in (0,1) per dimension, got {self.mu}"
                 )
             object.__setattr__(self, "mu", mu)
-        if self.kind == "custom":
-            if self.fn is None:
-                raise ValueError("custom kernels require fn")
-            if self.dimension != 1:
-                raise ValueError("custom kernels are only supported in one dimension")
-            if self.smooth_factor is not None:
-                raise ValueError(
-                    "custom kernels carry the whole kernel in fn; a smooth_factor "
-                    "would be ignored"
-                )
+        elif self.mu is not None:
+            raise ValueError(f"{self.kind} kernels take no mu, got {self.mu}")
+        if self.dimension == 2 and self.factor is not None:
+            raise ValueError(
+                "2D kernels take no factor: the solver needs a kernel that "
+                "separates per axis"
+            )
 
 
 def _axis_singular(kernel: KernelSpec, axis: int):
-    """Diagonal factor for one axis: returns f(|x-s|) as a function of the gap."""
+    """Diagonal factor for one axis as a function of the gap |x-s|; None for
+    kind "none"."""
     if kernel.kind == "algebraic":
         mu = kernel.mu[axis]
         return lambda r: r**-mu
     if kernel.kind == "log":
         return np.log
-    raise ValueError(f"kernel kind {kernel.kind!r} has no diagonal factor")
+    return None
 
 
 def kernel_eval(spec: KernelSpec, s, x, t=None, y=None):
     """Point evaluation of the kernel; guards the diagonal singularity.
 
-    For algebraic/log kinds a gap |x-s| (or |y-t|) below 1e-14 raises,
-    naming the offending pair.  Custom kernels receive (s, x, 1-s).
+    Where the kernel has a diagonal factor, a gap |x-s| (or |y-t|) below
+    1e-14 raises, naming the offending pair.  The factor receives
+    (s, 1-s, x, 1-x).
     """
-    if spec.kind == "custom":
-        return spec.fn(s, x, 1.0 - np.asarray(s, dtype=float))
     if spec.dimension == 2 and (t is None or y is None):
         raise ValueError("two-dimensional kernels require s, t, x, y")
     sources, targets = (s, t)[: spec.dimension], (x, y)[: spec.dimension]
     val = 1.0
     for axis, (si, xi) in enumerate(zip(sources, targets)):
+        sing = _axis_singular(spec, axis)
+        if sing is None:
+            continue
         gap = abs(xi - si)
         if gap < DIAG_GUARD:
             raise ValueError(
                 f"kernel is singular at the diagonal on axis {axis}: "
                 f"s={float(si)!r}, x={float(xi)!r}"
             )
-        val = val * _axis_singular(spec, axis)(gap)
-    if spec.smooth_factor is not None:
-        val = val * spec.smooth_factor(*sources, *targets)
+        val = val * sing(gap)
+    if spec.factor is not None:
+        s, x = (np.asarray(v, dtype=float) for v in (s, x))
+        val = val * spec.factor(s, 1.0 - s, x, 1.0 - x)
     return val
 
 
@@ -316,7 +332,8 @@ class ProblemSpec:
     solution, u(s) written as a function of (s, 1-s) (per axis in 2D, so
     (x, 1-x, y, 1-y)).  The reference integrator and the solver use it so
     solutions such as log(s)log(1-s) stay finite when s rounds to 1; the
-    separable factors a_r, b_r use the same (s, 1-s) signature.
+    separable factors a_r, b_r use the same (s, 1-s) signature, and the
+    kernel's factor the same pairs, (s, 1-s, x, 1-x).
     """
 
     name: str
@@ -351,57 +368,30 @@ class ProblemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12) -> float:
-    """integral_0^1 theta(s, x) func(s, 1-s) ds via split tanh-sinh quadrature.
+def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12,
+                      axis: int = 0) -> float:
+    """integral_0^1 theta(s, x) func(s, 1-s) ds via split tanh-sinh quadrature,
+    theta the kernel of one axis (a 2D kernel is a product of per-axis
+    diagonal factors).
 
-    Diagonal kinds are split at s = x; on each piece the singular factor is
-    evaluated from the offset r = |s - x| directly.  func receives both s
-    and 1-s, each at full precision near its endpoint, and must accept
-    arrays.
+    The integral is split at s = x; on each piece the diagonal factor is
+    evaluated from the offset r = |s - x| directly.  func and the kernel's
+    factor receive both s and 1-s, each at full precision near its
+    endpoint, and must accept arrays.
     """
-    if kernel.kind == "custom":
-        return tanh_sinh(
-            lambda r, comp: np.asarray(kernel.fn(r, x, comp), dtype=float)
-            * np.asarray(func(r, comp), dtype=float),
-            1.0,
-            tol=tol,
-        )
-    sing = _axis_singular(kernel, 0)
-    if kernel.smooth_factor is None:
-        smooth = lambda s: 1.0
-    else:
-        smooth = lambda s: np.asarray(kernel.smooth_factor(s, x), dtype=float)
-
+    sing = _axis_singular(kernel, axis) or (lambda r: 1.0)
+    factor = kernel.factor or (lambda s, oms, x, omx: 1.0)
     one_minus_x = 1.0 - x
-    # left piece: s = x - r, so s equals the complement offset exactly
-    left = tanh_sinh(
-        lambda r, s: sing(r) * smooth(s)
-        * np.asarray(func(s, one_minus_x + r), dtype=float),
-        x,
-        tol=0.5 * tol,
-    )
+
+    def piece(r, s, oms):
+        return (sing(r) * np.asarray(factor(s, oms, x, one_minus_x), dtype=float)
+                * np.asarray(func(s, oms), dtype=float))
+
+    # left piece: s = x - r, so s equals the complement offset exactly;
     # right piece: s = x + r and 1 - s equals the complement offset exactly
-    right = tanh_sinh(
-        lambda r, comp: sing(r)
-        * smooth(x + r)
-        * np.asarray(func(x + r, comp), dtype=float),
-        1.0 - x,
-        tol=0.5 * tol,
-    )
+    left = tanh_sinh(lambda r, s: piece(r, s, one_minus_x + r), x, tol=0.5 * tol)
+    right = tanh_sinh(lambda r, comp: piece(r, x + r, comp), 1.0 - x, tol=0.5 * tol)
     return left + right
-
-
-def _axis_kernel(kernel: KernelSpec, axis: int) -> KernelSpec:
-    """The kernel of one axis: a one-dimensional kernel itself, or the factor
-    on that axis of a two-dimensional product kernel."""
-    if kernel.dimension == 1:
-        return kernel
-    if kernel.smooth_factor is not None:
-        raise OracleError(
-            "manufactured forcing in 2D requires a product kernel (smooth factor 1)"
-        )
-    mu = None if kernel.mu is None else (kernel.mu[axis],)
-    return KernelSpec(kind=kernel.kind, mu=mu, dimension=1)
 
 
 def exact_values(spec: ProblemSpec, points: tuple, complements: tuple) -> np.ndarray:
@@ -436,9 +426,7 @@ def _axis_action(spec: ProblemSpec, axis: int, term: int, func, x: float,
     (axis, term, x, tol) on the spec."""
     key = (axis, term, x, tol)
     if key not in spec._cache:
-        spec._cache[key] = _kernel_action_1d(
-            _axis_kernel(spec.kernel, axis), func, x, tol=tol
-        )
+        spec._cache[key] = _kernel_action_1d(spec.kernel, func, x, tol=tol, axis=axis)
     return spec._cache[key]
 
 
@@ -556,8 +544,8 @@ def _make_ex2_sqrt() -> ProblemSpec:
         dimension=1,
         lam=1.0,
         kernel=KernelSpec(
-            kind="custom",
-            fn=lambda s, x, comp: comp**-0.5,
+            kind="none",
+            factor=lambda s, oms, x, omx: oms**-0.5,
             dimension=1,
         ),
         nonlinearity=Nonlinearity.identity(1),

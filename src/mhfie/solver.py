@@ -48,13 +48,12 @@ plan, kept in the package's one byte-bounded memo (mhfie._memo) under
 ("plan", alpha, n), serves both axes and both routes of solve and
 assemble_nystrom.  A plan builds E on first use, after the kernel factor
 has checked the node gap, so a solve the check refuses builds none.  A
-kernel that is its singular factor alone depends only on (kind, mu), the
-plan and the route, so its read-only kernel factor W = theta * coeffs and,
-from the first 2D solve that asks, the eigenpairs of W E that the
-preconditioner diagonalizes are kept under
-("kernel", alpha, n, method, kind, mu); both axes of a 2D solve with one
-exponent share them.  Custom kernels and kernels with a smooth factor
-depend on the problem and are built per call.
+kernel without a factor depends only on (kind, mu), the plan and the
+route, so its read-only kernel factor W = theta * coeffs and, from the
+first 2D solve that asks, the eigenpairs of W E that the preconditioner
+diagonalizes are kept under ("kernel", alpha, n, method, kind, mu); both
+axes of a 2D solve with one exponent share them.  A kernel with a factor
+(1D only) depends on the problem and is built per call.
 Only a process that repeats a key gains, such as a study of several problems
 or forcings at one discretization; a convergence ladder solves each key once.
 
@@ -228,16 +227,16 @@ def _quad_coeffs(rule: MhfRule, method: str) -> np.ndarray:
 
 def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
                   axis: int = 0) -> np.ndarray:
-    """Kernel values theta(s_k, x_i) on quadrature x collocation nodes."""
+    """Kernel values theta(s_k, x_i) on quadrature x collocation nodes.
+
+    The node gap is checked only where the kernel has a diagonal factor.
+    """
     kernel = problem.kernel
     x = rule_c.nodes[:, None]
     s = rule_q.nodes[None, :]
-    if kernel.kind == "custom":
-        comp = rule_q.nodes_complement[None, :]
-        theta = np.broadcast_to(
-            np.asarray(kernel.fn(s, x, comp), dtype=float),
-            (rule_c.nodes.size, rule_q.nodes.size),
-        ).copy()
+    sing = _axis_singular(kernel, axis)
+    if sing is None:
+        theta = np.ones((rule_c.nodes.size, rule_q.nodes.size))
     else:
         gap = np.abs(x - s)
         gmin = float(np.min(gap))
@@ -250,9 +249,13 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
                 f"s[{k}]={float(rule_q.nodes[k])!r} are {gmin:.2e} apart; nodes cluster "
                 "at an endpoint; lower n or raise alpha"
             )
-        theta = _axis_singular(kernel, axis)(gap)
-        if kernel.smooth_factor is not None:
-            theta = theta * np.asarray(kernel.smooth_factor(s, x), dtype=float)
+        theta = sing(gap)
+    if kernel.factor is not None:
+        theta = theta * np.asarray(
+            kernel.factor(s, rule_q.nodes_complement[None, :],
+                          x, rule_c.nodes_complement[:, None]),
+            dtype=float,
+        )
     if not np.all(np.isfinite(theta)):
         i, k = np.unravel_index(int(np.argmax(~np.isfinite(theta))), theta.shape)
         raise AssemblyError(
@@ -344,9 +347,9 @@ def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, method: str
     quadrature coefficients of the plan's quadrature rule by the method's
     route.
 
-    A kernel that is its singular factor alone depends only on (kind, mu),
-    the plan and the method, so its factor is taken from get; a custom
-    kernel or one with a smooth factor is built anew on every call.
+    A kernel without a factor depends only on (kind, mu), the plan and the
+    method, so its W is taken from get; a kernel with a factor depends on
+    the problem and is built anew on every call.
     """
 
     def build() -> _KernelFactor:
@@ -356,7 +359,7 @@ def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, method: str
         return _KernelFactor(w, plan.e)
 
     kernel = problem.kernel
-    if kernel.kind == "custom" or kernel.smooth_factor is not None:
+    if kernel.factor is not None:
         return build()
     mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
     basis = plan.rule_c.basis
@@ -431,11 +434,6 @@ def _build(problem: ProblemSpec, config: SolverConfig,
     """
     dim = problem.dimension
     config.check_dimension(dim)
-    if dim == 2 and problem.kernel.smooth_factor is not None:
-        raise AssemblyError(
-            f"problem {problem.name!r}: 2D kernel smooth factors are not supported "
-            "by the factored solver, which needs a kernel that separates per axis"
-        )
     # one plan for both axes; through it one kernel factor unless the
     # exponents differ
     plan = get(("plan", config.alpha, config.n),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -223,12 +224,10 @@ def test_kernel_spec_validation():
         KernelSpec(kind="algebraic", mu=(1.5,), dimension=1)
     with pytest.raises(ValueError, match="mu"):
         KernelSpec(kind="algebraic", mu=(0.5,), dimension=2)
-    with pytest.raises(ValueError, match="fn"):
-        KernelSpec(kind="custom")
-    with pytest.raises(ValueError, match="one dimension"):
-        KernelSpec(kind="custom", fn=lambda s, x, c: s, dimension=2)
-    with pytest.raises(ValueError, match="smooth_factor"):
-        KernelSpec(kind="custom", fn=lambda s, x, c: s, smooth_factor=lambda s, x: 100.0)
+    with pytest.raises(ValueError, match="log kernels take no mu"):
+        KernelSpec(kind="log", mu=(0.3,))
+    with pytest.raises(ValueError, match="none kernels take no mu"):
+        KernelSpec(kind="none", mu=(0.3,))
 
 
 def test_kernel_eval_pointwise_values():
@@ -237,7 +236,7 @@ def test_kernel_eval_pointwise_values():
     log = KernelSpec(kind="log", dimension=1)
     assert kernel_eval(log, 0.25, 0.5) == pytest.approx(math.log(0.25), rel=1e-14)
     smooth = KernelSpec(
-        kind="log", smooth_factor=lambda s, x: s + x, dimension=1
+        kind="log", factor=lambda s, oms, x, omx: s + x, dimension=1
     )
     assert kernel_eval(smooth, 0.25, 0.5) == pytest.approx(
         0.75 * math.log(0.25), rel=1e-14
@@ -261,16 +260,17 @@ def test_kernel_eval_two_dimensional_product():
         kernel_eval(spec, 0.25, 0.5)
 
 
-def test_kernel_eval_custom_receives_complement():
+def test_kernel_eval_factor_receives_complements():
     seen = {}
 
-    def fn(s, x, comp):
-        seen["args"] = (s, x, comp)
-        return comp
+    def factor(s, oms, x, omx):
+        seen["args"] = (s, oms, x, omx)
+        return oms
 
-    spec = KernelSpec(kind="custom", fn=fn, dimension=1)
+    # kind "none" has no diagonal factor, so s = x is no singularity
+    spec = KernelSpec(kind="none", factor=factor, dimension=1)
     assert kernel_eval(spec, 0.75, 0.75) == pytest.approx(0.25, rel=1e-12)
-    assert seen["args"][2] == pytest.approx(0.25, rel=1e-12)
+    assert seen["args"] == pytest.approx((0.75, 0.25, 0.75, 0.25), rel=1e-12)
 
 
 def test_exact_smooth_integral_values():
@@ -285,7 +285,7 @@ def test_exact_smooth_integral_values():
     with pytest.raises(ValueError):
         exact_smooth_integral("algebraic", 0.5)
     with pytest.raises(ValueError):
-        exact_smooth_integral("custom", 0.5)
+        exact_smooth_integral("none", 0.5)
 
 
 def test_exact_smooth_integral_matches_reference_quadrature():
@@ -439,6 +439,20 @@ def test_manufactured_forcing_symmetry():
     )
 
 
+@pytest.mark.parametrize("name", ["ex1-log", "ex1-alg"])
+def test_manufactured_forcing_at_the_largest_ladder_nodes_warns_nothing(name):
+    # the first nodes lie within 1e-24 of 0, where tanh-sinh offsets
+    # underflow to 0; those nodes contribute 0 instead of log(0) or 0^-mu
+    spec = get_problem(name)
+    rule = mhf_gauss_rule(MhfBasis(alpha=spec.default_alpha, degree=400))
+    assert rule.nodes[0] < 1e-24
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [manufactured_forcing(spec, x, x_comp=xc)
+                  for x, xc in zip(rule.nodes.tolist(), rule.nodes_complement.tolist())]
+    assert np.all(np.isfinite(values))
+
+
 def test_manufactured_forcing_argument_checks():
     spec = get_problem("ex1-log")
     with pytest.raises(ValueError, match="single coordinate"):
@@ -465,7 +479,8 @@ def test_one_dimensional_forcing_with_smooth_factor_matches_mpmath():
         name="smooth-1d",
         dimension=1,
         lam=10.0,
-        kernel=KernelSpec(kind="log", smooth_factor=lambda s, x: 1.0 + s * x, dimension=1),
+        kernel=KernelSpec(kind="log", factor=lambda s, oms, x, omx: 1.0 + s * x,
+                          dimension=1),
         nonlinearity=Nonlinearity.square(1),
         exact_solution=lambda x: np.sqrt(x * (1.0 - x)),
     )
@@ -508,12 +523,11 @@ def test_two_dimensional_forcing_for_constant_solution():
         assert manufactured_forcing(spec, x, 0.5) == pytest.approx(10.0 - ix * iy, abs=1e-9)
 
 
-def test_two_dimensional_forcing_requires_a_product_kernel():
-    kernel = KernelSpec(
-        kind="log", smooth_factor=lambda s, t, x, y: 1.0 + s * x, dimension=2
-    )
-    with pytest.raises(OracleError, match="product kernel"):
-        manufactured_forcing(unit_2d_problem(kernel), 0.3, 0.6)
+def test_two_dimensional_kernel_factor_is_rejected():
+    # a 2D kernel is a per-axis product of diagonal types; a factor, which
+    # need not separate per axis, is refused when the kernel is made
+    with pytest.raises(ValueError, match="2D kernels take no factor"):
+        KernelSpec(kind="log", factor=lambda s, oms, x, omx: 1.0 + s * x, dimension=2)
 
 
 def test_two_dimensional_forcing_requires_separable_form():

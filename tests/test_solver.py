@@ -147,8 +147,8 @@ def test_assembly_rejects_nonfinite_kernel():
         dimension=1,
         lam=1.0,
         kernel=KernelSpec(
-            kind="custom",
-            fn=lambda s, x, comp: np.full(np.broadcast(s, x).shape, np.inf),
+            kind="none",
+            factor=lambda s, oms, x, omx: np.full(np.broadcast(s, x).shape, np.inf),
             dimension=1,
         ),
         nonlinearity=Nonlinearity.identity(1),
@@ -156,6 +156,17 @@ def test_assembly_rejects_nonfinite_kernel():
     )
     with pytest.raises(AssemblyError, match="finite"):
         assemble_nystrom(bad, SolverConfig(n=4))
+
+
+def test_kernel_factor_receives_the_stored_complements():
+    # at N=400 the quadrature node nearest 1 rounds to 1.0, so only the
+    # rule's stored complement keeps ex2-sqrt's (1-s)^(-1/2) finite
+    prob = get_problem("ex2-sqrt")
+    plan = mhfie.solver._build_axis_plan(prob.default_alpha, MAX_N_1D)
+    assert plan.rule_q.nodes[-1] == 1.0
+    theta = mhfie.solver._theta_matrix(prob, plan.rule_q, plan.rule_c)
+    want = plan.rule_q.nodes_complement[-1] ** -0.5
+    assert np.all(theta[:, -1] == want)
 
 
 def test_newton_driver_scalar_quadratic():
@@ -343,7 +354,7 @@ def test_zero_smooth_factor_reduces_to_scaled_forcing():
         lam=2.0,
         kernel=KernelSpec(
             kind="log",
-            smooth_factor=lambda s, x: np.zeros(np.broadcast(s, x).shape),
+            factor=lambda s, oms, x, omx: np.zeros(np.broadcast(s, x).shape),
             dimension=1,
         ),
         nonlinearity=Nonlinearity.identity(1),
@@ -444,11 +455,11 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
         raise AssertionError("kernel matrix rebuilt")
 
     # no Hermite rule is built, and the solve maps no rule: its plan is
-    # memoized; a kernel that is its singular factor alone keeps its W and,
-    # in 2D, its eigenpairs
+    # memoized; a kernel without a factor keeps its W and, in 2D, its
+    # eigenpairs
     monkeypatch.setattr(mhfie.hermite, "_build_rule", no_rebuild)
     monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_plan_rule)
-    kept = prob.kernel.kind != "custom"
+    kept = prob.kernel.factor is None
     if kept:
         monkeypatch.setattr(mhfie.solver, "_theta_matrix", no_rebuild_kernel)
         monkeypatch.setattr(np.linalg, "eig", no_rebuild_kernel)
@@ -859,23 +870,6 @@ def test_unconverged_gmres_raises_solver_error(monkeypatch):
     message = r"Newton iteration 1: GMRES .* n=8: .*Krylov residual 1\.00e\+00"
     with pytest.raises(SolverError, match=message):
         solve(get_problem("ex3-alg"), SolverConfig(n=8, alpha=0.5))
-
-
-def test_two_dimensional_smooth_factor_is_rejected():
-    prob = ProblemSpec(
-        name="smooth-2d",
-        dimension=2,
-        lam=10.0,
-        kernel=KernelSpec(
-            kind="log",
-            smooth_factor=lambda s, t, x, y: 1.0 + s * t * x * y,
-            dimension=2,
-        ),
-        nonlinearity=Nonlinearity.square(2),
-        forcing=lambda x, y: np.ones_like(x * y),
-    )
-    with pytest.raises(AssemblyError, match="2D kernel smooth factors are not supported"):
-        solve(prob, SolverConfig(n=4, alpha=0.5))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
