@@ -523,9 +523,10 @@ def test_two_dimensional_forcing_for_constant_solution():
         assert manufactured_forcing(spec, x, 0.5) == pytest.approx(10.0 - ix * iy, abs=1e-9)
 
 
-def test_two_dimensional_kernel_factor_is_rejected():
+def test_two_dimensional_forcing_requires_a_product_kernel():
     # a 2D kernel is a per-axis product of diagonal types; a factor, which
-    # need not separate per axis, is refused when the kernel is made
+    # need not separate per axis, is refused when the kernel is made, before
+    # any forcing could be manufactured from it
     with pytest.raises(ValueError, match="2D kernels take no factor"):
         KernelSpec(kind="log", factor=lambda s, oms, x, omx: 1.0 + s * x, dimension=2)
 

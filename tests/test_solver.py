@@ -872,6 +872,17 @@ def test_unconverged_gmres_raises_solver_error(monkeypatch):
         solve(get_problem("ex3-alg"), SolverConfig(n=8, alpha=0.5))
 
 
+def test_two_dimensional_smooth_factor_is_rejected():
+    # the 2D solve assembles per-axis factors of diagonal type only, so a 2D
+    # kernel with a factor never reaches it: the kernel itself is refused
+    with pytest.raises(ValueError, match="2D kernels take no factor"):
+        KernelSpec(
+            kind="log",
+            factor=lambda s, oms, x, omx: 1.0 + s * x,
+            dimension=2,
+        )
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_constant_forcing_broadcasts_to_the_grid(dim):
     # a forcing callable may return a scalar; one that returns a shape the
