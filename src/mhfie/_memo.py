@@ -1,8 +1,9 @@
 """The one memo for work kept between calls.
 
-The solver's axis plans, the kernel factors of each plan and the Cauchy
-terms of interpolants on the fixed error grids live in one least-recently-used
-memo with one byte cap, under keys tagged "plan", "kernel" and "terms".
+The solver's axis plans, the kernel factors of each plan, the error norms'
+rules and the Cauchy terms of interpolants on the fixed error grids and at
+those rules' nodes live in one least-recently-used memo with one byte cap,
+under keys tagged "plan", "kernel", "norm-rule" and "terms".
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from collections import OrderedDict
 from typing import Callable
 
 # Bytes the memo keeps.  A 1D plan at MAX_N_1D is charged 1.3 MB, its kernel
-# factor 2.6 MB (W and the E it references) and its Cauchy terms on the 1D
-# error grid 9.6 MB, so one of each fits with room to spare; the benchmark's
-# 1D sweep keeps 9.0 MB in all and evicts nothing.
+# factor 3.9 MB (W, the E it references and K = W E), its Cauchy terms on the
+# 1D error grid 9.6 MB and its norm rule with the terms at that rule's nodes
+# 2.7 MB, so one of each fits with room to spare; the benchmark's 1D sweep
+# keeps 9.7 MB in all and evicts nothing.
 MEMO_BYTES = 32 * 2**20
 
 

@@ -200,19 +200,15 @@ def _differences(basis: LagrangeBasis, x) -> tuple:
 
 
 class _CauchyTerms(NamedTuple):
-    """Terms c = w_j / (t - t_j) at a set of points, finite at node hits, and
-    what the two barycentric forms need to turn them into cardinal rows."""
+    """Barycentric terms at a set of points: row i of c over den[i] is the
+    cardinal row at point i (see _compute_terms)."""
 
     c: np.ndarray
-    den: np.ndarray  # sum of each row of c, or one where it cancels (see _compute_terms)
-    rows: np.ndarray  # (point, node) index pairs of the node hits
-    cols: np.ndarray
-    cancelled: np.ndarray  # points whose row sum cancels to 0 or is not finite
-    first: np.ndarray  # their cardinal rows by the first form
+    den: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(arr.nbytes for arr in self)
+        return self.c.nbytes + self.den.nbytes
 
 
 def _fixed_grid(t_count: int, uniform_count: int) -> np.ndarray:
@@ -233,65 +229,70 @@ def _compute_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
     """Cauchy terms at any points, computed anew and read-only, so the memo
     may share them; d is divided in place.
 
-    Near the ends of the node span, and past them, the terms of a row
-    cancel, and their sum can come out exactly 0 (at alpha 2 and N = 280,
-    at 4 points of the error norms' rule); a non-finite sum is as
-    unusable.  Such a row keeps
-    the denominator one, and its cardinal row is taken by the first
-    (modified Lagrange) form l_j(t) = w_j prod_k (t - t_k) / (t - t_j) in
-    log magnitude, which is _damped_rows at scale zero.  Every other row is
-    the second form's.
+    Most rows are the second barycentric form's: c = w_j / (t - t_j) and
+    den their sum.  Two kinds of row are folded in here, with den one, so
+    that every row is evaluated as (c @ values) / den:
+
+    - A point that hits a node gets the unit row of that node.
+    - Near the ends of the node span, and past them, the terms of a row
+      cancel, and their sum can come out exactly 0 (at alpha 2 and N = 280,
+      at 4 points of the error norms' rule); a non-finite sum is as
+      unusable.  Such a row is the cardinal row by the first (modified
+      Lagrange) form l_j(t) = w_j prod_k (t - t_k) / (t - t_j) in log
+      magnitude, which is _damped_rows at scale zero.
     """
     d, rows, cols = _differences(basis, x)
     c = np.divide(basis.weights[None, :], d, out=d)
     den = np.sum(c, axis=1)
     cancelled = np.flatnonzero((den == 0.0) | ~np.isfinite(den))
-    first = np.empty((0, basis.nodes_t.size))
     if cancelled.size:
         pts = np.atleast_1d(np.asarray(x, dtype=float))[cancelled]
-        first = _damped_rows(basis.nodes_t, np.log(pts) - np.log1p(-pts), 0.0)
+        c[cancelled] = _damped_rows(basis.nodes_t, np.log(pts) - np.log1p(-pts), 0.0)
         den[cancelled] = 1.0
-    terms = _CauchyTerms(c, den, rows, cols, cancelled, first)
+    c[rows] = 0.0
+    c[rows, cols] = 1.0
+    den[rows] = 1.0
+    terms = _CauchyTerms(c, den)
     for arr in terms:
         arr.setflags(write=False)
     return terms
 
 
-def _cauchy_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
-    """Cauchy terms of the basis at the points x; memoized for the fixed grids.
+def _cauchy_terms(basis: LagrangeBasis, x, tag=None) -> _CauchyTerms:
+    """Cauchy terms of the basis at the points x, memoized for fixed point sets.
 
-    Only the arrays returned by eval_grid_1d() and eval_grid_axis_2d() are
-    looked up, by identity; any other points, a copy of a grid included,
-    are computed anew.  The memo's key is the grid and the basis content,
-    so equal bases built apart (a solution's and one rebuilt from the same
-    rule) share an entry; the mhf and smoothed solutions at one (alpha, N)
-    share one basis.  Memoized terms are read-only.
+    tag names the point set x when the caller knows it: ("rule", alpha,
+    degree) for the nodes of that mapped rule, as error_norms passes them.
+    Without a tag, only the arrays returned by eval_grid_1d() and
+    eval_grid_axis_2d() are looked up, by identity; any other points, a
+    copy of a grid or of a rule's nodes included, are computed anew.  The
+    memo's key is the tag and the basis content, so equal bases built apart
+    (a solution's and one rebuilt from the same rule) share an entry; the
+    mhf and smoothed solutions at one (alpha, N) share one basis.  Memoized
+    terms are read-only.
     """
-    if x is _GRID_1D:
-        grid = "1d"
-    elif x is _GRID_AXIS_2D:
-        grid = "axis-2d"
-    else:
-        return _compute_terms(basis, x)
-    key = ("terms", grid, basis.nodes_t.tobytes(), basis.weights.tobytes(),
+    if tag is None:
+        if x is _GRID_1D:
+            tag = "1d"
+        elif x is _GRID_AXIS_2D:
+            tag = "axis-2d"
+        else:
+            return _compute_terms(basis, x)
+    key = ("terms", tag, basis.nodes_t.tobytes(), basis.weights.tobytes(),
            basis.nodes_x.tobytes())
     return memo.get(key, lambda: _compute_terms(basis, x))
 
 
-def cardinal_matrix(basis: LagrangeBasis, x) -> np.ndarray:
+def cardinal_matrix(basis: LagrangeBasis, x, tag=None) -> np.ndarray:
     """Cardinal values l_j(x) for points in the original variable.
 
     Exact hits are detected against the stored original nodes, so
     evaluation at a node returns the unit row (and interpolants return the
     stored value) exactly.  A row whose barycentric sum cancels to 0 is
-    taken by the first form (_compute_terms).
+    taken by the first form (_compute_terms).  tag is _cauchy_terms'.
     """
-    c, den, rows, cols, cancelled, first = _cauchy_terms(basis, x)
-    out = c / den[:, None]
-    out[cancelled] = first
-    out[rows] = 0.0
-    out[rows, cols] = 1.0
-    return out
+    c, den = _cauchy_terms(basis, x, tag)
+    return c / den[:, None]
 
 
 @dataclass(frozen=True)
@@ -309,12 +310,13 @@ class Interpolant1D:
         A point equal to a node returns the stored value exactly.  A row
         whose sum cancels to 0 is taken by the first form (_compute_terms).
         """
-        values = np.asarray(self.values, dtype=float)
-        c, den, rows, cols, cancelled, first = _cauchy_terms(self.basis, x)
-        out = (c @ values) / den
-        out[cancelled] = first @ values
-        out[rows] = values[cols]
+        out = self._on_grid((x,), (None,))
         return float(out[0]) if np.ndim(x) == 0 else out
+
+    def _on_grid(self, axes: tuple, tags: tuple) -> np.ndarray:
+        """Values at the points axes[0], from the Cauchy terms under tags[0]."""
+        c, den = _cauchy_terms(self.basis, axes[0], tags[0])
+        return (c @ np.asarray(self.values, dtype=float)) / den
 
     def eval_deriv(self, x):
         """Derivative with respect to the original variable x.
@@ -348,8 +350,14 @@ class Interpolant2D:
 
     def eval_grid(self, x, y) -> np.ndarray:
         """Values on the tensor grid of the two point sets, shape (len(x), len(y))."""
-        lx = cardinal_matrix(self.basis_x, x)
-        ly = lx if self.basis_y is self.basis_x and y is x else cardinal_matrix(self.basis_y, y)
+        return self._on_grid((x, y), (None, None))
+
+    def _on_grid(self, axes: tuple, tags: tuple) -> np.ndarray:
+        """eval_grid on the axes, from the Cauchy terms under the per-axis tags."""
+        (x, y), (tx, ty) = axes, tags
+        lx = cardinal_matrix(self.basis_x, x, tx)
+        same = self.basis_y is self.basis_x and y is x and ty == tx
+        ly = lx if same else cardinal_matrix(self.basis_y, y, ty)
         # A transposed right operand sends OpenBLAS with two threads down a
         # GEMM path that stalls for milliseconds at the 2D norm rule's size.
         return lx @ self.values @ np.ascontiguousarray(ly.T)
@@ -439,16 +447,24 @@ def eval_grid_axis_2d() -> np.ndarray:
     return _GRID_AXIS_2D
 
 
+def _norm_rule(alpha: float, degree: int) -> MhfRule:
+    """The mapped rule of the error norms, kept in the memo per (alpha, degree)."""
+    return memo.get(("norm-rule", alpha, degree),
+                    lambda: mhf_gauss_rule(MhfBasis(alpha=alpha, degree=degree)))
+
+
 def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None) -> ErrorNorms:
     """Sup-norm error on the fixed grid and weighted L2 error by oversampled
-    quadrature (mapped rule of degree 2N+16 per axis, one per distinct alpha,
-    mapped from the memoized Gauss-Hermite rule of that degree).
+    quadrature (mapped rule of degree 2N+16 per axis, one per distinct alpha).
 
     alpha is a scalar in one dimension, a pair in two; degree defaults to
     the approximant's own degree when it exposes one.  The approximant is
     evaluated on the tensor grid of the per-axis points (eval_grid in 2D,
-    eval or the plain callable in 1D) and exact on their indexing="ij"
-    meshgrid (in 1D, on the points themselves).
+    eval or the plain callable in 1D) and exact once on their open grid
+    (x[:, None], y[None, :]), broadcast to the tensor grid (in 1D, on the
+    points themselves).  The norm rules and an interpolant's Cauchy terms
+    at their nodes are kept in the memo, so a repeated call costs one
+    product and one call of exact per point set.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
@@ -456,24 +472,26 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         degree = getattr(approx, "degree", None)
         if degree is None:
             raise ValueError("degree must be given for plain-callable approximants")
-    values = approx.eval_grid if dim == 2 else getattr(approx, "eval", approx)
+    # an interpolant evaluates from Cauchy terms under the tags; any other
+    # approximant is called on the points
+    on_grid = getattr(approx, "_on_grid", None)
+    plain = approx.eval_grid if dim == 2 else getattr(approx, "eval", approx)
 
-    def diff(axes):
-        # the tensor grid of the axes; in 1D the axis itself, which spares
-        # the sweep's error norms a meshgrid call per evaluation
-        mesh = np.meshgrid(*axes, indexing="ij", copy=False) if dim == 2 else axes
-        d = np.asarray(values(*axes), dtype=float) - np.asarray(exact(*mesh), dtype=float)
-        return d, mesh
+    def diff(axes, tags):
+        got = plain(*axes) if on_grid is None else on_grid(axes, tags)
+        open_grid = axes if dim == 1 else (axes[0][:, None], axes[1][None, :])
+        return np.asarray(got, dtype=float) - np.asarray(exact(*open_grid), dtype=float)
 
     grid = (eval_grid_1d(),) if dim == 1 else (eval_grid_axis_2d(),) * 2
-    err_inf = float(np.max(np.abs(diff(grid)[0])))
+    err_inf = float(np.max(np.abs(diff(grid, (None,) * dim))))
     alphas = [float(a) for a in (alpha if dim == 2 else (alpha,))]
-    rules = {a: mhf_gauss_rule(MhfBasis(alpha=a, degree=2 * degree + 16)) for a in set(alphas)}
-    rules = [rules[a] for a in alphas]
-    d, mesh = diff([rule.nodes for rule in rules])
+    rule_degree = 2 * degree + 16
+    rules = [_norm_rule(a, rule_degree) for a in alphas]
+    axes = tuple(rule.nodes for rule in rules)
+    d = diff(axes, tuple(("rule", a, rule_degree) for a in alphas))
     if not np.all(np.isfinite(d)):
-        at = tuple(np.argwhere(~np.isfinite(d))[0])
-        point = ", ".join(f"{name}={float(m[at])!r}" for name, m in zip("xy", mesh))
+        at = np.argwhere(~np.isfinite(d))[0]
+        point = ", ".join(f"{name}={float(a[i])!r}" for name, a, i in zip("xy", axes, at))
         raise ValueError(f"integrand is not finite at {point}")
     # A node whose weight underflows to 0 adds nothing, however large the
     # approximant is there; its square could overflow, and 0 * inf is NaN.

@@ -84,6 +84,13 @@ class MhfRule:
     nodes_complement: np.ndarray
     hermite: HermiteRule
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of its arrays and of its Gauss-Hermite rule's."""
+        return sum(arr.nbytes for arr in (self.nodes, self.weights, self.logits,
+                                          self.nodes_complement, self.hermite.nodes,
+                                          self.hermite.weights, self.hermite.log_weights))
+
 
 def _check_unit_interval(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)

@@ -369,7 +369,7 @@ class ProblemSpec:
 
 
 def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12,
-                      axis: int = 0) -> float:
+                      axis: int = 0, x_comp: Optional[float] = None) -> float:
     """integral_0^1 theta(s, x) func(s, 1-s) ds via split tanh-sinh quadrature,
     theta the kernel of one axis (a 2D kernel is a product of per-axis
     diagonal factors).
@@ -377,11 +377,12 @@ def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12,
     The integral is split at s = x; on each piece the diagonal factor is
     evaluated from the offset r = |s - x| directly.  func and the kernel's
     factor receive both s and 1-s, each at full precision near its
-    endpoint, and must accept arrays.
+    endpoint, and must accept arrays.  x_comp is 1-x, taken as 1.0 - x when
+    not given; it is the factor's 1-x and the length of the right piece.
     """
     sing = _axis_singular(kernel, axis) or (lambda r: 1.0)
     factor = kernel.factor or (lambda s, oms, x, omx: 1.0)
-    one_minus_x = 1.0 - x
+    one_minus_x = 1.0 - x if x_comp is None else x_comp
 
     def piece(r, s, oms):
         return (sing(r) * np.asarray(factor(s, oms, x, one_minus_x), dtype=float)
@@ -390,7 +391,7 @@ def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12,
     # left piece: s = x - r, so s equals the complement offset exactly;
     # right piece: s = x + r and 1 - s equals the complement offset exactly
     left = tanh_sinh(lambda r, s: piece(r, s, one_minus_x + r), x, tol=0.5 * tol)
-    right = tanh_sinh(lambda r, comp: piece(r, x + r, comp), 1.0 - x, tol=0.5 * tol)
+    right = tanh_sinh(lambda r, comp: piece(r, x + r, comp), one_minus_x, tol=0.5 * tol)
     return left + right
 
 
@@ -421,12 +422,13 @@ def _forcing_terms(spec: ProblemSpec) -> Sequence[tuple]:
 
 
 def _axis_action(spec: ProblemSpec, axis: int, term: int, func, x: float,
-                 tol: float) -> float:
-    """integral_0^1 theta_axis(s, x) func(s, 1-s) ds, cached per
-    (axis, term, x, tol) on the spec."""
-    key = (axis, term, x, tol)
+                 x_comp: float, tol: float) -> float:
+    """integral_0^1 theta_axis(s, x) func(s, 1-s) ds, x_comp = 1-x, cached per
+    (axis, term, x, x_comp, tol) on the spec."""
+    key = (axis, term, x, x_comp, tol)
     if key not in spec._cache:
-        spec._cache[key] = _kernel_action_1d(spec.kernel, func, x, tol=tol, axis=axis)
+        spec._cache[key] = _kernel_action_1d(spec.kernel, func, x, tol=tol, axis=axis,
+                                             x_comp=x_comp)
     return spec._cache[key]
 
 
@@ -438,7 +440,8 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
     psi(., u) = sum_r prod_axis f_r,axis (one term in 1D, psi_u_separable
     in 2D) and each one-axis action A goes through the reference tanh-sinh
     integrator, split at the diagonal.  x_comp/y_comp are optional
-    precomputed values of 1-x and 1-y for points very close to 1.
+    precomputed values of 1-x and 1-y for points very close to 1; the exact
+    solution, the kernel's factor and the integration range all take them.
     """
     if spec.exact_solution is None:
         raise ValueError("manufactured forcing requires an exact solution")
@@ -448,13 +451,13 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
         raise ValueError("two-dimensional problems need both coordinates")
     point = tuple(float(v) for v in (x, y)[: spec.dimension])
     comps = tuple(
-        1.0 - v if c is None else c for v, c in zip(point, (x_comp, y_comp))
+        1.0 - v if c is None else float(c) for v, c in zip(point, (x_comp, y_comp))
     )
     total = 0.0
     for r, factors in enumerate(_forcing_terms(spec)):
         total += math.prod(
-            _axis_action(spec, axis, r, f, v, tol)
-            for axis, (f, v) in enumerate(zip(factors, point))
+            _axis_action(spec, axis, r, f, v, c, tol)
+            for axis, (f, v, c) in enumerate(zip(factors, point, comps))
         )
     return spec.lam * float(exact_values(spec, point, comps)) - total
 

@@ -273,10 +273,18 @@ class _KernelFactor:
     e: np.ndarray
 
     @functools.cached_property
+    def k(self) -> np.ndarray:
+        """The axis operator K = W E, read-only; built on first use, once per
+        factor: a 1D Jacobian with constant psi' is lam I - psi' K."""
+        k = self.w @ self.e
+        k.setflags(write=False)
+        return k
+
+    @functools.cached_property
     def eigenpairs(self) -> tuple:
-        """(l, Q, Q^-1) with W E = Q diag(l) Q^-1, read-only; built on the
+        """(l, Q, Q^-1) with K = Q diag(l) Q^-1, read-only; built on the
         first 2D solve that needs them, once per factor."""
-        values, forward = np.linalg.eig(self.w @ self.e)
+        values, forward = np.linalg.eig(self.k)
         try:
             backward = np.linalg.inv(forward)
         except np.linalg.LinAlgError as exc:
@@ -289,12 +297,12 @@ class _KernelFactor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes kept alive once complete: W, the E it references and, where
-        a 2D solve can use it (n <= MAX_N_2D), at most m + 2 m^2 complex
-        eigenpair values."""
+        """Bytes kept alive once complete: W, the E it references, K and,
+        where a 2D solve can use it (n <= MAX_N_2D), at most m + 2 m^2
+        complex eigenpair values."""
         m = self.w.shape[0]
         eigen = 16 * m * (2 * m + 1) if m <= MAX_N_2D + 1 else 0
-        return self.w.nbytes + self.e.nbytes + eigen
+        return self.w.nbytes + self.e.nbytes + 8 * m * m + eigen
 
 
 @dataclass(frozen=True)
@@ -327,12 +335,8 @@ class _AxisPlan:
     def nbytes(self) -> int:
         """Bytes kept alive: both mapped rules with their Gauss-Hermite rules,
         E and the barycentric weights of the basis, built or not."""
-        rules = sum(arr.nbytes for rule in (self.rule_c, self.rule_q)
-                    for arr in (rule.nodes, rule.weights, rule.logits, rule.nodes_complement,
-                                rule.hermite.nodes, rule.hermite.weights,
-                                rule.hermite.log_weights))
         m = self.rule_c.nodes.size
-        return rules + 8 * m * (m + 1) + self.rule_c.nodes.nbytes
+        return self.rule_c.nbytes + self.rule_q.nbytes + 8 * m * (m + 1) + self.rule_c.nodes.nbytes
 
 
 def _build_axis_plan(alpha: float, n: int) -> _AxisPlan:
@@ -557,11 +561,14 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
     """u -> Jacobian: a dense matrix in 1D, a preconditioned _Operator in 2D."""
     dpsi = problem.nonlinearity.dpsi_du
     if disc.dimension == 1:
-        (w,), (e,) = disc.w, disc.e
+        (w,), (e,), (kernel,) = disc.w, disc.e, disc.kernels
         eye = np.eye(w.shape[0])
 
         def jacobian(u: np.ndarray) -> np.ndarray:
             d = np.asarray(dpsi(*disc.quad_coords, e @ u), dtype=float)
+            if np.all(d == d.flat[0]):
+                # W diag(d) E = d K: the kept K, bitwise for d = 1
+                return disc.lam * eye - d.flat[0] * kernel.k
             return disc.lam * eye - (w * d[None, :]) @ e
 
         return jacobian

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mhfie.approx
-from mhfie._memo import memo
+from mhfie._memo import BoundedMemo, memo
 from mhfie.hermite import hermite_gauss_rule, hermite_orthonormal_table
 from mhfie.mhf import MhfBasis, gamma_n, map_to_unit, mhf_gauss_rule
 from mhfie.problem import get_problem
@@ -19,6 +20,7 @@ from mhfie.approx import (
     Interpolant1D,
     LagrangeBasis,
     _cauchy_terms,
+    _differences,
     _damped_rows,
     _gauss_cardinal_rows,
     cardinal_matrix,
@@ -172,12 +174,16 @@ def test_cancelled_row_sums_take_the_first_form():
     interp = Interpolant1D(basis=basis, values=exact(basis.nodes_x))
     values = interp.values
     points = mhf_gauss_rule(MhfBasis(alpha=1.0, degree=2 * basis.degree + 16)).nodes
-    c, den, rows, cols, cancelled, _ = _cauchy_terms(basis, points)
+    d, rows, cols = _differences(basis, points)
+    c = basis.weights[None, :] / d
     rowsum = np.sum(c, axis=1)
     bad = rowsum == 0.0
     assert np.array_equal(points[bad], [0.5])
-    assert np.array_equal(cancelled, np.flatnonzero(bad))
-    assert np.array_equal(den, np.where(bad, 1.0, rowsum))
+    # the terms replace exactly the cancelled rows, and give them den one
+    terms = _cauchy_terms(basis, points)
+    assert np.array_equal(np.flatnonzero(np.any(terms.c != c, axis=1)), np.flatnonzero(bad))
+    assert np.array_equal(terms.den, np.where(bad, 1.0, rowsum))
+    den = terms.den
     second, second_cards = (c @ values) / den, c / den[:, None]
     second[rows] = values[cols]
     second_cards[rows] = np.eye(values.size)[cols]
@@ -193,7 +199,9 @@ def test_cancelled_row_sums_take_the_first_form():
     t = np.log(points[bad]) - np.log1p(-points[bad])
     first = _damped_rows(basis.nodes_t, t, 0.0)
     assert np.array_equal(cards[bad], first)
-    assert np.array_equal(got[bad], first @ values)
+    # the first form's row, contracted in the one product of every row
+    assert np.array_equal(terms.c[bad], first)
+    assert np.array_equal(got[bad], (terms.c @ values)[bad])
 
 
 def test_error_norms_skip_nodes_whose_weight_underflows():
@@ -547,8 +555,96 @@ def test_both_routes_share_one_memo_entry(empty_memo):
     assert apart.basis is not solutions[0].interpolant.basis
     for interp in (*(s.interpolant for s in solutions), apart):
         error_norms(interp, prob.exact_solution, 0.5)
-    # the memo also keeps the solves' plan and kernel factors
-    assert [key[:2] for key in empty_memo.entries if key[0] == "terms"] == [("terms", "1d")]
+    # one entry each for the terms on the fixed grid, the norm rule and the
+    # terms at its nodes; the memo also keeps the solves' plan and kernel
+    # factors
+    assert [key[:2] for key in empty_memo.entries if key[0] == "terms"] == [
+        ("terms", "1d"), ("terms", ("rule", 0.5, 64))]
+    assert [key for key in empty_memo.entries if key[0] == "norm-rule"] == [
+        ("norm-rule", 0.5, 64)]
+
+
+def _norm_case(dim: int, alpha: float, degree: int):
+    """(approximant, exact, alpha argument) of an error norm in dim dimensions."""
+    if dim == 1:
+        interp = mhf_interpolant(alpha, degree, lambda x: np.sqrt(x * (1.0 - x)))
+        return interp, lambda x: np.sqrt(x * (1.0 - x)) + 1e-3 * x, alpha
+    interp, _ = make_tensor(alpha, degree, lambda x, y: np.log1p(x * y) + np.sqrt(y))
+    return interp, lambda x, y: np.log1p(x * y) + np.sqrt(y) + 1e-3 * x, (alpha, alpha)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_cold_warm_and_uncached_error_norms_are_bitwise_equal(dim, alpha, empty_memo,
+                                                              monkeypatch):
+    for degree in (8, 24):
+        interp, exact, a = _norm_case(dim, alpha, degree)
+        empty_memo.clear()
+        cold = error_norms(interp, exact, a, dim=dim)
+        warm = error_norms(interp, exact, a, dim=dim)
+        # the memo-bypassing path: an approximant that is not an interpolant
+        if dim == 1:
+            plain = error_norms(lambda x: interp.eval(x), exact, a, degree=degree)
+        else:
+            plain = error_norms(SimpleNamespace(eval_grid=interp.eval_grid, degree=degree),
+                                exact, a, dim=2)
+        with monkeypatch.context() as m:
+            m.setattr(mhfie.approx, "memo", BoundedMemo(0))
+            uncached = error_norms(interp, exact, a, dim=dim)
+        assert cold == warm == plain == uncached
+        assert 0.0 < cold.err_l2chi < math.inf and 0.0 < cold.err_inf < math.inf
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_warm_error_norms_build_no_rule_and_no_terms(dim, empty_memo, monkeypatch):
+    interp, exact, a = _norm_case(dim, 0.5, 16)
+    cold = error_norms(interp, exact, a, dim=dim)
+    calls = []
+    for name in ("_compute_terms", "mhf_gauss_rule"):
+        fn = getattr(mhfie.approx, name)
+        monkeypatch.setattr(mhfie.approx, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    entries = list(empty_memo.entries)
+    assert error_norms(interp, exact, a, dim=dim) == cold
+    assert calls == [] and list(empty_memo.entries) == entries
+    # the fixed grid's terms, the norm rule and the terms at its nodes; the
+    # 2D axes share all three
+    assert [key[:2] for key in entries] == [
+        ("terms", "1d" if dim == 1 else "axis-2d"), ("norm-rule", 0.5),
+        ("terms", ("rule", 0.5, 48))]
+    assert empty_memo.nbytes == sum(v.nbytes for v in empty_memo.entries.values())
+    assert empty_memo.nbytes <= empty_memo.cap
+
+
+def test_a_copy_of_the_rule_nodes_is_evaluated_without_the_memo(empty_memo, monkeypatch):
+    interp = mhf_interpolant(0.5, 12, np.sqrt)
+    error_norms(interp, np.sqrt, 0.5)
+    entries = dict(empty_memo.entries)
+    nodes = entries[("norm-rule", 0.5, 40)].nodes
+    calls = []
+    compute = mhfie.approx._compute_terms
+    monkeypatch.setattr(mhfie.approx, "_compute_terms",
+                        lambda *args: calls.append(1) or compute(*args))
+    copy = interp.eval(nodes.copy())
+    same = interp.eval(nodes)
+    # only error_norms names the rule; an eval at its nodes computes anew
+    # and keeps nothing, and no kept array is a copy of the nodes
+    assert len(calls) == 2 and empty_memo.entries == entries
+    basis = interp.basis
+    c, den = entries[("terms", ("rule", 0.5, 40), basis.nodes_t.tobytes(),
+                      basis.weights.tobytes(), basis.nodes_x.tobytes())]
+    assert np.array_equal(copy, (c @ interp.values) / den) and np.array_equal(copy, same)
+    for value in entries.values():
+        for arr in _kept_arrays(value):
+            assert arr is nodes or not np.array_equal(arr, nodes)
+
+
+def _kept_arrays(value) -> list:
+    """The arrays of a memo value: Cauchy terms or a mapped rule."""
+    if isinstance(value, tuple):
+        return list(value)
+    return [value.nodes, value.weights, value.logits, value.nodes_complement,
+            value.hermite.nodes, value.hermite.weights, value.hermite.log_weights]
 
 
 def test_memo_holds_at_most_its_byte_cap(empty_memo):

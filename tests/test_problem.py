@@ -453,6 +453,28 @@ def test_manufactured_forcing_at_the_largest_ladder_nodes_warns_nothing(name):
     assert np.all(np.isfinite(values))
 
 
+def test_manufactured_forcing_gives_the_kernel_factor_the_stored_complement():
+    # the last N=400 node rounds to x = 1.0; a factor of 1 - x must see the
+    # stored complement there, not 1.0 - x = 0 (which raised ZeroDivisionError)
+    rule = mhf_gauss_rule(MhfBasis(alpha=0.5, degree=400))
+    x, xc = rule.nodes[-1].item(), rule.nodes_complement[-1].item()
+    assert x == 1.0 and 0.0 < xc < 1e-20
+    spec = ProblemSpec(
+        name="omx",
+        dimension=1,
+        lam=1.0,
+        kernel=KernelSpec(kind="none", factor=lambda s, oms, x, omx: omx**-0.5),
+        nonlinearity=Nonlinearity.identity(1),
+        exact_solution=lambda s: np.ones_like(np.asarray(s, dtype=float)),
+    )
+    # u = 1: g = 1 - integral_0^1 (1-x)^(-1/2) ds = 1 - xc^(-1/2)
+    assert manufactured_forcing(spec, x, x_comp=xc) == pytest.approx(1.0 - xc**-0.5,
+                                                                       rel=1e-12)
+    # the complement is part of the kernel action's cache key
+    assert manufactured_forcing(spec, 0.5) == pytest.approx(1.0 - 2**0.5, rel=1e-12)
+    assert {key[3] for key in spec._cache} == {xc, 0.5}
+
+
 def test_manufactured_forcing_argument_checks():
     spec = get_problem("ex1-log")
     with pytest.raises(ValueError, match="single coordinate"):

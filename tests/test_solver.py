@@ -496,12 +496,14 @@ def test_memos_hold_at_most_their_bounds():
             assert memo.nbytes == sum(v.nbytes for v in memo.entries.values())
     # the 1D ladder alone overflows the cap: its first entries are gone
     assert ("plan", 3.0, 40) not in memo.entries
-    assert {key[0] for key in memo.entries} == {"plan", "kernel", "terms"}
+    assert {key[0] for key in memo.entries} == {"plan", "kernel", "norm-rule", "terms"}
     for key, value in memo.entries.items():
         if key[0] == "plan":
             held = _read_only_arrays(value) + [value.e, value.basis.weights]
         elif key[0] == "kernel":
-            held = [value.w, value.e, *value.__dict__.get("eigenpairs", ())]
+            held = [value.w, value.e, value.k, *value.__dict__.get("eigenpairs", ())]
+        elif key[0] == "norm-rule":
+            held = _read_only_arrays(value)
         else:
             held = list(value)
         assert sum(arr.nbytes for arr in held) <= value.nbytes
@@ -670,13 +672,15 @@ def test_kept_kernel_factors_hold_at_most_their_bound():
     assert list(kept.entries) == ["b", "a"] and kept.nbytes == 80
     kept.get("c", lambda: np.zeros(4))
     assert list(kept.entries) == ["a", "c"] and kept.nbytes == 72
-    # a W at MAX_N_1D with its E fits the cap; within MAX_N_2D a factor is
-    # also charged for the eigenpairs a 2D solve may build
+    # a W at MAX_N_1D with its E and K = W E fits the cap; within MAX_N_2D a
+    # factor is also charged for the eigenpairs a 2D solve may build
     for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (2 * MAX_N_2D + 3))):
         plan = mhfie.solver._build_axis_plan(2.0, n)
         factor = mhfie.solver._kernel_factor(_algebraic_1d(0.5), 0, plan, "mhf", kept.get)
         assert not factor.w.flags.writeable
-        assert factor.nbytes == factor.w.nbytes + plan.e.nbytes + eigen < memo.cap
+        k = 8 * (n + 1) ** 2
+        assert factor.nbytes == factor.w.nbytes + plan.e.nbytes + k + eigen < memo.cap
+        assert factor.k.nbytes == k and not factor.k.flags.writeable
 
 
 def test_kept_kernel_factors_stay_consistent_under_threads():
