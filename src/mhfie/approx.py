@@ -453,6 +453,14 @@ def _norm_rule(alpha: float, degree: int) -> MhfRule:
                     lambda: mhf_gauss_rule(MhfBasis(alpha=alpha, degree=degree)))
 
 
+def _open_grid(axes: tuple) -> tuple:
+    """Per-axis arrays that broadcast to their tensor grid: (a,) or (a[:, None], b[None, :])."""
+    if len(axes) == 1:
+        return axes
+    a, b = axes
+    return a[:, None], b[None, :]
+
+
 def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None) -> ErrorNorms:
     """Sup-norm error on the fixed grid and weighted L2 error by oversampled
     quadrature (mapped rule of degree 2N+16 per axis, one per distinct alpha).
@@ -479,8 +487,7 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
 
     def diff(axes, tags):
         got = plain(*axes) if on_grid is None else on_grid(axes, tags)
-        open_grid = axes if dim == 1 else (axes[0][:, None], axes[1][None, :])
-        return np.asarray(got, dtype=float) - np.asarray(exact(*open_grid), dtype=float)
+        return np.asarray(got, dtype=float) - np.asarray(exact(*_open_grid(axes)), dtype=float)
 
     grid = (eval_grid_1d(),) if dim == 1 else (eval_grid_axis_2d(),) * 2
     err_inf = float(np.max(np.abs(diff(grid, (None,) * dim))))

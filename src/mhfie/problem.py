@@ -171,7 +171,9 @@ class KernelSpec:
     and takes each point with its complement, so endpoint-singular factors
     such as (1-s)^(-1/2) are evaluated at full precision.  It must accept
     arrays and is one-dimensional only: a 2D kernel is the per-axis product
-    of its diagonal types.
+    of its diagonal types.  It must be a pure function of its arguments:
+    the solver keeps the kernel matrix it gives under the factor function
+    itself, and a kept entry keeps the function alive.
     """
 
     kind: str
@@ -202,42 +204,41 @@ class KernelSpec:
             )
 
 
-def _axis_singular(kernel: KernelSpec, axis: int):
-    """Diagonal factor for one axis as a function of the gap |x-s|; None for
-    kind "none"."""
+def _axis_theta(kernel: KernelSpec, axis: int, gap, s, oms, x, omx):
+    """theta of one axis, the one evaluation of the kernel form: the diagonal
+    type at gap = |x-s|, unguarded, times the factor at (s, 1-s, x, 1-x)."""
     if kernel.kind == "algebraic":
-        mu = kernel.mu[axis]
-        return lambda r: r**-mu
-    if kernel.kind == "log":
-        return np.log
-    return None
+        val = gap ** -kernel.mu[axis]
+    elif kernel.kind == "log":
+        val = np.log(gap)
+    else:
+        val = np.ones_like(gap)
+    if kernel.factor is not None:
+        val = val * np.asarray(kernel.factor(s, oms, x, omx), dtype=float)
+    return val
 
 
 def kernel_eval(spec: KernelSpec, s, x, t=None, y=None):
     """Point evaluation of the kernel; guards the diagonal singularity.
 
-    Where the kernel has a diagonal factor, a gap |x-s| (or |y-t|) below
-    1e-14 raises, naming the offending pair.  The factor receives
-    (s, 1-s, x, 1-x).
+    The arguments may be arrays that broadcast together.  Where the kernel
+    has a diagonal factor, a gap |x-s| (or |y-t|) below 1e-14 raises, naming
+    the first offending pair.  The factor receives (s, 1-s, x, 1-x).
     """
     if spec.dimension == 2 and (t is None or y is None):
         raise ValueError("two-dimensional kernels require s, t, x, y")
     sources, targets = (s, t)[: spec.dimension], (x, y)[: spec.dimension]
     val = 1.0
-    for axis, (si, xi) in enumerate(zip(sources, targets)):
-        sing = _axis_singular(spec, axis)
-        if sing is None:
-            continue
-        gap = abs(xi - si)
-        if gap < DIAG_GUARD:
+    for axis, pair in enumerate(zip(sources, targets)):
+        si, xi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in pair))
+        gap = np.abs(xi - si)
+        if spec.kind != "none" and np.any(gap < DIAG_GUARD):
+            at = np.argmax(gap < DIAG_GUARD)
             raise ValueError(
                 f"kernel is singular at the diagonal on axis {axis}: "
-                f"s={float(si)!r}, x={float(xi)!r}"
+                f"s={float(si.flat[at])!r}, x={float(xi.flat[at])!r}"
             )
-        val = val * sing(gap)
-    if spec.factor is not None:
-        s, x = (np.asarray(v, dtype=float) for v in (s, x))
-        val = val * spec.factor(s, 1.0 - s, x, 1.0 - x)
+        val = val * _axis_theta(spec, axis, gap, si, 1.0 - si, xi, 1.0 - xi)
     return val
 
 
@@ -380,12 +381,10 @@ def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12,
     endpoint, and must accept arrays.  x_comp is 1-x, taken as 1.0 - x when
     not given; it is the factor's 1-x and the length of the right piece.
     """
-    sing = _axis_singular(kernel, axis) or (lambda r: 1.0)
-    factor = kernel.factor or (lambda s, oms, x, omx: 1.0)
     one_minus_x = 1.0 - x if x_comp is None else x_comp
 
     def piece(r, s, oms):
-        return (sing(r) * np.asarray(factor(s, oms, x, one_minus_x), dtype=float)
+        return (_axis_theta(kernel, axis, r, s, oms, x, one_minus_x)
                 * np.asarray(func(s, oms), dtype=float))
 
     # left piece: s = x - r, so s equals the complement offset exactly;
@@ -515,6 +514,10 @@ def _sqrt_endpoint_solution_c(s, one_minus_s):
     return np.sqrt(s) * np.sqrt(one_minus_s)
 
 
+def _sqrt_endpoint_factor(s, one_minus_s, x, one_minus_x):
+    return one_minus_s**-0.5
+
+
 def _make_ex1_log() -> ProblemSpec:
     return ProblemSpec(
         name="ex1-log",
@@ -548,7 +551,7 @@ def _make_ex2_sqrt() -> ProblemSpec:
         lam=1.0,
         kernel=KernelSpec(
             kind="none",
-            factor=lambda s, oms, x, omx: oms**-0.5,
+            factor=_sqrt_endpoint_factor,
             dimension=1,
         ),
         nonlinearity=Nonlinearity.identity(1),

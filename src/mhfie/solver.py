@@ -47,13 +47,14 @@ quadrature coefficients chi_k / chi(s_k) inside W.  So one read-only axis
 plan, kept in the package's one byte-bounded memo (mhfie._memo) under
 ("plan", alpha, n), serves both axes and both routes of solve and
 assemble_nystrom.  A plan builds E on first use, after the kernel factor
-has checked the node gap, so a solve the check refuses builds none.  A
-kernel without a factor depends only on (kind, mu), the plan and the
-route, so its read-only kernel factor W = theta * coeffs and, from the
-first 2D solve that asks, the eigenpairs of W E that the preconditioner
-diagonalizes are kept under ("kernel", alpha, n, method, kind, mu); both
-axes of a 2D solve with one exponent share them.  A kernel with a factor
-(1D only) depends on the problem and is built per call.
+has checked the node gap, so a solve the check refuses builds none.  An
+axis's read-only kernel factor W = theta * coeffs and, from the first 2D
+solve that asks, the eigenpairs of W E that the preconditioner
+diagonalizes depend only on the axis's (kind, mu), the kernel's factor
+function, the plan and the route, so they are kept under
+("kernel", alpha, n, method, kind, mu, factor), shared by the problems and
+the axes of a 2D solve that share these.  problem._axis_theta gives the
+kernel values; the solver reads only whether a diagonal type is present.
 Only a process that repeats a key gains, such as a study of several problems
 or forcings at one discretization; a convergence ladder solves each key once.
 
@@ -88,11 +89,12 @@ from .approx import (
     Interpolant1D,
     LagrangeBasis,
     _gauss_cardinal_rows,
+    _open_grid,
     tensor_interpolant,
 )
 from .hermite import _as_integer
 from .mhf import MhfBasis, MhfRule, _check_alpha, mhf_gauss_rule, mhf_unit_weights
-from .problem import ProblemSpec, _axis_singular, exact_values, forcing_on_grid
+from .problem import KernelSpec, ProblemSpec, _axis_theta, exact_values, forcing_on_grid
 
 __all__ = [
     "METHOD_MHF",
@@ -225,20 +227,16 @@ def _quad_coeffs(rule: MhfRule, method: str) -> np.ndarray:
     return modified * rule.nodes * rule.nodes_complement / rule.basis.alpha
 
 
-def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
+def _theta_matrix(kernel: KernelSpec, rule_q: MhfRule, rule_c: MhfRule,
                   axis: int = 0) -> np.ndarray:
     """Kernel values theta(s_k, x_i) on quadrature x collocation nodes.
 
     The node gap is checked only where the kernel has a diagonal factor.
     """
-    kernel = problem.kernel
     x = rule_c.nodes[:, None]
     s = rule_q.nodes[None, :]
-    sing = _axis_singular(kernel, axis)
-    if sing is None:
-        theta = np.ones((rule_c.nodes.size, rule_q.nodes.size))
-    else:
-        gap = np.abs(x - s)
+    gap = np.abs(x - s)
+    if kernel.kind != "none":
         gmin = float(np.min(gap))
         if gmin <= NODE_GAP:
             i, k = np.unravel_index(int(np.argmin(gap)), gap.shape)
@@ -249,13 +247,8 @@ def _theta_matrix(problem: ProblemSpec, rule_q: MhfRule, rule_c: MhfRule,
                 f"s[{k}]={float(rule_q.nodes[k])!r} are {gmin:.2e} apart; nodes cluster "
                 "at an endpoint; lower n or raise alpha"
             )
-        theta = sing(gap)
-    if kernel.factor is not None:
-        theta = theta * np.asarray(
-            kernel.factor(s, rule_q.nodes_complement[None, :],
-                          x, rule_c.nodes_complement[:, None]),
-            dtype=float,
-        )
+    theta = _axis_theta(kernel, axis, gap, s, rule_q.nodes_complement[None, :],
+                        x, rule_c.nodes_complement[:, None])
     if not np.all(np.isfinite(theta)):
         i, k = np.unravel_index(int(np.argmax(~np.isfinite(theta))), theta.shape)
         raise AssemblyError(
@@ -345,29 +338,23 @@ def _build_axis_plan(alpha: float, n: int) -> _AxisPlan:
                      mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1)))
 
 
-def _kernel_factor(problem: ProblemSpec, axis: int, plan: _AxisPlan, method: str,
+def _kernel_factor(kernel: KernelSpec, axis: int, plan: _AxisPlan, method: str,
                    get: Callable) -> _KernelFactor:
-    """W = theta * coeffs for the problem's kernel on one axis, coeffs the
-    quadrature coefficients of the plan's quadrature rule by the method's
-    route.
-
-    A kernel without a factor depends only on (kind, mu), the plan and the
-    method, so its W is taken from get; a kernel with a factor depends on
-    the problem and is built anew on every call.
-    """
+    """W = theta * coeffs for the kernel on one axis, coeffs the quadrature
+    coefficients of the plan's quadrature rule by the method's route; taken
+    from get under the axis's (kind, mu), the kernel's factor function, the
+    plan and the method, not the problem."""
 
     def build() -> _KernelFactor:
         coeffs = _quad_coeffs(plan.rule_q, method)
-        w = _theta_matrix(problem, plan.rule_q, plan.rule_c, axis) * coeffs[None, :]
+        w = _theta_matrix(kernel, plan.rule_q, plan.rule_c, axis) * coeffs[None, :]
         w.setflags(write=False)
         return _KernelFactor(w, plan.e)
 
-    kernel = problem.kernel
-    if kernel.factor is not None:
-        return build()
     mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
     basis = plan.rule_c.basis
-    return get(("kernel", basis.alpha, basis.degree, method, kernel.kind, mu), build)
+    return get(("kernel", basis.alpha, basis.degree, method, kernel.kind, mu, kernel.factor),
+               build)
 
 
 @dataclass
@@ -420,14 +407,6 @@ def _synthesize_forcing(problem: ProblemSpec, u_nodes: np.ndarray,
     return problem.lam * u_nodes - _integral_term(problem, w, e, quad_coords, u_nodes)
 
 
-def _open_grid(axes: tuple) -> tuple:
-    """Per-axis arrays that broadcast to their tensor grid: (a,) or (a[:, None], b[None, :])."""
-    if len(axes) == 1:
-        return axes
-    a, b = axes
-    return a[:, None], b[None, :]
-
-
 def _build(problem: ProblemSpec, config: SolverConfig,
            get: Callable = memo.get) -> _Discretization:
     """The discrete system, built axis by axis; 1D is the one-axis case.
@@ -442,7 +421,7 @@ def _build(problem: ProblemSpec, config: SolverConfig,
     # exponents differ
     plan = get(("plan", config.alpha, config.n),
                functools.partial(_build_axis_plan, config.alpha, config.n))
-    kernels = tuple(_kernel_factor(problem, axis, plan, config.method, get)
+    kernels = tuple(_kernel_factor(problem.kernel, axis, plan, config.method, get)
                     for axis in range(dim))
     w = tuple(k.w for k in kernels)
     # per axis: cardinal factor, quadrature nodes, and collocation nodes

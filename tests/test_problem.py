@@ -250,6 +250,20 @@ def test_kernel_eval_guards_the_diagonal():
     two_d = KernelSpec(kind="log", dimension=2)
     with pytest.raises(ValueError, match="diagonal"):
         kernel_eval(two_d, 0.3, 0.3, 0.5, 0.9)
+    # on arrays the first offending pair is named, as plain floats
+    s, x = np.array([0.1, 0.3, 0.5]), np.array([0.2, 0.3, 0.5])
+    with pytest.raises(ValueError, match=r"on axis 0: s=0\.3, x=0\.3$"):
+        kernel_eval(alg, s, x)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_kernel_eval_on_arrays_matches_scalar_calls(name):
+    # every kind evaluates arrays point by point, 1D and 2D alike
+    kernel = get_problem(name).kernel
+    coords = np.random.default_rng(5).random((2 * kernel.dimension, 7))
+    got = kernel_eval(kernel, *coords)
+    want = [kernel_eval(kernel, *point) for point in coords.T]
+    np.testing.assert_array_equal(got, want)
 
 
 def test_kernel_eval_two_dimensional_product():

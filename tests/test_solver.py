@@ -164,7 +164,7 @@ def test_kernel_factor_receives_the_stored_complements():
     prob = get_problem("ex2-sqrt")
     plan = mhfie.solver._build_axis_plan(prob.default_alpha, MAX_N_1D)
     assert plan.rule_q.nodes[-1] == 1.0
-    theta = mhfie.solver._theta_matrix(prob, plan.rule_q, plan.rule_c)
+    theta = mhfie.solver._theta_matrix(prob.kernel, plan.rule_q, plan.rule_c)
     want = plan.rule_q.nodes_complement[-1] ** -0.5
     assert np.all(theta[:, -1] == want)
 
@@ -455,14 +455,12 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
         raise AssertionError("kernel matrix rebuilt")
 
     # no Hermite rule is built, and the solve maps no rule: its plan is
-    # memoized; a kernel without a factor keeps its W and, in 2D, its
-    # eigenpairs
+    # memoized; every kernel, one with a factor (ex2-sqrt) included, keeps
+    # its W and, in 2D, its eigenpairs
     monkeypatch.setattr(mhfie.hermite, "_build_rule", no_rebuild)
     monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_plan_rule)
-    kept = prob.kernel.factor is None
-    if kept:
-        monkeypatch.setattr(mhfie.solver, "_theta_matrix", no_rebuild_kernel)
-        monkeypatch.setattr(np.linalg, "eig", no_rebuild_kernel)
+    monkeypatch.setattr(mhfie.solver, "_theta_matrix", no_rebuild_kernel)
+    monkeypatch.setattr(np.linalg, "eig", no_rebuild_kernel)
     warm, warm_norms = _solve_and_norms(prob, cfg)
     assert np.array_equal(warm.node_values, cold.node_values)
     assert warm.final_residual == cold.final_residual
@@ -470,14 +468,27 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     assert warm_norms == cold_norms
     plan = memo.entries[("plan", *_plan_key(cfg))]
     factors = _kept_factors(cfg).values()
-    assert len(factors) == int(kept)
+    assert len(factors) == 1
     rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
     arrays = (_read_only_arrays(plan) + [plan.e] + _read_only_arrays(plan.basis)
               + _read_only_arrays(rule))
     assert len(arrays) >= 20
     kernel_arrays = [arr for f in factors for arr in (f.w, *f.__dict__.get("eigenpairs", ()))]
-    assert len(kernel_arrays) == (0 if not kept else 1 if prob.dimension == 1 else 4)
+    assert len(kernel_arrays) == (1 if prob.dimension == 1 else 4)
     assert not any(arr.flags.writeable for arr in arrays + kernel_arrays)
+
+
+def test_problem_instances_share_one_kept_kernel_factor(fresh_memos):
+    # ex2-sqrt's factor is one module-level function, so two instances (one
+    # per forcing, say) leave one kernel entry per (alpha, n, method)
+    first, second = get_problem("ex2-sqrt"), get_problem("ex2-sqrt")
+    for method in ("mhf", "smoothed"):
+        for n in (8, 16):
+            cfg = SolverConfig(n=n, alpha=first.default_alpha, method=method)
+            assert np.array_equal(solve(first, cfg).node_values,
+                                  solve(second, cfg).node_values)
+            assert len(_kept_factors(cfg)) == 1
+    assert sum(key[0] == "kernel" for key in memo.entries) == 4
 
 
 def test_memos_hold_at_most_their_bounds():
@@ -652,13 +663,6 @@ def test_inexact_newton_steps_cut_krylov_iterations():
     assert total <= 140
 
 
-def _algebraic_1d(mu: float) -> ProblemSpec:
-    return ProblemSpec(name="alg", dimension=1, lam=10.0,
-                       kernel=KernelSpec(kind="algebraic", mu=(mu,)),
-                       nonlinearity=Nonlinearity.identity(1),
-                       forcing=lambda x: 1.0 + x)
-
-
 def test_kept_kernel_factors_hold_at_most_their_bound():
     # the memo is least recently used by total bytes: a hit renews an entry,
     # the oldest go first, and a value above the cap is returned but neither
@@ -676,7 +680,8 @@ def test_kept_kernel_factors_hold_at_most_their_bound():
     # factor is also charged for the eigenpairs a 2D solve may build
     for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (2 * MAX_N_2D + 3))):
         plan = mhfie.solver._build_axis_plan(2.0, n)
-        factor = mhfie.solver._kernel_factor(_algebraic_1d(0.5), 0, plan, "mhf", kept.get)
+        factor = mhfie.solver._kernel_factor(KernelSpec(kind="algebraic", mu=(0.5,)), 0, plan,
+                                             "mhf", kept.get)
         assert not factor.w.flags.writeable
         k = 8 * (n + 1) ** 2
         assert factor.nbytes == factor.w.nbytes + plan.e.nbytes + k + eigen < memo.cap
@@ -687,20 +692,20 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
     # more threads than cores ask a memo for six kernel factors while it
     # keeps three: every factor returned is right, and the byte count
     # matches the entries, which a lost update would break
-    probs = [_algebraic_1d(0.1 * k) for k in range(1, 7)]
+    kernels = [KernelSpec(kind="algebraic", mu=(0.1 * k,)) for k in range(1, 7)]
     plan = mhfie.solver._build_axis_plan(0.5, 32)
 
     def factor(k: int, get):
-        return mhfie.solver._kernel_factor(probs[k], 0, plan, "mhf", get)
+        return mhfie.solver._kernel_factor(kernels[k], 0, plan, "mhf", get)
 
-    expected = [factor(k, lambda _, build: build()) for k in range(len(probs))]
+    expected = [factor(k, lambda _, build: build()) for k in range(len(kernels))]
     kept = BoundedMemo(3 * expected[0].nbytes)
     errors = []
 
     def work(offset: int) -> None:
         try:
             for i in range(300):
-                k = (i + offset) % len(probs)
+                k = (i + offset) % len(kernels)
                 if not np.array_equal(factor(k, kept.get).w, expected[k].w):
                     errors.append(k)
         except Exception as exc:  # recorded, so the main thread sees it
