@@ -213,10 +213,13 @@ class _CauchyTerms(NamedTuple):
 
 def _fixed_grid(t_count: int, uniform_count: int) -> np.ndarray:
     """Read-only union of logistic(t), t uniform on [-8, 8], and uniform points
-    on [1e-3, 1-1e-3]."""
+    on [1e-3, 1-1e-3], sorted without repeats.  Sorting and dropping equal
+    neighbours gives np.unique's grid without the numpy.ma import that
+    np.unique costs at first use."""
     mapped = map_to_unit(1.0, np.linspace(-8.0, 8.0, t_count))
     uniform = np.linspace(1e-3, 1.0 - 1e-3, uniform_count)
-    grid = np.unique(np.concatenate([mapped, uniform]))
+    grid = np.sort(np.concatenate([mapped, uniform]))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     grid.setflags(write=False)
     return grid
 

@@ -420,17 +420,6 @@ def _forcing_terms(spec: ProblemSpec) -> Sequence[tuple]:
     return spec.psi_u_separable
 
 
-def _axis_action(spec: ProblemSpec, axis: int, term: int, func, x: float,
-                 x_comp: float, tol: float) -> float:
-    """integral_0^1 theta_axis(s, x) func(s, 1-s) ds, x_comp = 1-x, cached per
-    (axis, term, x, x_comp, tol) on the spec."""
-    key = (axis, term, x, x_comp, tol)
-    if key not in spec._cache:
-        spec._cache[key] = _kernel_action_1d(spec.kernel, func, x, tol=tol, axis=axis,
-                                             x_comp=x_comp)
-    return spec._cache[key]
-
-
 def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
                          x_comp=None, y_comp=None) -> float:
     """Forcing g at a point such that exact_solution solves the problem.
@@ -441,23 +430,35 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
     integrator, split at the diagonal.  x_comp/y_comp are optional
     precomputed values of 1-x and 1-y for points very close to 1; the exact
     solution, the kernel's factor and the integration range all take them.
+    Each action is cached on the spec under (axis, term, x_axis, 1-x_axis,
+    tol), so a tensor grid integrates each axis point once per term.
     """
     if spec.exact_solution is None:
         raise ValueError("manufactured forcing requires an exact solution")
-    if spec.dimension == 1 and y is not None:
-        raise ValueError("one-dimensional problems take a single coordinate")
-    if spec.dimension == 2 and y is None:
-        raise ValueError("two-dimensional problems need both coordinates")
-    point = tuple(float(v) for v in (x, y)[: spec.dimension])
-    comps = tuple(
-        1.0 - v if c is None else float(c) for v, c in zip(point, (x_comp, y_comp))
-    )
-    total = 0.0
+    if spec.dimension == 1:
+        if y is not None:
+            raise ValueError("one-dimensional problems take a single coordinate")
+        x = float(x)
+        point, comps = (x,), (1.0 - x if x_comp is None else float(x_comp),)
+    else:
+        if y is None:
+            raise ValueError("two-dimensional problems need both coordinates")
+        x, y = float(x), float(y)
+        point = (x, y)
+        comps = (1.0 - x if x_comp is None else float(x_comp),
+                 1.0 - y if y_comp is None else float(y_comp))
+    cache, total = spec._cache, 0.0
     for r, factors in enumerate(_forcing_terms(spec)):
-        total += math.prod(
-            _axis_action(spec, axis, r, f, v, c, tol)
-            for axis, (f, v, c) in enumerate(zip(factors, point, comps))
-        )
+        term = 1.0
+        for axis, f in enumerate(factors):
+            v, c = point[axis], comps[axis]
+            key = (axis, r, v, c, tol)
+            action = cache.get(key)
+            if action is None:
+                action = cache[key] = _kernel_action_1d(spec.kernel, f, v, tol=tol,
+                                                        axis=axis, x_comp=c)
+            term *= action
+        total += term
     return spec.lam * float(exact_values(spec, point, comps)) - total
 
 

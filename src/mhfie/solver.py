@@ -18,8 +18,14 @@ only the per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
 Wx Psi Wy^T and Ex U Ey^T in O(N^3), and each Newton step is solved by
 GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
 (Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
-dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.  The 2D steps
-are inexact on purpose: newton_driver passes each step the forcing
+dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.  GMRES keeps
+each preconditioned Krylov vector beside its basis vector (flexible GMRES,
+Saad 1993), so a Krylov iteration costs one Jacobian apply and one
+preconditioner apply, four Kronecker applies in all, and a restart cycle one
+more Jacobian apply, for its true residual.  In both dimensions the
+Jacobian at an iterate reads the E u that the residual computed at that
+same iterate (_quad_values).  The 2D steps are inexact on purpose:
+newton_driver passes each step the forcing
 eta = min(0.1, 0.01 |F|_inf), and GMRES stops once the linear residual is
 below eta |F| (or the fixed floors of _gmres_step), which keeps Newton's
 quadratic convergence with fewer Krylov iterations (Dembo, Eisenstat &
@@ -362,9 +368,11 @@ class _Discretization:
     """The discrete system lam*u - W psi(E u) = g, kept as per-axis factors.
 
     w and e hold one dense factor per axis; in two dimensions W = w[0] (x) w[1]
-    and E = e[0] (x) e[1] are never formed.  quad_coords broadcast against the
-    values on the quadrature grid (a column and a row in 2D); u and g are flat,
-    x-major in 2D.
+    and E = e[0] (x) e[1] are never formed.  kron_w and kron_e are the same
+    factors in the form _kron_apply takes, the second one transposed and
+    contiguous; they belong to this build, not to the memo.  quad_coords
+    broadcast against the values on the quadrature grid (a column and a row
+    in 2D); u and g are flat, x-major in 2D.
     """
 
     dimension: int
@@ -373,29 +381,42 @@ class _Discretization:
     kernels: tuple  # per axis _KernelFactor; axes with one exponent share one
     w: tuple
     e: tuple
+    kron_w: tuple  # w and e as _kron_apply takes them, made per build
+    kron_e: tuple
     quad_coords: tuple
     colloc_points: tuple
     interp_from_values: Callable
     shape: tuple
 
 
+def _kron_pair(factors: tuple) -> tuple:
+    """Per-axis factors in the form _kron_apply takes: one factor as it is;
+    for two, (Ax, Ay^T) with Ay^T made contiguous once, here."""
+    if len(factors) == 1:
+        return factors
+    ax, ay = factors
+    return ax, np.ascontiguousarray(ay.T)
+
+
 def _kron_apply(factors: tuple, v: np.ndarray) -> np.ndarray:
-    """A v for one factor; (Ax (x) Ay) v as Ax V Ay^T for two, V the matrix of v."""
+    """A v for one factor; for a pair (Ax, Ay^T) from _kron_pair,
+    (Ax (x) Ay) v as Ax V Ay^T, V the matrix of the flat v."""
     if len(factors) == 1:
         return factors[0] @ v
-    ax, ay = factors
-    return ax @ np.reshape(v, (ax.shape[1], ay.shape[1])) @ ay.T
+    ax, ay_t = factors
+    return ax @ v.reshape(ax.shape[1], ay_t.shape[0]) @ ay_t
 
 
-def _integral_term(problem: ProblemSpec, w: tuple, e: tuple, quad_coords: tuple,
-                   u: np.ndarray) -> np.ndarray:
-    """W psi(E u) at the collocation nodes, flat."""
-    psi = np.asarray(problem.nonlinearity.psi(*quad_coords, _kron_apply(e, u)), dtype=float)
-    return np.ravel(_kron_apply(w, psi))
+def _integral_term(problem: ProblemSpec, w: tuple, quad_coords: tuple,
+                   uq: np.ndarray) -> np.ndarray:
+    """W psi(E u) at the collocation nodes, flat, from uq = E u on the
+    quadrature grid and W as _kron_apply takes it."""
+    psi = np.asarray(problem.nonlinearity.psi(*quad_coords, uq), dtype=float)
+    return _kron_apply(w, psi).ravel()
 
 
 def _synthesize_forcing(problem: ProblemSpec, u_nodes: np.ndarray,
-                        w: tuple, e: tuple, quad_coords: tuple) -> np.ndarray:
+                        kron_w: tuple, kron_e: tuple, quad_coords: tuple) -> np.ndarray:
     """Forcing consistent with the discrete operator for a known solution.
 
     g = lam*u - W psi(E u) makes the exact node values an exact solution of
@@ -404,7 +425,8 @@ def _synthesize_forcing(problem: ProblemSpec, u_nodes: np.ndarray,
     error (which decays only slowly for the singular kernels and would
     otherwise dominate every experiment).
     """
-    return problem.lam * u_nodes - _integral_term(problem, w, e, quad_coords, u_nodes)
+    return problem.lam * u_nodes - _integral_term(
+        problem, kron_w, quad_coords, _kron_apply(kron_e, u_nodes))
 
 
 def _build(problem: ProblemSpec, config: SolverConfig,
@@ -430,10 +452,11 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         (arr,) * dim
         for arr in (plan.e, plan.rule_q.nodes, plan.rule_c.nodes, plan.rule_c.nodes_complement)
     )
+    kron_w, kron_e = _kron_pair(w), _kron_pair(e)
     quad_coords = _open_grid(quad_nodes)
     if problem.exact_solution is not None:
         u_nodes = exact_values(problem, _open_grid(nodes), _open_grid(complements))
-        g = _synthesize_forcing(problem, u_nodes.ravel(), w, e, quad_coords)
+        g = _synthesize_forcing(problem, u_nodes.ravel(), kron_w, kron_e, quad_coords)
     else:
         g = forcing_on_grid(problem, nodes).ravel()
 
@@ -449,6 +472,8 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         kernels=kernels,
         w=w,
         e=e,
+        kron_w=kron_w,
+        kron_e=kron_e,
         quad_coords=quad_coords,
         colloc_points=nodes,
         interp_from_values=interp,
@@ -472,10 +497,35 @@ def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatri
     )
 
 
-def _residual_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
+def _quad_values(disc: _Discretization) -> Callable:
+    """u -> E u on the quadrature grid, read-only, keeping the last pair.
+
+    Newton evaluates the residual at an iterate and then the Jacobian at that
+    same array, so a residual and a Jacobian that share one of these compute
+    E u once per iterate.  The one slot is keyed by the identity of u and
+    holds u itself, so the key cannot be reused by another array; any other
+    array, equal or not, gets its own product.  Made per call of solve or
+    verify_residual, so nothing outlives that call.
+    """
+    slot = [None, None]
+
+    def apply(u: np.ndarray) -> np.ndarray:
+        if slot[0] is not u:
+            uq = _kron_apply(disc.kron_e, u)
+            uq.setflags(write=False)
+            slot[:] = u, uq
+        return slot[1]
+
+    return apply
+
+
+def _residual_fn(disc: _Discretization, problem: ProblemSpec,
+                 quad_values: Callable) -> Callable:
+    """u -> lam u - g - W psi(E u), E u from quad_values."""
+
     def residual(u: np.ndarray) -> np.ndarray:
         return disc.lam * u - disc.g - _integral_term(
-            problem, disc.w, disc.e, disc.quad_coords, u
+            problem, disc.kron_w, disc.quad_coords, quad_values(u)
         )
 
     return residual
@@ -496,55 +546,62 @@ class _FastDiagonalization:
 
     With A = Q L Q^-1 for each axis product, the inverse is
     (Qx (x) Qy) diag(1 / (lam - c lx_i ly_j)) (Qx (x) Qy)^-1, applied per
-    axis.  The eigendecompositions are the kernel factors' eigenpairs: made
-    once per distinct (W, E) pair, so two axes that share a kernel factor
-    share them, and kept with a kernel factor the memo keeps, so a repeated
-    solve makes none.  c may change with every Newton step.  Complex
-    eigenpairs are carried in complex arithmetic and the result, real in
-    exact arithmetic, is taken as its real part.  The preconditioner only
-    speeds GMRES up: each step's accuracy is set by its residual target.
+    axis: two Kronecker applies per call.  The eigendecompositions are the
+    kernel factors' eigenpairs: made once per distinct (W, E) pair, so two
+    axes that share a kernel factor share them, and kept with a kernel
+    factor the memo keeps, so a repeated solve makes none.  The contiguous
+    transposes of Qy and Qy^-1 that _kron_apply takes are made here, once
+    per solve, and are not kept.  c may change with every Newton step.
+    Complex eigenpairs are carried in complex arithmetic and the result,
+    real in exact arithmetic, is taken as its real part.  The preconditioner
+    only speeds GMRES up: each step's accuracy is set by its residual target.
     """
 
     def __init__(self, disc: _Discretization):
         self.lam = disc.lam
         (lx, qx, bx), (ly, qy, by) = (k.eigenpairs for k in disc.kernels)
-        self.forward, self.backward = (qx, qy), (bx, by)
+        self.forward, self.backward = _kron_pair((qx, qy)), _kron_pair((bx, by))
         self.products = lx[:, None] * ly[None, :]
 
     def inverse(self, c: float) -> Callable:
         scale = 1.0 / (self.lam - c * self.products)
+        forward, backward = self.forward, self.backward
 
         def apply(r: np.ndarray) -> np.ndarray:
-            t = scale * _kron_apply(self.backward, r)
-            return np.ravel(_kron_apply(self.forward, t).real)
+            return _kron_apply(forward, scale * _kron_apply(backward, r)).real.ravel()
 
         return apply
 
 
 def _factored_jacobian(disc: _Discretization, d: np.ndarray,
                        fast: _FastDiagonalization) -> _Operator:
-    """J v = lam v - Wx (d o (Ex V Ey^T)) Wy^T, applied per axis.
+    """J v = lam v - Wx (d o (Ex V Ey^T)) Wy^T, applied per axis on flat v.
 
     Its preconditioner is the fast-diagonalization inverse at c = mean(d),
     which is J^-1 itself when d is constant (the identity nonlinearity).
     """
+    lam, w, e = disc.lam, disc.kron_w, disc.kron_e
 
     def jv(v: np.ndarray) -> np.ndarray:
-        v = np.ravel(v)
-        return disc.lam * v - np.ravel(_kron_apply(disc.w, d * _kron_apply(disc.e, v)))
+        return lam * v - _kron_apply(w, d * _kron_apply(e, v)).ravel()
 
     return _Operator(jv, fast.inverse(float(np.mean(d))))
 
 
-def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
-    """u -> Jacobian: a dense matrix in 1D, a preconditioned _Operator in 2D."""
+def _jacobian_fn(disc: _Discretization, problem: ProblemSpec,
+                 quad_values: Callable) -> Callable:
+    """u -> Jacobian: a dense matrix in 1D, a preconditioned _Operator in 2D.
+
+    E u comes from quad_values; sharing the residual's (solve does) reuses
+    the product the residual made at the same iterate.
+    """
     dpsi = problem.nonlinearity.dpsi_du
     if disc.dimension == 1:
         (w,), (e,), (kernel,) = disc.w, disc.e, disc.kernels
         eye = np.eye(w.shape[0])
 
         def jacobian(u: np.ndarray) -> np.ndarray:
-            d = np.asarray(dpsi(*disc.quad_coords, e @ u), dtype=float)
+            d = np.asarray(dpsi(*disc.quad_coords, quad_values(u)), dtype=float)
             if np.all(d == d.flat[0]):
                 # W diag(d) E = d K: the kept K, bitwise for d = 1
                 return disc.lam * eye - d.flat[0] * kernel.k
@@ -554,7 +611,7 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec) -> Callable:
     fast = _FastDiagonalization(disc)
 
     def factored(u: np.ndarray) -> _Operator:
-        uq = _kron_apply(disc.e, u)
+        uq = quad_values(u)
         d = np.broadcast_to(np.asarray(dpsi(*disc.quad_coords, uq), dtype=float), uq.shape)
         return _factored_jacobian(disc, d, fast)
 
@@ -591,49 +648,63 @@ def _dense_step(jac, rhs: np.ndarray, forcing: Optional[float] = None):
 
 
 def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
-    """Restarted GMRES from zero, right-preconditioned (Saad & Schultz 1986).
+    """Restarted GMRES from zero, right-preconditioned, keeping the
+    preconditioned vectors (Saad & Schultz 1986; flexible GMRES, Saad 1993).
 
-    Each cycle builds an Arnoldi basis of at most GMRES_RESTART vectors for
-    matvec(precond(.)) by modified Gram-Schmidt and tracks the least-squares
-    residual by Givens rotations; a cycle ends when that estimate reaches the
-    target, and the iterate is accepted only when the true residual
-    |rhs - matvec(v)| reaches it too.  Runs at most GMRES_MAX_CYCLES cycles.
+    Each cycle builds an Arnoldi basis b_j of at most GMRES_RESTART vectors
+    for matvec(precond(.)) by modified Gram-Schmidt, keeps z_j = precond(b_j)
+    beside it, and tracks the least-squares residual by Givens rotations on
+    Python floats.  A cycle ends when that estimate reaches the target and
+    adds Z y to the iterate, y by back substitution in the k x k triangle.
+    So every iteration calls precond once and matvec once, and every cycle
+    calls matvec once more, for the true residual |rhs - matvec(v)|: the
+    iterate is accepted only when that reaches the target too.  The basis
+    and Z are lists that grow by one vector per iteration; the vectors
+    precond returns are kept as they are, so precond must return a new
+    array (or its argument).  Runs at most GMRES_MAX_CYCLES cycles.
     Returns v, the number of iterations and the last true residual norm.
+    A singular preconditioned operator raises LinAlgError.
     """
     v = np.zeros_like(rhs)
-    r, beta = rhs, float(np.linalg.norm(rhs))
+    r, beta = rhs, math.sqrt(rhs @ rhs)
     iters = 0
     for _ in range(GMRES_MAX_CYCLES):
         if beta <= target:
             break
-        basis = np.empty((GMRES_RESTART + 1, rhs.size))
-        basis[0] = r / beta
-        h = np.zeros((GMRES_RESTART + 1, GMRES_RESTART))
-        rotations, g = [], [beta]
+        basis, kept = [r / beta], []
+        cols, rotations, g = [], [], [beta]  # cols[j]: column j of the triangle
         for j in range(GMRES_RESTART):
-            w = matvec(precond(basis[j]))
-            for i in range(j + 1):
-                h[i, j] = basis[i] @ w
-                w = w - h[i, j] * basis[i]
-            norm = float(np.linalg.norm(w))
+            kept.append(precond(basis[j]))
+            w = matvec(kept[j])
+            col = []
+            for b in basis:
+                col.append(float(b @ w))
+                w = w - col[-1] * b
+            norm = math.sqrt(w @ w)
             iters += 1
-            col = h[: j + 1, j]
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
             rho = math.hypot(col[j], norm)
+            if rho == 0.0:
+                raise np.linalg.LinAlgError("the preconditioned operator is singular")
             c, s = col[j] / rho, norm / rho
             rotations.append((c, s))
             col[j] = rho
+            cols.append(col)
             g[j], g_next = c * g[j], -s * g[j]
             g.append(g_next)
             if abs(g_next) <= target or norm == 0.0:
                 break
-            basis[j + 1] = w / norm
-        k = len(rotations)
-        y = np.linalg.solve(np.triu(h[:k, :k]), g[:k])
-        v = v + precond(y @ basis[:k])
+            basis.append(w / norm)
+        y = g[: len(cols)]
+        for j in reversed(range(len(cols))):
+            y[j] /= cols[j][j]
+            for i in range(j):
+                y[i] -= y[j] * cols[j][i]
+        for yj, z in zip(y, kept):
+            v += yj * z
         r = rhs - matvec(v)
-        beta = float(np.linalg.norm(r))
+        beta = math.sqrt(r @ r)
     return v, iters, beta
 
 
@@ -650,7 +721,7 @@ def _gmres_step(config: SolverConfig) -> Callable:
     atol = GMRES_ATOL_FACTOR * config.newton_tol
 
     def step(jac: _Operator, rhs: np.ndarray, forcing: Optional[float] = None):
-        norm = float(np.linalg.norm(rhs))
+        norm = math.sqrt(rhs @ rhs)
         target = max(GMRES_RTOL * norm, atol)
         if forcing is not None:
             target = max(forcing * norm, target)
@@ -745,9 +816,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
     which newton_driver leaves at or below newton_tol.
     """
     disc = _build(problem, config)
+    quad_values = _quad_values(disc)
     result = newton_driver(
-        _residual_fn(disc, problem),
-        _jacobian_fn(disc, problem),
+        _residual_fn(disc, problem, quad_values),
+        _jacobian_fn(disc, problem, quad_values),
         disc.g / disc.lam,
         tol=config.newton_tol,
         max_iter=config.newton_max_iter,
@@ -783,4 +855,4 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
     disc = _build(problem, config, BoundedMemo(MEMO_BYTES).get)
     values = solution.node_values if isinstance(solution, Solution) else solution
     u = np.asarray(values, dtype=float).ravel()
-    return float(np.max(np.abs(_residual_fn(disc, problem)(u))))
+    return float(np.max(np.abs(_residual_fn(disc, problem, _quad_values(disc))(u))))

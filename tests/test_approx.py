@@ -686,3 +686,15 @@ def test_grid_copy_is_evaluated_without_the_memo(empty_memo):
     assert len(empty_memo.entries) == 0
     assert got[0] == interp.values[3]
     assert np.array_equal(got[1:], interp.eval(eval_grid_1d())[1:])
+
+
+@pytest.mark.parametrize("grid, counts", [
+    (mhfie.approx._GRID_1D, (2001, 999)), (mhfie.approx._GRID_AXIS_2D, (68, 33)),
+])
+def test_fixed_grids_are_bitwise_the_unique_construction(grid, counts):
+    t_count, uniform_count = counts
+    want = np.unique(np.concatenate([
+        map_to_unit(1.0, np.linspace(-8.0, 8.0, t_count)),
+        np.linspace(1e-3, 1.0 - 1e-3, uniform_count),
+    ]))
+    assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()

@@ -394,6 +394,34 @@ def test_manufactured_forcing_caches_per_point(monkeypatch):
     assert actions[7:] == [0.7] * 3
 
 
+@pytest.mark.parametrize("name", ["ex1-log", "ex2-sqrt", "ex3-log", "ex3-alg"])
+def test_manufactured_forcing_is_its_formula_over_kernel_actions(name):
+    # lam u - sum_r prod_axis A_r,axis, every action from the reference
+    # integrator itself, bitwise, at nodes with and without their complements
+    spec = get_problem(name)
+    rule = mhf_gauss_rule(MhfBasis(alpha=0.5, degree=4))
+    pts = list(zip(rule.nodes.tolist(), rule.nodes_complement.tolist()))
+    grid = ([(p,) for p in pts] if spec.dimension == 1
+            else [(p, q) for p in pts for q in pts[::2]])
+    terms = problem_module._forcing_terms(spec)
+    for point in grid:
+        coords = [v for v, _ in point]
+        for given in (True, False):
+            comps = [c for _, c in point] if given else [1.0 - v for v in coords]
+            total = 0.0
+            for r, factors in enumerate(terms):
+                total += math.prod(
+                    problem_module._kernel_action_1d(spec.kernel, f, v, tol=1e-12, axis=axis,
+                                                     x_comp=c)
+                    for axis, (f, v, c) in enumerate(zip(factors, coords, comps))
+                )
+            want = spec.lam * float(problem_module.exact_values(spec, coords, comps)) - total
+            keywords = dict(zip(("x_comp", "y_comp"), comps)) if given else {}
+            assert manufactured_forcing(spec, *coords, **keywords) == want
+            # once more, every action from the cache
+            assert manufactured_forcing(spec, *coords, **keywords) == want
+
+
 def test_replaced_spec_does_not_share_the_forcing_cache():
     p = get_problem("ex1-alg")
     g = manufactured_forcing(p, 0.3)

@@ -47,3 +47,15 @@ def test_package_runs_without_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert "ex1-log" in result.stdout
+
+
+def test_import_loads_no_masked_arrays():
+    # numpy.ma costs 10-17 ms per process; the package needs none of it
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, mhfie; assert 'numpy.ma' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

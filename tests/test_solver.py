@@ -264,13 +264,16 @@ def test_gmres_matches_a_direct_solve(monkeypatch, preconditioned, restart):
     # a residual target 100 times below the error bound asserted; the
     # condition number here is 4.3
     monkeypatch.setattr(mhfie.solver, "GMRES_RTOL", 1e-12)
-    calls = []
+    calls, preconds = [], []
 
     def matvec(v):
         calls.append(1)
         return a @ v
 
-    precond = (lambda r: r / diag) if preconditioned else (lambda r: r)
+    def precond(r):
+        preconds.append(1)
+        return r / diag if preconditioned else r
+
     step = mhfie.solver._gmres_step(SolverConfig(n=8, newton_tol=1e-12))
     v, iters = step(mhfie.solver._Operator(matvec, precond), rhs)
     direct = np.linalg.solve(a, rhs)
@@ -279,8 +282,22 @@ def test_gmres_matches_a_direct_solve(monkeypatch, preconditioned, restart):
     # cycles run full, so a restart shows as more iterations than its length
     cycles = math.ceil(iters / restart)
     assert len(calls) == iters + cycles
+    # the preconditioned vectors are kept: a cycle's update applies no
+    # preconditioner of its own
+    assert len(preconds) == iters
     if restart == 5:
         assert iters > restart
+
+
+def test_gmres_on_a_singular_operator_raises_linalg_error():
+    # the breakdown newton_driver reports as a singular Jacobian
+    rhs = np.ones(4)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        mhfie.solver._gmres(lambda v: 0.0 * v, lambda r: r, rhs, 1e-12)
+    step = mhfie.solver._gmres_step(SolverConfig(n=8))
+    with pytest.raises(SolverError, match="singular Jacobian at iteration 1"):
+        newton_driver(lambda u: u - 1.0, lambda u: mhfie.solver._Operator(
+            lambda v: 0.0 * v, lambda r: r), np.zeros(4), solve_step=step)
 
 
 def test_solve_dispatch_and_method_agreement():
@@ -661,6 +678,64 @@ def test_inexact_newton_steps_cut_krylov_iterations():
             assert sol.final_residual <= 1e-13
             total += sum(sol.krylov_iters)
     assert total <= 140
+
+
+def test_krylov_counts_on_the_ex3_ladder():
+    # the GMRES iterations of every Newton step on the mhf route at the
+    # default alpha, as the preconditioned vectors were first kept; the
+    # smoothed route builds the same system and takes the same counts
+    ladder = (8, 16, 24, 32, 48, 64, 80)
+    want = {
+        "ex3-log": {n: (1, 2, 4, 2) if n <= 24 else (1, 2, 4, 3) for n in ladder},
+        "ex3-alg": {n: (2, 3, 3) if n == 8 else (2, 3, 4) for n in ladder},
+    }
+    for name, counts in want.items():
+        prob = get_problem(name)
+        for n, steps in counts.items():
+            for method in ("mhf", "smoothed"):
+                cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
+                assert solve(prob, cfg).krylov_iters == steps, (name, n, method)
+
+
+@pytest.mark.parametrize("name", ["ex1-log", "ex3-log", "ex3-alg", "identity-2d"])
+def test_jacobian_reads_the_residuals_quadrature_values(name, monkeypatch):
+    # Newton evaluates the residual at an iterate before the Jacobian there,
+    # so no Jacobian of a solve applies E: every Kronecker apply it would
+    # make goes through _kron_apply
+    prob = _identity_2d() if name == "identity-2d" else get_problem(name)
+    cfg = SolverConfig(n=12, alpha=0.5)
+    applies, jacobians = [], []
+    kron_apply, driver = mhfie.solver._kron_apply, mhfie.solver.newton_driver
+
+    def counted(factors, v):
+        applies.append(factors)
+        return kron_apply(factors, v)
+
+    def traced(residual, jacobian, x0, **kwargs):
+        def checked(u):
+            before = len(applies)
+            jac = jacobian(u)
+            jacobians.append(len(applies) - before)
+            return jac
+
+        return driver(residual, checked, x0, **kwargs)
+
+    monkeypatch.setattr(mhfie.solver, "_kron_apply", counted)
+    monkeypatch.setattr(mhfie.solver, "newton_driver", traced)
+    sol = solve(prob, cfg)
+    assert jacobians == [0] * sol.newton_iters and sol.newton_iters >= 1
+    # the slot is keyed by the array: an equal copy gets its own E u
+    disc = mhfie.solver._build(prob, cfg)
+    quad_values = mhfie.solver._quad_values(disc)
+    residual = mhfie.solver._residual_fn(disc, prob, quad_values)
+    jacobian = mhfie.solver._jacobian_fn(disc, prob, quad_values)
+    u = disc.g / disc.lam
+    residual(u)
+    before = len(applies)
+    jacobian(u)
+    assert len(applies) == before
+    jacobian(u.copy())
+    assert applies[before:] == [disc.kron_e]
 
 
 def test_kept_kernel_factors_hold_at_most_their_bound():
