@@ -1,9 +1,13 @@
 """The one memo for work kept between calls.
 
-The solver's axis plans, the kernel factors of each plan, the error norms'
-rules and the Cauchy terms of interpolants on the fixed error grids and at
-those rules' nodes live in one least-recently-used memo with one byte cap,
-under keys tagged "plan", "kernel", "norm-rule" and "terms".
+The solver's axis plans, the kernel factors of each plan, the inverses of
+1D Jacobians with constant psi', the error norms' rules and the Cauchy terms
+of interpolants on the fixed error grids and at those rules' nodes live in
+one least-recently-used memo with one byte cap, under keys tagged "plan",
+"kernel", "inverse", "norm-rule" and "terms".  An inverse is keyed by its
+kernel factor's key plus (lam, psi'); the first solve at a key pays for it
+in place of one LU factorization, and every later solve there factors
+nothing.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ from collections import OrderedDict
 from typing import Callable
 
 # Bytes the memo keeps.  A 1D plan at MAX_N_1D is charged 1.3 MB, its kernel
-# factor 3.9 MB (W, the E it references and K = W E), its Cauchy terms on the
-# 1D error grid 9.6 MB and its norm rule with the terms at that rule's nodes
-# 2.7 MB, so one of each fits with room to spare; the benchmark's 1D sweep
-# keeps 11.4 MB in all, 30 kernel factors among it, and evicts nothing.
+# factor 3.9 MB (W, the E it references and K = W E), a Jacobian inverse
+# 1.3 MB, its Cauchy terms on the 1D error grid 9.6 MB and its norm rule with
+# the terms at that rule's nodes 2.7 MB, so one of each fits with room to
+# spare; the benchmark's 1D sweep keeps 12.1 MB in all, 30 kernel factors and
+# their 30 inverses (0.7 MB) among it, and evicts nothing.
 MEMO_BYTES = 32 * 2**20
 
 

@@ -112,11 +112,19 @@ def hermite_eval_scaled(n: int, z: float) -> float:
     return float(q[0]) * scale * math.sqrt(math.ldexp(m, f - 2 * half))
 
 
-# Rescale the recurrence every _RESCALE_STRIDE steps.  One step multiplies
-# max(|q_k|, |q_{k-1}|) by at most |z| + k/2 < 2^11 for |z| < 64 and
-# k <= MAX_RULE_DEGREE + 1 (the nodes of any rule), so between rescalings the
-# values stay below 2^176, far from overflow.
-_RESCALE_STRIDE = 16
+def _rescale_stride(nmax: int, z: np.ndarray) -> int:
+    """Steps between the rescalings of _hermite_rows: floor(1000 / log2 G).
+
+    One step multiplies max(|q_k|, |q_{k-1}|) by at most
+    G = max|z| + nmax/2, and the maximum starts at 1 and is left below 1 by
+    every rescaling, so between rescalings the values stay below 2^1000,
+    short of overflow at 2^1024.  For every rule (|z| < 64,
+    nmax <= MAX_RULE_DEGREE + 1) that is about every 99 steps, and every 81
+    for n = 10^4, z = 100.  A G below 2 (or a NaN z) counts as 2, and an
+    infinite z makes the stride 1.
+    """
+    growth = float(np.max(np.abs(z), initial=0.0)) + 0.5 * nmax
+    return max(1, int(1000.0 / math.log2(max(2.0, growth))))
 
 
 def _hermite_rows(nmax: int, z: np.ndarray):
@@ -124,11 +132,13 @@ def _hermite_rows(nmax: int, z: np.ndarray):
 
     The monic recurrence q_{k+1} = z q_k - (k/2) q_{k-1} runs from q_0 = 1
     (q_{-1} = 0) on three buffers, in place, and scales the pair it carries
-    by exact powers of two, so q_k cannot overflow however fast H_k grows.
+    by exact powers of two every _rescale_stride(nmax, z) steps, so q_k
+    cannot overflow however fast H_k grows.
     The pair is yielded at one exponent; e_k is one array object from one
     rescale to the next.  The buffers are overwritten as the loop goes on,
     so read a row before asking for the next one.
     """
+    stride = _rescale_stride(nmax, z)
     exponent = np.zeros(z.shape, dtype=int)
     prev, cur, nxt = np.zeros_like(z), np.ones_like(z), np.empty_like(z)
     yield prev, cur, exponent
@@ -139,7 +149,7 @@ def _hermite_rows(nmax: int, z: np.ndarray):
         np.multiply(z, cur, nxt)
         np.add(nxt, prev, nxt)
         prev, cur, nxt = cur, nxt, prev
-        if k and k % _RESCALE_STRIDE == 0:
+        if k and k % stride == 0:
             _, e = np.frexp(np.maximum(np.abs(cur), np.abs(prev)))
             np.ldexp(cur, -e, out=cur)
             np.ldexp(prev, -e, out=prev)

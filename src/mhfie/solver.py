@@ -12,8 +12,16 @@ a property the test suite leans on heavily.
 Every system, linear or not, goes through one damped Newton iteration
 with the exact Jacobian lam*I - W diag(dpsi/du) E and initial guess g/lam;
 a linear equation (psi(u) = u, the Fredholm case) is solved by its first,
-full step.  In one dimension W and E are dense and each step is a dense LU
-solve.  In two dimensions the kernel and the grids are tensor products, so
+full step.  In one dimension W and E are dense.  Where psi' is one constant
+c on the quadrature nodes (every linear problem), the Jacobian is
+lam*I - c K with K = W E, and its inverse is kept in the memo under
+("inverse", alpha, n, method, kind, mu, factor, lam, c): built on the first
+step at that key, so a warm solve is bitwise the cold one, and each step is
+that inverse times the right-hand side, so a repeated solve factors
+nothing.  A cold solve pays one inverse instead of one LU factorization:
+under 0.1 ms more at N <= 64, about 8 ms against 2 ms at N = 400.  A psi'
+that varies takes a dense LU solve per step.
+In two dimensions the kernel and the grids are tensor products, so
 only the per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
 Wx Psi Wy^T and Ex U Ey^T in O(N^3), and each Newton step is solved by
 GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
@@ -65,7 +73,7 @@ Only a process that repeats a key gains, such as a study of several problems
 or forcings at one discretization; a convergence ladder solves each key once.
 
 verify_residual neither reads nor writes the memo: it builds its plan,
-quadrature coefficients, E and kernel factors anew, into a memo of its own
+quadrature coefficients, E and kernel factors anew, into a dict of its own
 that lives for the one call, so its certificate stays independent of the
 arrays the solve used.  What it shares
 with the solve is the Gauss-Hermite rule under each mapped rule, whose
@@ -90,7 +98,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from ._memo import MEMO_BYTES, BoundedMemo, memo
+from ._memo import memo
 from .approx import (
     Interpolant1D,
     LagrangeBasis,
@@ -214,7 +222,7 @@ class Solution:
     final_residual: float
     residual_history: tuple
     step_scales: tuple  # accepted damping scale per Newton iteration
-    krylov_iters: tuple  # GMRES iterations per Newton step; empty for dense LU
+    krylov_iters: tuple  # GMRES iterations per Newton step; empty for dense steps
 
 
 def _quad_coeffs(rule: MhfRule, method: str) -> np.ndarray:
@@ -265,16 +273,18 @@ def _theta_matrix(kernel: KernelSpec, rule_q: MhfRule, rule_c: MhfRule,
 
 @dataclass(frozen=True, eq=False)
 class _KernelFactor:
-    """Kernel factor W = theta * coeffs of one axis (read-only) and the
-    cardinal factor E of its plan."""
+    """Kernel factor W = theta * coeffs of one axis (read-only), the
+    cardinal factor E of its plan and the key it is kept under."""
 
     w: np.ndarray
     e: np.ndarray
+    key: tuple
 
     @functools.cached_property
     def k(self) -> np.ndarray:
         """The axis operator K = W E, read-only; built on first use, once per
-        factor: a 1D Jacobian with constant psi' is lam I - psi' K."""
+        factor: a 1D Jacobian with constant psi' is lam I - psi' K, whose
+        kept inverse is built from it."""
         k = self.w @ self.e
         k.setflags(write=False)
         return k
@@ -351,16 +361,17 @@ def _kernel_factor(kernel: KernelSpec, axis: int, plan: _AxisPlan, method: str,
     from get under the axis's (kind, mu), the kernel's factor function, the
     plan and the method, not the problem."""
 
+    mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
+    basis = plan.rule_c.basis
+    key = ("kernel", basis.alpha, basis.degree, method, kernel.kind, mu, kernel.factor)
+
     def build() -> _KernelFactor:
         coeffs = _quad_coeffs(plan.rule_q, method)
         w = _theta_matrix(kernel, plan.rule_q, plan.rule_c, axis) * coeffs[None, :]
         w.setflags(write=False)
-        return _KernelFactor(w, plan.e)
+        return _KernelFactor(w, plan.e, key)
 
-    mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
-    basis = plan.rule_c.basis
-    return get(("kernel", basis.alpha, basis.degree, method, kernel.kind, mu, kernel.factor),
-               build)
+    return get(key, build)
 
 
 @dataclass
@@ -434,8 +445,8 @@ def _build(problem: ProblemSpec, config: SolverConfig,
     """The discrete system, built axis by axis; 1D is the one-axis case.
 
     get(key, build) supplies the axis plan and kept kernel factors: the
-    memo's for solve and assemble_nystrom; verify_residual passes that of a
-    memo of its own, which lives for the one call.
+    memo's for solve and assemble_nystrom; verify_residual passes one that
+    reads a dict of its own, which lives for the one call.
     """
     dim = problem.dimension
     config.check_dimension(dim)
@@ -588,24 +599,50 @@ def _factored_jacobian(disc: _Discretization, d: np.ndarray,
     return _Operator(jv, fast.inverse(float(np.mean(d))))
 
 
+class _JacobianInverse(NamedTuple):
+    """The kept, read-only inverse of a dense 1D Jacobian: _dense_step
+    multiplies by it instead of factoring."""
+
+    matrix: np.ndarray
+
+
+def _kept_inverse(lam: float, c: float, kernel: _KernelFactor) -> _JacobianInverse:
+    """(lam I - c K)^-1 for the kernel factor's K, kept in the memo under
+    ("inverse", *kernel key, lam, c) and charged its 8 m^2 bytes.  Built on
+    first use with _checked_factor's typed failures, so a Jacobian that is
+    not finite or is singular raises SolverError and keeps nothing."""
+
+    def build() -> np.ndarray:
+        a = lam * np.eye(kernel.w.shape[0]) - c * kernel.k
+        inverse = _checked_factor(a, np.linalg.inv)
+        inverse.setflags(write=False)
+        return inverse
+
+    return _JacobianInverse(memo.get(("inverse", *kernel.key[1:], lam, c), build))
+
+
 def _jacobian_fn(disc: _Discretization, problem: ProblemSpec,
                  quad_values: Callable) -> Callable:
-    """u -> Jacobian: a dense matrix in 1D, a preconditioned _Operator in 2D.
+    """u -> Jacobian: in 1D the kept _JacobianInverse of lam I - c K where
+    psi' is one constant c on the quadrature nodes, else the dense matrix;
+    a preconditioned _Operator in 2D.
 
-    E u comes from quad_values; sharing the residual's (solve does) reuses
-    the product the residual made at the same iterate.
+    The inverse is read from the memo, or built there on the first step at
+    its key (_kept_inverse), so a repeated linear solve factors nothing and
+    a warm solve takes the very steps of the cold one.  E u comes from
+    quad_values; sharing the residual's (solve does) reuses the product the
+    residual made at the same iterate.
     """
     dpsi = problem.nonlinearity.dpsi_du
     if disc.dimension == 1:
         (w,), (e,), (kernel,) = disc.w, disc.e, disc.kernels
-        eye = np.eye(w.shape[0])
 
-        def jacobian(u: np.ndarray) -> np.ndarray:
+        def jacobian(u: np.ndarray):
             d = np.asarray(dpsi(*disc.quad_coords, quad_values(u)), dtype=float)
             if np.all(d == d.flat[0]):
-                # W diag(d) E = d K: the kept K, bitwise for d = 1
-                return disc.lam * eye - d.flat[0] * kernel.k
-            return disc.lam * eye - (w * d[None, :]) @ e
+                # W diag(d) E = d K, K the kept one
+                return _kept_inverse(disc.lam, float(d.flat[0]), kernel)
+            return disc.lam * np.eye(w.shape[0]) - (w * d[None, :]) @ e
 
         return jacobian
     fast = _FastDiagonalization(disc)
@@ -618,15 +655,12 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec,
     return factored
 
 
-def _dense_step(jac, rhs: np.ndarray, forcing: Optional[float] = None):
-    """Newton step from a dense Jacobian by LU; there are no Krylov iterations.
-
-    The step is exact to rounding, so the forcing is ignored.
+def _checked_factor(jac, factor: Callable) -> np.ndarray:
+    """factor(a) for the dense Jacobian a, with typed failures.
 
     A Jacobian with a NaN or infinite entry raises SolverError before any
     factorization.  An exactly singular one raises SolverError with the
-    reciprocal 1-norm condition number, computed on that failure path only,
-    and so does a non-finite step.
+    reciprocal 1-norm condition number, computed on that failure path only.
     """
     a = np.atleast_2d(np.asarray(jac, dtype=float))
     if not np.all(np.isfinite(a)):
@@ -635,13 +669,28 @@ def _dense_step(jac, rhs: np.ndarray, forcing: Optional[float] = None):
             f"of {a.size} entries are NaN or infinite)"
         )
     try:
-        step = np.linalg.solve(a, rhs)
+        return factor(a)
     except np.linalg.LinAlgError:
         with np.errstate(all="ignore"):
             rcond = 1.0 / float(np.linalg.cond(a, 1))
         raise SolverError(
             f"Jacobian is singular (reciprocal condition estimate {rcond:.2e})"
         ) from None
+
+
+def _dense_step(jac, rhs: np.ndarray, forcing: Optional[float] = None):
+    """Newton step from a dense Jacobian; there are no Krylov iterations.
+
+    A _JacobianInverse (the kept inverse of a 1D Jacobian with constant
+    psi') gives the step as one product, and any other Jacobian is solved
+    by LU, with _checked_factor's typed failures.  The step is exact to
+    rounding, so the forcing is ignored; a non-finite step raises
+    SolverError.
+    """
+    if isinstance(jac, _JacobianInverse):
+        step = jac.matrix @ rhs
+    else:
+        step = _checked_factor(jac, lambda a: np.linalg.solve(a, rhs))
     if not np.all(np.isfinite(step)):
         raise SolverError("Newton step is not finite")
     return step, None
@@ -809,7 +858,7 @@ def newton_driver(residual, jacobian, x0, tol: float = 1e-12, max_iter: int = 50
 
 
 def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
-    """Damped Newton solve from g / lam: dense LU steps in 1D, GMRES in 2D.
+    """Damped Newton solve from g / lam: dense steps in 1D, GMRES in 2D.
 
     config.method picks the discretization route; a linear problem takes
     one full step.  final_residual is the last entry of residual_history,
@@ -846,13 +895,20 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
 
     Accepts a Solution or a bare node-value array.  The mapped rules,
     quadrature coefficients, damped cardinal matrix and kernel matrix are
-    rebuilt here, in a memo that lives for this call only, and the memo the
+    rebuilt here, into a dict that lives for this call only, and the memo the
     solves share is neither read nor written, so this is the independent
     certificate check.  Only the
     read-only Gauss-Hermite rules under the mapped rules come from the rule
     memo that every caller shares.
     """
-    disc = _build(problem, config, BoundedMemo(MEMO_BYTES).get)
+    kept = {}
+
+    def get(key, build: Callable):
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
+
+    disc = _build(problem, config, get)
     values = solution.node_values if isinstance(solution, Solution) else solution
     u = np.asarray(values, dtype=float).ravel()
     return float(np.max(np.abs(_residual_fn(disc, problem, _quad_values(disc))(u))))

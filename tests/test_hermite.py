@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mhfie.hermite
 from mhfie.hermite import (
     MAX_RULE_DEGREE,
     HermiteRule,
@@ -107,7 +108,7 @@ def test_scaled_eval_and_table_where_the_gaussian_underflows():
 
 
 def test_scaled_table_against_mpmath_up_to_max_degree():
-    # The monic values may grow by 2^176 between rescalings and the row
+    # The monic values may grow by 2^1000 between rescalings and the row
     # scale sqrt(2^k / k!) falls to 2^-8527 at k = 2000; only their
     # product, taken through integer exponents, is a double.  Values below
     # the smallest normal double may round to 0.0, as h_n itself does.
@@ -364,3 +365,14 @@ def test_rule_arrays_are_read_only():
     assert isinstance(rule, HermiteRule)
     with pytest.raises(ValueError):
         rule.nodes[0] = 0.0
+
+
+@pytest.mark.parametrize("degree", [0, 1, 63, 64, 65, 764, 2000])
+def test_rule_is_bitwise_the_rule_rescaled_every_16_steps(degree, monkeypatch):
+    # the recurrence rescales by exact powers of two, so how often it does
+    # so leaves every bit of the rule as it was
+    rule = _build_rule(degree)
+    monkeypatch.setattr(mhfie.hermite, "_rescale_stride", lambda nmax, z: 16)
+    pinned = _build_rule(degree)
+    for name in ("nodes", "weights", "log_weights"):
+        assert np.array_equal(getattr(rule, name), getattr(pinned, name)), name

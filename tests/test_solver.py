@@ -524,12 +524,20 @@ def test_memos_hold_at_most_their_bounds():
             assert memo.nbytes == sum(v.nbytes for v in memo.entries.values())
     # the 1D ladder alone overflows the cap: its first entries are gone
     assert ("plan", 3.0, 40) not in memo.entries
-    assert {key[0] for key in memo.entries} == {"plan", "kernel", "norm-rule", "terms"}
+    assert {key[0] for key in memo.entries} == {"plan", "kernel", "inverse", "norm-rule",
+                                                "terms"}
     for key, value in memo.entries.items():
         if key[0] == "plan":
             held = _read_only_arrays(value) + [value.e, value.basis.weights]
         elif key[0] == "kernel":
             held = [value.w, value.e, value.k, *value.__dict__.get("eigenpairs", ())]
+        elif key[0] == "inverse":
+            # a 1D Jacobian inverse, charged its 8 m^2 bytes, under its
+            # kernel factor's key plus (lam, psi')
+            m = key[2] + 1
+            assert value.shape == (m, m) and value.nbytes == 8 * m * m
+            assert not value.flags.writeable
+            held = [value]
         elif key[0] == "norm-rule":
             held = _read_only_arrays(value)
         else:
@@ -541,6 +549,71 @@ def test_memos_hold_at_most_their_bounds():
         error_norms(sol.interpolant, prob.exact_solution, 0.5, degree=degree)
         assert rules.cache_info().currsize <= mhfie.hermite._RULE_MEMO_SIZE
     assert rules.cache_info().currsize == mhfie.hermite._RULE_MEMO_SIZE
+
+
+def _kept_inverses() -> dict:
+    return {key: value for key, value in memo.entries.items() if key[0] == "inverse"}
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+@pytest.mark.parametrize("name", ["ex1-log", "ex1-alg", "ex2-sqrt"])
+def test_repeated_1d_solve_factors_nothing(name, method, monkeypatch, fresh_memos):
+    # the first solve at a key keeps the inverse of its Jacobian
+    # lam I - psi' K; a second solve neither solves nor inverts and takes the
+    # very steps of the first
+    prob = get_problem(name)
+    cfg = SolverConfig(n=24, alpha=prob.default_alpha, method=method)
+    cold = solve(prob, cfg)
+    (key,) = _kept_inverses()
+    assert key == ("inverse", *_kept_factors(cfg).popitem()[0][1:], prob.lam, 1.0)
+
+    def no_factor(*args):
+        raise AssertionError("factored again")
+
+    monkeypatch.setattr(np.linalg, "solve", no_factor)
+    monkeypatch.setattr(np.linalg, "inv", no_factor)
+    warm = solve(prob, cfg)
+    assert np.array_equal(warm.node_values, cold.node_values)
+    assert warm.residual_history == cold.residual_history
+    assert list(_kept_inverses()) == [key]
+
+
+@pytest.mark.parametrize("name", ["ex1-log", "ex2-sqrt"])
+def test_poisoned_kept_inverse_sets_only_the_newton_count(name, fresh_memos):
+    # a wrong kept inverse makes each step inexact; the damped Newton
+    # iteration still reaches the tolerance, at the same answer, and the
+    # certificate, which builds no inverse, agrees
+    prob = get_problem(name)
+    cfg = SolverConfig(n=24, alpha=prob.default_alpha)
+    clean = solve(prob, cfg)
+    assert clean.newton_iters == 1
+    (key,) = _kept_inverses()
+    memo.entries[key] = memo.entries[key] * (1.0 + 1e-3)
+    poisoned = solve(prob, cfg)
+    assert poisoned.newton_iters > clean.newton_iters
+    assert np.max(np.abs(poisoned.node_values - clean.node_values)) <= cfg.newton_tol
+    assert poisoned.final_residual <= cfg.newton_tol
+    assert verify_residual(prob, cfg, poisoned) <= cfg.newton_tol
+
+
+@pytest.mark.parametrize("k, match", [
+    ("singular", "Newton iteration 1: Jacobian is singular .reciprocal condition estimate"),
+    ("nan", "Newton iteration 1: Jacobian is not finite"),
+])
+def test_kept_inverse_failures_are_typed(k, match, fresh_memos):
+    # the inverse is built with the dense step's checks and messages, and
+    # one that fails is not kept
+    prob = get_problem("ex1-log")
+    cfg = SolverConfig(n=12, alpha=prob.default_alpha)
+    (factor,) = mhfie.solver._build(prob, cfg).kernels
+    poisoned = prob.lam * np.eye(cfg.n + 1)  # lam I - 1 K is exactly zero
+    if k == "nan":
+        poisoned[3, 5] = math.nan
+    factor.__dict__["k"] = poisoned
+    for _ in range(2):
+        with pytest.raises(SolverError, match=match):
+            solve(prob, cfg)
+    assert _kept_inverses() == {}
 
 
 @pytest.mark.parametrize("name, n", [("ex1-log", 16), ("ex3-alg", 8)])
