@@ -20,8 +20,11 @@ from typing import Callable
 # factor 3.9 MB (W, the E it references and K = W E), a Jacobian inverse
 # 1.3 MB, its Cauchy terms on the 1D error grid 9.6 MB and its norm rule with
 # the terms at that rule's nodes 2.7 MB, so one of each fits with room to
-# spare; the benchmark's 1D sweep keeps 12.1 MB in all, 30 kernel factors and
-# their 30 inverses (0.7 MB) among it, and evicts nothing.
+# spare.  A kernel factor at MAX_N_2D is charged 0.58 MB: W, E, K, and the
+# eigenpairs, Q^-1 W and E Q that a 2D solve may build, as complex arrays at
+# most; a 1D solve at that N shares the factor and is charged the same.  The
+# benchmark's 1D sweep is charged 14.9 MB in all, 30 kernel factors and their
+# 30 inverses (0.7 MB) among it, and evicts nothing.
 MEMO_BYTES = 32 * 2**20
 
 

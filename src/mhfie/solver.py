@@ -24,20 +24,26 @@ that varies takes a dense LU solve per step.
 In two dimensions the kernel and the grids are tensor products, so
 only the per-axis factors are kept: W = Wx (x) Wy and E = Ex (x) Ey act as
 Wx Psi Wy^T and Ex U Ey^T in O(N^3), and each Newton step is solved by
-GMRES (Saad & Schultz 1986), preconditioned by the fast diagonalization
-(Lynch, Rice & Thomas 1964) of lam*I - c (Wx Ex) (x) (Wy Ey), c the mean of
-dpsi/du.  Nothing on the 2D solve path holds an O(N^4) array.  GMRES keeps
-each preconditioned Krylov vector beside its basis vector (flexible GMRES,
-Saad 1993), so a Krylov iteration costs one Jacobian apply and one
-preconditioner apply, four Kronecker applies in all, and a restart cycle one
-more Jacobian apply, for its true residual.  In both dimensions the
+GMRES (Saad & Schultz 1986) in the eigen-coordinates t = (Qx (x) Qy)^-1 v
+of the kept axis operators K = W E = Q diag(l) Q^-1, where the fast
+diagonalization (Lynch, Rice & Thomas 1964) of lam*I - c Kx (x) Ky, c the
+mean of dpsi/du, is the diagonal 1 / (lam - c lx_i ly_j).  Nothing on the
+2D solve path holds an O(N^4) array.  GMRES keeps each preconditioned
+Krylov vector beside its basis vector (flexible GMRES, Saad 1993) and each
+one's image under the Jacobian, so a Krylov iteration costs one Jacobian
+apply, (Qx^-1 Wx (x) Qy^-1 Wy)(d o (Ex Qx (x) Ey Qy) t): two Kronecker
+applies, and an elementwise preconditioner; a restart cycle forms its true
+residual from the kept images.  A Newton step adds one transform of -F into
+t and one of the step back out; the residual, its max-norm test and the
+line search stay in node values.  In both dimensions the
 Jacobian at an iterate reads the E u that the residual computed at that
 same iterate (_quad_values).  The 2D steps are inexact on purpose:
 newton_driver passes each step the forcing
-eta = min(0.1, 0.01 |F|_inf), and GMRES stops once the linear residual is
-below eta |F| (or the fixed floors of _gmres_step), which keeps Newton's
-quadratic convergence with fewer Krylov iterations (Dembo, Eisenstat &
-Steihaug 1982).  The dense 1D step is exact and ignores the forcing.
+eta = min(0.1, 0.01 |F|_inf), and GMRES stops once the linear residual,
+measured in the eigen-coordinates, is below eta |Q^-1 F| (or the fixed
+floors of _gmres_step), which keeps Newton's quadratic convergence with
+fewer Krylov iterations (Dembo, Eisenstat & Steihaug 1982).  The dense 1D
+step is exact and ignores the forcing.
 
 E holds the damped cardinals of the collocation nodes at the quadrature
 nodes.  The quadrature rule has degree n+1, one node more than the
@@ -63,9 +69,9 @@ plan, kept in the package's one byte-bounded memo (mhfie._memo) under
 assemble_nystrom.  A plan builds E on first use, after the kernel factor
 has checked the node gap, so a solve the check refuses builds none.  An
 axis's read-only kernel factor W = theta * coeffs and, from the first 2D
-solve that asks, the eigenpairs of W E that the preconditioner
-diagonalizes depend only on the axis's (kind, mu), the kernel's factor
-function, the plan and the route, so they are kept under
+solve that asks, the eigenpairs of W E with the products Q^-1 W and E Q
+that the 2D Jacobian applies depend only on the axis's (kind, mu), the
+kernel's factor function, the plan and the route, so they are kept under
 ("kernel", alpha, n, method, kind, mu, factor), shared by the problems and
 the axes of a 2D solve that share these.  problem._axis_theta gives the
 kernel values; the solver reads only whether a diagonal type is present.
@@ -133,7 +139,8 @@ MAX_N_1D = 400
 MAX_N_2D = 80
 NODE_GAP = 1e-12
 # GMRES on the 2D Newton steps: stop at the largest of forcing * |rhs|,
-# GMRES_RTOL * |rhs| and GMRES_ATOL_FACTOR * newton_tol (2-norms).  The
+# GMRES_RTOL * |rhs| and GMRES_ATOL_FACTOR * newton_tol (2-norms in the
+# eigen-coordinates of the axis operators, where GMRES runs).  The
 # forcing newton_driver passes shrinks with the residual, so the last steps
 # are exact to well below the Newton tolerance; the preconditioned iteration
 # needs a few to a few tens of iterations, far inside GMRES_RESTART *
@@ -142,6 +149,11 @@ GMRES_RTOL = 1e-10
 GMRES_ATOL_FACTOR = 0.1
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 4
+# Largest eigenvector condition estimate |Q|_1 |Q^-1|_1 of an axis operator
+# that the 2D solve works with: at N = 80 the ex3 kernels read at most 3e2
+# and an algebraic one with mu = 0.6 4e2, while a rank-one K (kind "none")
+# reads 4e17 at N = 8.
+EIGEN_COND_MAX = 1e8
 
 
 class AssemblyError(RuntimeError):
@@ -292,7 +304,10 @@ class _KernelFactor:
     @functools.cached_property
     def eigenpairs(self) -> tuple:
         """(l, Q, Q^-1) with K = Q diag(l) Q^-1, read-only; built on the
-        first 2D solve that needs them, once per factor."""
+        first 2D solve that needs them, once per factor.  A singular Q, or
+        one whose condition estimate |Q|_1 |Q^-1|_1 exceeds EIGEN_COND_MAX,
+        raises SolverError: the 2D solve's coordinates would lose that
+        factor's digits."""
         values, forward = np.linalg.eig(self.k)
         try:
             backward = np.linalg.inv(forward)
@@ -300,17 +315,33 @@ class _KernelFactor:
             raise SolverError(
                 f"preconditioner axis factor is not diagonalizable: {exc}"
             ) from exc
+        cond = np.linalg.norm(forward, 1) * np.linalg.norm(backward, 1)
+        if not cond <= EIGEN_COND_MAX:
+            raise SolverError(
+                "preconditioner axis factor is not diagonalizable: eigenvector "
+                f"condition estimate |Q|_1 |Q^-1|_1 = {cond:.1e} exceeds {EIGEN_COND_MAX:.0e}"
+            )
         for arr in (values, forward, backward):
             arr.setflags(write=False)
         return values, forward, backward
 
+    @functools.cached_property
+    def eigenbasis(self) -> tuple:
+        """(Q^-1 W, E Q), read-only: the factors of the 2D Jacobian in the
+        eigen-coordinates of K, built from the eigenpairs, once per factor."""
+        _, forward, backward = self.eigenpairs
+        products = backward @ self.w, self.e @ forward
+        for arr in products:
+            arr.setflags(write=False)
+        return products
+
     @property
     def nbytes(self) -> int:
         """Bytes kept alive once complete: W, the E it references, K and,
-        where a 2D solve can use it (n <= MAX_N_2D), at most m + 2 m^2
-        complex eigenpair values."""
+        where a 2D solve can use them (n <= MAX_N_2D), at most m + 2 m^2
+        complex eigenpair values and the 2 m (m + 1) of Q^-1 W and E Q."""
         m = self.w.shape[0]
-        eigen = 16 * m * (2 * m + 1) if m <= MAX_N_2D + 1 else 0
+        eigen = 16 * m * (4 * m + 3) if m <= MAX_N_2D + 1 else 0
         return self.w.nbytes + self.e.nbytes + 8 * m * m + eigen
 
 
@@ -542,61 +573,87 @@ def _residual_fn(disc: _Discretization, problem: ProblemSpec,
     return residual
 
 
+def _same(v: np.ndarray) -> np.ndarray:
+    return v
+
+
 class _Operator(NamedTuple):
     """Square linear operator given by its action, with its preconditioner.
 
-    Both are callables on flat vectors; _gmres applies precond on the right.
+    Both are callables on flat real vectors; _gmres applies precond on the
+    right.  They act on the coordinates that into takes a right-hand side
+    to and back takes a solution from, by default the vector itself.
     """
 
     matvec: Callable
     precond: Callable
+    into: Callable = _same
+    back: Callable = _same
 
 
 class _FastDiagonalization:
-    """Inverse of lam*I - c (Wx Ex) (x) (Wy Ey) (Lynch, Rice & Thomas 1964).
+    """The eigen-coordinates of the 2D Jacobian, in which lam*I - c Kx (x) Ky
+    is diagonal (Lynch, Rice & Thomas 1964).
 
-    With A = Q L Q^-1 for each axis product, the inverse is
-    (Qx (x) Qy) diag(1 / (lam - c lx_i ly_j)) (Qx (x) Qy)^-1, applied per
-    axis: two Kronecker applies per call.  The eigendecompositions are the
-    kernel factors' eigenpairs: made once per distinct (W, E) pair, so two
-    axes that share a kernel factor share them, and kept with a kernel
-    factor the memo keeps, so a repeated solve makes none.  The contiguous
-    transposes of Qy and Qy^-1 that _kron_apply takes are made here, once
-    per solve, and are not kept.  c may change with every Newton step.
-    Complex eigenpairs are carried in complex arithmetic and the result,
-    real in exact arithmetic, is taken as its real part.  The preconditioner
-    only speeds GMRES up: each step's accuracy is set by its residual target.
+    With K = W E = Q diag(l) Q^-1 per axis, t = (Qx (x) Qy)^-1 v takes
+    J = lam I - (Wx (x) Wy) D (Ex (x) Ey) to
+    lam I - (Qx^-1 Wx (x) Qy^-1 Wy) D (Ex Qx (x) Ey Qy), and the inverse of
+    lam I - c Kx (x) Ky to the elementwise 1 / (lam - c lx_i ly_j).  The
+    eigenpairs and the two products are the kernel factors' own: made once
+    per distinct (W, E) pair, so two axes that share a kernel factor share
+    them, and kept with a kernel factor the memo keeps, so a repeated solve
+    makes none.  The contiguous second-axis transposes that _kron_apply
+    takes are made here, once per solve, and are not kept.  Complex
+    eigenpairs make t complex; GMRES then runs on its real view
+    (.view(float)), whose real inner product is Re<a, b>, and a step is the
+    real part of (Qx (x) Qy) t, real in exact arithmetic.  The
+    preconditioner only speeds GMRES up: each step's accuracy is set by its
+    true residual, which the Jacobian's own outputs give.
     """
 
     def __init__(self, disc: _Discretization):
         self.lam = disc.lam
         (lx, qx, bx), (ly, qy, by) = (k.eigenpairs for k in disc.kernels)
+        (wx, ex), (wy, ey) = (k.eigenbasis for k in disc.kernels)
         self.forward, self.backward = _kron_pair((qx, qy)), _kron_pair((bx, by))
-        self.products = lx[:, None] * ly[None, :]
+        self.w, self.e = _kron_pair((wx, wy)), _kron_pair((ex, ey))
+        self.products = (lx[:, None] * ly[None, :]).ravel()
+        self.dtype = self.products.dtype
+
+    def into(self, v: np.ndarray) -> np.ndarray:
+        """(Qx (x) Qy)^-1 v, as a real view."""
+        return _kron_apply(self.backward, v).ravel().view(float)
+
+    def back(self, t: np.ndarray) -> np.ndarray:
+        """The real part of (Qx (x) Qy) t, t a real view."""
+        return _kron_apply(self.forward, t.view(self.dtype)).real.ravel()
 
     def inverse(self, c: float) -> Callable:
-        scale = 1.0 / (self.lam - c * self.products)
-        forward, backward = self.forward, self.backward
+        """t -> t / (lam - c lx_i ly_j) on real views."""
+        scale, dtype = 1.0 / (self.lam - c * self.products), self.dtype
 
         def apply(r: np.ndarray) -> np.ndarray:
-            return _kron_apply(forward, scale * _kron_apply(backward, r)).real.ravel()
+            return (scale * r.view(dtype)).view(float)
 
         return apply
 
 
 def _factored_jacobian(disc: _Discretization, d: np.ndarray,
                        fast: _FastDiagonalization) -> _Operator:
-    """J v = lam v - Wx (d o (Ex V Ey^T)) Wy^T, applied per axis on flat v.
+    """J t = lam t - (Qx^-1 Wx) (d o (Ex Qx T Qy^T Ey^T)) (Qy^-1 Wy)^T on
+    flat real views of the eigen-coordinates t: two Kronecker applies.
 
     Its preconditioner is the fast-diagonalization inverse at c = mean(d),
-    which is J^-1 itself when d is constant (the identity nonlinearity).
+    which is J^-1 itself when d is constant (the identity nonlinearity);
+    into and back carry a Newton step's -F into t and its solution out.
     """
-    lam, w, e = disc.lam, disc.kron_w, disc.kron_e
+    lam, w, e, dtype = disc.lam, fast.w, fast.e, fast.dtype
 
-    def jv(v: np.ndarray) -> np.ndarray:
-        return lam * v - _kron_apply(w, d * _kron_apply(e, v)).ravel()
+    def jv(t: np.ndarray) -> np.ndarray:
+        t = t.view(dtype)
+        return (lam * t - _kron_apply(w, d * _kron_apply(e, t)).ravel()).view(float)
 
-    return _Operator(jv, fast.inverse(float(np.mean(d))))
+    return _Operator(jv, fast.inverse(float(np.mean(d))), fast.into, fast.back)
 
 
 class _JacobianInverse(NamedTuple):
@@ -702,17 +759,20 @@ def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
 
     Each cycle builds an Arnoldi basis b_j of at most GMRES_RESTART vectors
     for matvec(precond(.)) by modified Gram-Schmidt, keeps z_j = precond(b_j)
-    beside it, and tracks the least-squares residual by Givens rotations on
-    Python floats.  A cycle ends when that estimate reaches the target and
-    adds Z y to the iterate, y by back substitution in the k x k triangle.
-    So every iteration calls precond once and matvec once, and every cycle
-    calls matvec once more, for the true residual |rhs - matvec(v)|: the
-    iterate is accepted only when that reaches the target too.  The basis
-    and Z are lists that grow by one vector per iteration; the vectors
-    precond returns are kept as they are, so precond must return a new
-    array (or its argument).  Runs at most GMRES_MAX_CYCLES cycles.
-    Returns v, the number of iterations and the last true residual norm.
-    A singular preconditioned operator raises LinAlgError.
+    and its image matvec(z_j) beside it, and tracks the least-squares
+    residual by Givens rotations on Python floats.  A cycle ends when that
+    estimate reaches the target and adds Z y to the iterate, y by back
+    substitution in the k x k triangle.  So every iteration calls precond
+    once and matvec once, and nothing else does: matvec is linear, so a
+    cycle takes the true residual rhs - matvec(v) as r - sum_j y_j
+    matvec(z_j), r the one the cycle started from, from the kept images,
+    never from the Givens estimate.  The iterate is accepted only when that
+    reaches the target too.  The basis, Z and the images are lists that
+    grow by one vector per iteration; the vectors precond and matvec return
+    are kept as they are, so each must return a new array (or its
+    argument).  Runs at most GMRES_MAX_CYCLES cycles.  Returns v, the
+    number of iterations and the last true residual norm.  A singular
+    preconditioned operator raises LinAlgError.
     """
     v = np.zeros_like(rhs)
     r, beta = rhs, math.sqrt(rhs @ rhs)
@@ -720,11 +780,12 @@ def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
     for _ in range(GMRES_MAX_CYCLES):
         if beta <= target:
             break
-        basis, kept = [r / beta], []
+        basis, kept, images = [r / beta], [], []
         cols, rotations, g = [], [], [beta]  # cols[j]: column j of the triangle
         for j in range(GMRES_RESTART):
             kept.append(precond(basis[j]))
-            w = matvec(kept[j])
+            images.append(matvec(kept[j]))
+            w = images[j]
             col = []
             for b in basis:
                 col.append(float(b @ w))
@@ -750,9 +811,9 @@ def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
             y[j] /= cols[j][j]
             for i in range(j):
                 y[i] -= y[j] * cols[j][i]
-        for yj, z in zip(y, kept):
+        for yj, z, image in zip(y, kept, images):
             v += yj * z
-        r = rhs - matvec(v)
+            r = r - yj * image
         beta = math.sqrt(r @ r)
     return v, iters, beta
 
@@ -760,27 +821,31 @@ def _gmres(matvec: Callable, precond: Callable, rhs: np.ndarray, target: float):
 def _gmres_step(config: SolverConfig) -> Callable:
     """Newton step from a factored 2D Jacobian by preconditioned GMRES.
 
-    step(jac, rhs, forcing) stops at the true linear residual
-    max(forcing |rhs|, GMRES_RTOL |rhs|, GMRES_ATOL_FACTOR newton_tol); with
-    no forcing the first term drops.  So the step is inexact on purpose:
-    newton_driver's forcing solves it only as exactly as Newton needs
-    (Dembo, Eisenstat & Steihaug 1982).  A step whose true residual misses
-    its target raises SolverError.
+    step(jac, rhs, forcing) takes rhs into the operator's coordinates
+    (jac.into; for the 2D Jacobian the eigen-coordinates t), runs GMRES
+    there and returns jac.back of its solution.  GMRES stops at the true
+    linear residual max(forcing |b|, GMRES_RTOL |b|,
+    GMRES_ATOL_FACTOR newton_tol), b = jac.into(rhs), every 2-norm taken in
+    those coordinates; with no forcing the first term drops.  So the step
+    is inexact on purpose: newton_driver's forcing solves it only as
+    exactly as Newton needs (Dembo, Eisenstat & Steihaug 1982).  A step
+    whose true residual misses its target raises SolverError.
     """
     atol = GMRES_ATOL_FACTOR * config.newton_tol
 
     def step(jac: _Operator, rhs: np.ndarray, forcing: Optional[float] = None):
-        norm = math.sqrt(rhs @ rhs)
+        b = jac.into(rhs)
+        norm = math.sqrt(b @ b)
         target = max(GMRES_RTOL * norm, atol)
         if forcing is not None:
             target = max(forcing * norm, target)
-        v, iters, residual = _gmres(jac.matvec, jac.precond, rhs, target)
+        v, iters, residual = _gmres(jac.matvec, jac.precond, b, target)
         if not residual <= target:
             raise SolverError(
                 f"GMRES did not converge at n={config.n}: relative Krylov residual "
                 f"{residual / norm:.2e} after {iters} iterations"
             )
-        return v, iters
+        return jac.back(v), iters
 
     return step
 

@@ -19,9 +19,12 @@ def _tool():
 
 def test_ladder_points_record_times_or_the_failure():
     tool = _tool()
-    for name in ("ex1-log", "ex3-alg"):
+    # a linear 1D problem takes one dense step; ex3-alg three GMRES steps
+    counts = {"ex1-log": (1, []), "ex3-alg": (3, [2, 3, 3])}
+    for name, (newton, krylov) in counts.items():
         point = tool.ladder_point(mhfie, name, 8, repeats=1)
         assert "failed" not in point, point
+        assert (point["newton_iters"], point["krylov_iters"]) == (newton, krylov)
         for stage in ("solve", "verify_residual", "error_norms"):
             assert point[f"{stage}_s"] > 0.0
             assert point[f"{stage}_median_s"] == point[f"{stage}_s"]  # one call

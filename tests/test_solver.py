@@ -274,18 +274,26 @@ def test_gmres_matches_a_direct_solve(monkeypatch, preconditioned, restart):
         preconds.append(1)
         return r / diag if preconditioned else r
 
+    gmres, returned = mhfie.solver._gmres, []
+    monkeypatch.setattr(mhfie.solver, "_gmres",
+                        lambda *args: returned.append(gmres(*args)) or returned[-1])
     step = mhfie.solver._gmres_step(SolverConfig(n=8, newton_tol=1e-12))
     v, iters = step(mhfie.solver._Operator(matvec, precond), rhs)
     direct = np.linalg.solve(a, rhs)
     assert np.linalg.norm(v - direct) <= 1e-10 * np.linalg.norm(direct)
-    # one product per iteration and one true residual per cycle; restarted
-    # cycles run full, so a restart shows as more iterations than its length
-    cycles = math.ceil(iters / restart)
-    assert len(calls) == iters + cycles
+    # the residual _gmres returns, formed from the kept images, is the one a
+    # fresh product of the operator gives at the returned iterate
+    ((_, _, residual),) = returned
+    assert abs(residual - np.linalg.norm(rhs - a @ v)) <= 1e-12 * np.linalg.norm(rhs)
+    # one product per iteration and none more: a cycle's true residual comes
+    # from the kept images of its preconditioned vectors
+    assert len(calls) == iters
     # the preconditioned vectors are kept: a cycle's update applies no
     # preconditioner of its own
     assert len(preconds) == iters
     if restart == 5:
+        # restarted cycles run full, so a restart shows as more iterations
+        # than its length
         assert iters > restart
 
 
@@ -473,7 +481,7 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
 
     # no Hermite rule is built, and the solve maps no rule: its plan is
     # memoized; every kernel, one with a factor (ex2-sqrt) included, keeps
-    # its W and, in 2D, its eigenpairs
+    # its W and, in 2D, its eigenpairs, Q^-1 W and E Q
     monkeypatch.setattr(mhfie.hermite, "_build_rule", no_rebuild)
     monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_plan_rule)
     monkeypatch.setattr(mhfie.solver, "_theta_matrix", no_rebuild_kernel)
@@ -490,8 +498,9 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     arrays = (_read_only_arrays(plan) + [plan.e] + _read_only_arrays(plan.basis)
               + _read_only_arrays(rule))
     assert len(arrays) >= 20
-    kernel_arrays = [arr for f in factors for arr in (f.w, *f.__dict__.get("eigenpairs", ()))]
-    assert len(kernel_arrays) == (1 if prob.dimension == 1 else 4)
+    kernel_arrays = [arr for f in factors for arr in (f.w, *f.__dict__.get("eigenpairs", ()),
+                                                      *f.__dict__.get("eigenbasis", ()))]
+    assert len(kernel_arrays) == (1 if prob.dimension == 1 else 6)
     assert not any(arr.flags.writeable for arr in arrays + kernel_arrays)
 
 
@@ -530,7 +539,8 @@ def test_memos_hold_at_most_their_bounds():
         if key[0] == "plan":
             held = _read_only_arrays(value) + [value.e, value.basis.weights]
         elif key[0] == "kernel":
-            held = [value.w, value.e, value.k, *value.__dict__.get("eigenpairs", ())]
+            held = [value.w, value.e, value.k, *value.__dict__.get("eigenpairs", ()),
+                    *value.__dict__.get("eigenbasis", ())]
         elif key[0] == "inverse":
             # a 1D Jacobian inverse, charged its 8 m^2 bytes, under its
             # kernel factor's key plus (lam, psi')
@@ -755,12 +765,13 @@ def test_inexact_newton_steps_cut_krylov_iterations():
 
 def test_krylov_counts_on_the_ex3_ladder():
     # the GMRES iterations of every Newton step on the mhf route at the
-    # default alpha, as the preconditioned vectors were first kept; the
-    # smoothed route builds the same system and takes the same counts
+    # default alpha, with GMRES in the eigen-coordinates; the smoothed route
+    # builds the same system and takes the same counts
     ladder = (8, 16, 24, 32, 48, 64, 80)
     want = {
-        "ex3-log": {n: (1, 2, 4, 2) if n <= 24 else (1, 2, 4, 3) for n in ladder},
-        "ex3-alg": {n: (2, 3, 3) if n == 8 else (2, 3, 4) for n in ladder},
+        "ex3-log": {n: (1, 2, 4, 2) if n <= 32 else (1, 2, 4, 3) for n in ladder},
+        "ex3-alg": {n: (2, 3, 3) if n == 8 else (2, 3, 5) if n == 80 else (2, 3, 4)
+                    for n in ladder},
     }
     for name, counts in want.items():
         prob = get_problem(name)
@@ -825,8 +836,9 @@ def test_kept_kernel_factors_hold_at_most_their_bound():
     kept.get("c", lambda: np.zeros(4))
     assert list(kept.entries) == ["a", "c"] and kept.nbytes == 72
     # a W at MAX_N_1D with its E and K = W E fits the cap; within MAX_N_2D a
-    # factor is also charged for the eigenpairs a 2D solve may build
-    for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (2 * MAX_N_2D + 3))):
+    # factor is also charged for the eigenpairs, Q^-1 W and E Q a 2D solve
+    # may build, complex at most
+    for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (4 * MAX_N_2D + 7))):
         plan = mhfie.solver._build_axis_plan(2.0, n)
         factor = mhfie.solver._kernel_factor(KernelSpec(kind="algebraic", mu=(0.5,)), 0, plan,
                                              "mhf", kept.get)
@@ -991,6 +1003,114 @@ def test_factored_two_dimensional_solve_matches_dense_newton(name, n, method):
     if name == "identity-2d":
         # dpsi/du = 1 makes the fast-diagonalization preconditioner exact
         assert sol.krylov_iters == (1,) * sol.newton_iters
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+def test_complex_eigenpairs_solve_in_the_real_view(method):
+    # identity-2d's mu = 0.6 axis has complex eigenpairs from N = 16: GMRES
+    # runs on the real view of the complex eigen-coordinates
+    prob = _identity_2d()
+    cfg = SolverConfig(n=16, alpha=0.5, method=method)
+    disc = mhfie.solver._build(prob, cfg)
+    assert any(np.iscomplexobj(k.eigenpairs[0]) for k in disc.kernels)
+    sol = solve(prob, cfg)
+    np.testing.assert_allclose(
+        sol.node_values.ravel(), _dense_newton(prob, cfg, disc),
+        rtol=0.0, atol=10.0 * cfg.newton_tol,
+    )
+    assert sol.krylov_iters == (1,) * sol.newton_iters
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+
+
+@pytest.mark.parametrize("name", ["ex3-log", "ex3-alg", "identity-2d"])
+def test_each_krylov_iteration_makes_two_kronecker_applies(name, monkeypatch):
+    # in the eigen-coordinates a Krylov iteration applies the Jacobian's two
+    # Kronecker factors and an elementwise preconditioner; a Newton step adds
+    # the transform of -F in and of the step out, and every residual
+    # evaluation applies E and W, as does a synthesized forcing
+    prob = _identity_2d() if name == "identity-2d" else get_problem(name)
+    applies, inside = [], []
+    kron_apply, gmres = mhfie.solver._kron_apply, mhfie.solver._gmres
+
+    def traced(*args):
+        before = len(applies)
+        v, iters, residual = gmres(*args)
+        inside.append((len(applies) - before, iters))
+        return v, iters, residual
+
+    monkeypatch.setattr(mhfie.solver, "_kron_apply",
+                        lambda factors, v: applies.append(1) or kron_apply(factors, v))
+    monkeypatch.setattr(mhfie.solver, "_gmres", traced)
+    sol = solve(prob, SolverConfig(n=16, alpha=0.5))
+    assert inside == [(2 * k, k) for k in sol.krylov_iters]
+    residuals = 1 + sum(1 + round(-math.log2(s)) for s in sol.step_scales)
+    residuals += prob.exact_solution is not None
+    assert len(applies) == 2 * (sum(sol.krylov_iters) + sol.newton_iters + residuals)
+
+
+@pytest.mark.parametrize("name", ["ex3-alg", "identity-2d"])
+def test_poisoned_kept_eigenbasis_sets_only_the_counts(name, fresh_memos):
+    # a wrong kept Q^-1 W makes the Jacobian inexact; the residual, in node
+    # values, is not, so the damped Newton iteration still reaches the same
+    # answer, and the certificate, which builds no eigenbasis, agrees
+    prob = _identity_2d() if name == "identity-2d" else get_problem(name)
+    cfg = SolverConfig(n=8, alpha=0.5)
+    clean = solve(prob, cfg)
+    for factor in _kept_factors(cfg).values():
+        products, corner = factor.eigenbasis
+        factor.__dict__["eigenbasis"] = (products * (1.0 + 1e-3), corner)
+    poisoned = solve(prob, cfg)
+    assert (poisoned.newton_iters, poisoned.krylov_iters) != (clean.newton_iters,
+                                                             clean.krylov_iters)
+    assert np.max(np.abs(poisoned.node_values - clean.node_values)) <= 10.0 * cfg.newton_tol
+    assert poisoned.final_residual <= cfg.newton_tol
+    assert verify_residual(prob, cfg, poisoned) <= cfg.newton_tol
+
+
+def test_verify_residual_builds_no_eigenbasis(monkeypatch, fresh_memos):
+    # the eigen-coordinates belong to the solve: with no eigendecomposition
+    # to be had, the certificate still reads the residual
+    prob = _identity_2d()
+    cfg = SolverConfig(n=8, alpha=0.5)
+    sol = solve(prob, cfg)
+    _clear_memos()
+
+    def no_eig(*args):
+        raise AssertionError("eigendecomposition built")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_ill_conditioned_eigenvectors_are_refused_before_any_krylov_iteration(
+        n, monkeypatch, fresh_memos):
+    # theta = 1 (kind "none") makes each axis operator K rank one: from
+    # N = 6 its eigenvectors are singular or near it (|Q|_1 |Q^-1|_1 reads
+    # 4e17 at N = 8), which the solve refuses before GMRES runs
+    prob = ProblemSpec(
+        name="none-2d",
+        dimension=2,
+        lam=3.0,
+        kernel=KernelSpec(kind="none", dimension=2),
+        nonlinearity=Nonlinearity.identity(2),
+        forcing=lambda x, y: np.cos(x) * (1.0 + y),
+    )
+    cfg = SolverConfig(n=n, alpha=0.5)
+    if n <= 4:
+        sol = solve(prob, cfg)
+        assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+        return
+
+    def no_gmres(*args):
+        raise AssertionError("a Krylov iteration ran")
+
+    monkeypatch.setattr(mhfie.solver, "_gmres", no_gmres)
+    message = "preconditioner axis factor is not diagonalizable"
+    if n == 8:
+        message += r": eigenvector condition estimate .* exceeds 1e\+08"
+    with pytest.raises(SolverError, match=message):
+        solve(prob, cfg)
 
 
 def test_one_dimensional_solve_at_max_n():

@@ -22,9 +22,11 @@ run records, under its tag:
 - ``solve``, ``verify_residual`` and ``error_norms`` at every LADDER point
   (the registry problem at its default alpha): the first call, and the best
   and the median of POINT_REPEATS calls, the first included, with
-  ``err_inf``.  The best is the floor a call can reach; the median is the
-  typical call, which shows a stall the best hides.  A point that fails
-  records the stage, the error type and its message instead.
+  ``err_inf`` and the solution's ``newton_iters`` and ``krylov_iters`` (the
+  GMRES iterations of each Newton step, empty in 1D).  The best is the
+  floor a call can reach; the median is the typical call, which shows a
+  stall the best hides.  A point that fails records the stage, the error
+  type and its message instead.
 
 The first call of a point builds the axis plans and rules unless an earlier
 point at the same (alpha, N) built them: ex1-log, ex1-alg and ex2-sqrt share
@@ -142,7 +144,8 @@ def forcing_time(mhfie, n_list=FORCING_N, repeats: int = FORCING_REPEATS) -> flo
 
 
 def ladder_point(mhfie, name: str, n: int, repeats: int = POINT_REPEATS) -> dict:
-    """Times of solve, verify_residual and error_norms at one point, or its failure."""
+    """Times of solve, verify_residual and error_norms at one point with the
+    solve's Newton and Krylov counts, or its failure."""
     problem = mhfie.get_problem(name)
     alpha = problem.default_alpha
     config = mhfie.SolverConfig(n=n, alpha=alpha)
@@ -168,6 +171,8 @@ def ladder_point(mhfie, name: str, n: int, repeats: int = POINT_REPEATS) -> dict
         record[f"{stage}_median_s"] = median
     record["certificate"] = point["verify_residual"]
     record["err_inf"] = point["error_norms"].err_inf
+    record["newton_iters"] = point["solution"].newton_iters
+    record["krylov_iters"] = list(point["solution"].krylov_iters)
     return record
 
 
