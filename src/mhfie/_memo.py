@@ -1,13 +1,16 @@
 """The one memo for work kept between calls.
 
-The solver's axis plans, the kernel factors of each plan, the inverses of
-1D Jacobians with constant psi', the error norms' rules and the Cauchy terms
-of interpolants on the fixed error grids and at those rules' nodes live in
-one least-recently-used memo with one byte cap, under keys tagged "plan",
-"kernel", "inverse", "norm-rule" and "terms".  An inverse is keyed by its
-kernel factor's key plus (lam, psi'); the first solve at a key pays for it
-in place of one LU factorization, and every later solve there factors
-nothing.
+Each value is one complete, read-only array or tuple of arrays, charged
+exactly the bytes it holds: the solver's damped cardinal matrices under
+("cardinals", n), interpolation bases under ("basis", alpha, n), kernel
+factors W under ("kernel", alpha, n, method, kind, mu, factor), inverses of
+1D Jacobians with constant psi' under the kernel key plus (lam, psi') and
+tagged "inverse", eigenbases of 2D axis operators under the kernel key
+tagged "eigen", and the error norms' Cauchy terms on the fixed grids and
+at the norm rules' nodes under "terms".  The first solve at an inverse's
+key pays for it in place of one LU factorization, and every later solve
+there factors nothing.  The mapped and Gauss-Hermite rules are kept apart,
+in the count-bounded memos of mhf_gauss_rule and hermite_gauss_rule.
 """
 
 from __future__ import annotations
@@ -16,15 +19,13 @@ import threading
 from collections import OrderedDict
 from typing import Callable
 
-# Bytes the memo keeps.  A 1D plan at MAX_N_1D is charged 1.3 MB, its kernel
-# factor 3.9 MB (W, the E it references and K = W E), a Jacobian inverse
-# 1.3 MB, its Cauchy terms on the 1D error grid 9.6 MB and its norm rule with
-# the terms at that rule's nodes 2.7 MB, so one of each fits with room to
-# spare.  A kernel factor at MAX_N_2D is charged 0.58 MB: W, E, K, and the
-# eigenpairs, Q^-1 W and E Q that a 2D solve may build, as complex arrays at
-# most; a 1D solve at that N shares the factor and is charged the same.  The
-# benchmark's 1D sweep is charged 14.9 MB in all, 30 kernel factors and their
-# 30 inverses (0.7 MB) among it, and evicts nothing.
+# Bytes the memo keeps.  At MAX_N_1D an E, a W and a Jacobian inverse are
+# charged 1.3 MB each, the Cauchy terms on the 1D error grid 9.6 MB and
+# those at the norm rule's nodes 2.6 MB, so one of each fits with room to
+# spare.  At MAX_N_2D an eigenbasis is charged 0.21 MB, or 0.42 MB where its
+# eigenpairs are complex.  The benchmark's 1D sweep is charged 7.8 MB in
+# all, 30 kernel factors and their 30 inverses (0.7 MB) among it, and
+# evicts nothing.
 MEMO_BYTES = 32 * 2**20
 
 

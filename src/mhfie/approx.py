@@ -63,6 +63,10 @@ class LagrangeBasis:
     def degree(self) -> int:
         return len(self.nodes_t) - 1
 
+    @property
+    def nbytes(self) -> int:
+        return self.nodes_t.nbytes + self.weights.nbytes + self.nodes_x.nbytes
+
     @classmethod
     def from_mhf_rule(cls, rule: MhfRule) -> "LagrangeBasis":
         return cls(
@@ -450,12 +454,6 @@ def eval_grid_axis_2d() -> np.ndarray:
     return _GRID_AXIS_2D
 
 
-def _norm_rule(alpha: float, degree: int) -> MhfRule:
-    """The mapped rule of the error norms, kept in the memo per (alpha, degree)."""
-    return memo.get(("norm-rule", alpha, degree),
-                    lambda: mhf_gauss_rule(MhfBasis(alpha=alpha, degree=degree)))
-
-
 def _open_grid(axes: tuple) -> tuple:
     """Per-axis arrays that broadcast to their tensor grid: (a,) or (a[:, None], b[None, :])."""
     if len(axes) == 1:
@@ -470,11 +468,12 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
 
     alpha is a scalar in one dimension, a pair in two; degree defaults to
     the approximant's own degree when it exposes one.  The approximant is
-    evaluated on the tensor grid of the per-axis points (eval_grid in 2D,
-    eval or the plain callable in 1D) and exact once on their open grid
-    (x[:, None], y[None, :]), broadcast to the tensor grid (in 1D, on the
-    points themselves).  The norm rules and an interpolant's Cauchy terms
-    at their nodes are kept in the memo, so a repeated call costs one
+    evaluated on the tensor grid of the per-axis points: by eval_grid in
+    2D where it has one, else, like exact, once on their open grid
+    (x[:, None], y[None, :]) and broadcast to the tensor grid (in 1D, by
+    eval or the plain callable on the points themselves).  The norm rules
+    come from mhf_gauss_rule's memo and an interpolant's Cauchy terms at
+    their nodes from the package's memo, so a repeated call costs one
     product and one call of exact per point set.
     """
     if dim not in (1, 2):
@@ -484,19 +483,25 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
         if degree is None:
             raise ValueError("degree must be given for plain-callable approximants")
     # an interpolant evaluates from Cauchy terms under the tags; any other
-    # approximant is called on the points
+    # approximant by its eval_grid in 2D, else on the open grid
     on_grid = getattr(approx, "_on_grid", None)
-    plain = approx.eval_grid if dim == 2 else getattr(approx, "eval", approx)
+    eval_grid = getattr(approx, "eval_grid", None) if dim == 2 else None
+    plain = approx if dim == 2 else getattr(approx, "eval", approx)
 
     def diff(axes, tags):
-        got = plain(*axes) if on_grid is None else on_grid(axes, tags)
+        if on_grid is not None:
+            got = on_grid(axes, tags)
+        elif eval_grid is not None:
+            got = eval_grid(*axes)
+        else:
+            got = np.broadcast_to(plain(*_open_grid(axes)), tuple(a.size for a in axes))
         return np.asarray(got, dtype=float) - np.asarray(exact(*_open_grid(axes)), dtype=float)
 
     grid = (eval_grid_1d(),) if dim == 1 else (eval_grid_axis_2d(),) * 2
     err_inf = float(np.max(np.abs(diff(grid, (None,) * dim))))
     alphas = [float(a) for a in (alpha if dim == 2 else (alpha,))]
     rule_degree = 2 * degree + 16
-    rules = [_norm_rule(a, rule_degree) for a in alphas]
+    rules = [mhf_gauss_rule(MhfBasis(alpha=a, degree=rule_degree)) for a in alphas]
     axes = tuple(rule.nodes for rule in rules)
     d = diff(axes, tuple(("rule", a, rule_degree) for a in alphas))
     if not np.all(np.isfinite(d)):

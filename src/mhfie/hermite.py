@@ -31,8 +31,9 @@ Rokhlin, SIAM J. Sci. Comput. 29, 2007; Townsend, Trogdon & Olver, IMA J.
 Numer. Anal. 36, 2016).  Because
 exp(-z^2) is even, only the nonnegative nodes are computed and the rule is
 mirrored.  hermite_gauss_rule keeps the rules it builds in one bounded memo
-keyed by degree; every mapped rule in the package, the residual
-certificate's included, reads its Hermite rule from there.
+keyed by degree, and mhf_gauss_rule maps each rule it reads from there once
+into a memo of the same bound keyed by (alpha, degree); every caller, the
+residual certificate included, shares both.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ __all__ = [
 SQRT_PI = math.sqrt(math.pi)
 
 MAX_RULE_DEGREE = 2000
-# Rules kept by the memo under hermite_gauss_rule.  The bound caps memory: a
-# degree-2000 rule holds three arrays of 2001 doubles, about 48 KB, so the
-# memo holds at most about 1.5 MB.
+# Rules kept by each of the memos under hermite_gauss_rule and
+# mhf_gauss_rule.  The bound caps memory: a degree-2000 rule holds three
+# arrays of 2001 doubles, about 48 KB, and its mapped rule four more and
+# the Gauss-Hermite rule, so the two memos keep at most about 5 MB alive.
 _RULE_MEMO_SIZE = 32
 
 

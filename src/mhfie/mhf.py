@@ -17,12 +17,14 @@ polynomials of degree 2N+1 in log(x/(1-x)) against chi.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hermite import (
+    _RULE_MEMO_SIZE,
     SQRT_PI,
     HermiteRule,
     _check_degree,
@@ -83,13 +85,6 @@ class MhfRule:
     logits: np.ndarray
     nodes_complement: np.ndarray
     hermite: HermiteRule
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of its arrays and of its Gauss-Hermite rule's."""
-        return sum(arr.nbytes for arr in (self.nodes, self.weights, self.logits,
-                                          self.nodes_complement, self.hermite.nodes,
-                                          self.hermite.weights, self.hermite.log_weights))
 
 
 def _check_unit_interval(x) -> np.ndarray:
@@ -169,11 +164,14 @@ def gamma_n(alpha: float, n: int) -> float:
     return math.exp(log_gamma_n(alpha, n))
 
 
+@functools.lru_cache(maxsize=_RULE_MEMO_SIZE)
 def mhf_gauss_rule(basis: MhfBasis) -> MhfRule:
     """Mapped Gauss rule for the basis: exact on P^log_{2N+1} against chi.
 
-    The mapped arrays are built anew on every call, from the memoized
-    Gauss-Hermite rule of the basis degree.
+    Built once per process from the memoized Gauss-Hermite rule of the
+    basis degree, like hermite_gauss_rule: the memo keeps the last
+    _RULE_MEMO_SIZE bases used, keyed by (alpha, degree), and the rule is
+    frozen and its arrays are read-only, so every caller may share it.
     """
     herm = hermite_gauss_rule(basis.degree)
     logits = herm.nodes / basis.alpha

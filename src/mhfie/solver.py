@@ -56,37 +56,32 @@ O(N) exponentials and one Cauchy matrix (approx._gauss_cardinal_rows), the
 same for both routes.
 
 One builder makes the system for both dimensions: per axis it takes the
-axis plan, the kernel factor, the cardinal factor, the quadrature
+mapped rules, the kernel factor, the cardinal factor, the quadrature
 coordinates and the collocation nodes, so the one-dimensional system is
 the one-axis case of the two-dimensional one.
 
-Both axes use one map scale alpha, as in the paper.  The collocation and
-quadrature rules and the damped cardinal matrix E of an axis depend only on
-(alpha, n): not on the problem, nor on the route, which changes only the
-quadrature coefficients chi_k / chi(s_k) inside W.  So one read-only axis
-plan, kept in the package's one byte-bounded memo (mhfie._memo) under
-("plan", alpha, n), serves both axes and both routes of solve and
-assemble_nystrom.  A plan builds E on first use, after the kernel factor
-has checked the node gap, so a solve the check refuses builds none.  An
-axis's read-only kernel factor W = theta * coeffs and, from the first 2D
-solve that asks, the eigenpairs of W E with the products Q^-1 W and E Q
-that the 2D Jacobian applies depend only on the axis's (kind, mu), the
-kernel's factor function, the plan and the route, so they are kept under
+Both axes use one map scale alpha, as in the paper.  The mapped rules come
+from mhf_gauss_rule's memo, pure functions of (alpha, degree).  The
+package's one byte-bounded memo (mhfie._memo) keeps each other array the
+solve reuses as its own complete, read-only entry: E under ("cardinals", n),
+built in z from the Gauss-Hermite rules, so one E serves every alpha and
+both routes; the interpolation basis under ("basis", alpha, n), built for
+the first Solution; an axis's kernel factor W = theta * coeffs under
 ("kernel", alpha, n, method, kind, mu, factor), shared by the problems and
-the axes of a 2D solve that share these.  problem._axis_theta gives the
-kernel values; the solver reads only whether a diagonal type is present.
-Only a process that repeats a key gains, such as a study of several problems
-or forcings at one discretization; a convergence ladder solves each key once.
+the axes that share these; the 1D inverses above; and the _Eigenbasis of
+the first 2D solve under ("eigen", *the kernel key).  W is built before E,
+so a solve the node-gap check refuses builds no E.  problem._axis_theta
+gives the kernel values; the solver reads only whether a diagonal type is
+present.  Only a process that repeats a key gains, such as a study of
+several problems or forcings at one discretization.
 
-verify_residual neither reads nor writes the memo: it builds its plan,
+verify_residual neither reads nor writes that memo: it builds its
 quadrature coefficients, E and kernel factors anew, into a dict of its own
 that lives for the one call, so its certificate stays independent of the
-arrays the solve used.  What it shares
-with the solve is the Gauss-Hermite rule under each mapped rule, whose
-nodes and log-weights its quadrature coefficients and E are computed from,
-and which hermite_gauss_rule keeps in its own memo: a pure function of one
-integer degree whose arrays cannot be written.  A plan builds its interpolation
-basis on first use, which the certificate never makes.
+arrays the solve used, and it makes no basis.  It shares with the solve
+only the mapped rules with their Gauss-Hermite rules, which the rule memos
+keep for every caller: pure functions of (alpha, degree) whose arrays
+cannot be written.
 
 For problems that carry an exact solution the forcing vector is
 synthesized through the discrete operator itself (see
@@ -283,126 +278,70 @@ def _theta_matrix(kernel: KernelSpec, rule_q: MhfRule, rule_c: MhfRule,
     return theta
 
 
-@dataclass(frozen=True, eq=False)
-class _KernelFactor:
-    """Kernel factor W = theta * coeffs of one axis (read-only), the
-    cardinal factor E of its plan and the key it is kept under."""
+def _kernel_key(kernel: KernelSpec, axis: int, config: SolverConfig) -> tuple:
+    """The memo key of one axis's kernel factor W: its (kind, mu), the
+    kernel's factor function and the discretization, not the problem."""
+    mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
+    return ("kernel", config.alpha, config.n, config.method, kernel.kind, mu, kernel.factor)
 
+
+def _kernel_matrix(kernel: KernelSpec, axis: int, rule_q: MhfRule, rule_c: MhfRule,
+                   method: str) -> np.ndarray:
+    """W = theta * coeffs for the kernel on one axis, read-only, coeffs the
+    quadrature coefficients of rule_q by the method's route."""
+    w = _theta_matrix(kernel, rule_q, rule_c, axis) * _quad_coeffs(rule_q, method)[None, :]
+    w.setflags(write=False)
+    return w
+
+
+def _cardinals(rule_c: MhfRule, rule_q: MhfRule) -> np.ndarray:
+    """Damped cardinals E of rule_c at the nodes of rule_q, read-only.  The
+    mhf route's cardinals (logits, damping scale alpha) and the smoothed
+    route's (z, scale one) differ only by an affine change of variable,
+    which the product form and the Gaussian factor both cancel, so both
+    take E in closed form from the Gauss-Hermite rules, whatever alpha."""
+    e = _gauss_cardinal_rows(rule_c.hermite, rule_q.hermite)
+    e.setflags(write=False)
+    return e
+
+
+class _Eigenbasis(NamedTuple):
+    """The eigendecomposition K = W E = Q diag(l) Q^-1 of one axis operator
+    with the factors Q^-1 W and E Q of the 2D Jacobian in its
+    eigen-coordinates; every array is read-only."""
+
+    values: np.ndarray
+    forward: np.ndarray
+    backward: np.ndarray
     w: np.ndarray
     e: np.ndarray
-    key: tuple
-
-    @functools.cached_property
-    def k(self) -> np.ndarray:
-        """The axis operator K = W E, read-only; built on first use, once per
-        factor: a 1D Jacobian with constant psi' is lam I - psi' K, whose
-        kept inverse is built from it."""
-        k = self.w @ self.e
-        k.setflags(write=False)
-        return k
-
-    @functools.cached_property
-    def eigenpairs(self) -> tuple:
-        """(l, Q, Q^-1) with K = Q diag(l) Q^-1, read-only; built on the
-        first 2D solve that needs them, once per factor.  A singular Q, or
-        one whose condition estimate |Q|_1 |Q^-1|_1 exceeds EIGEN_COND_MAX,
-        raises SolverError: the 2D solve's coordinates would lose that
-        factor's digits."""
-        values, forward = np.linalg.eig(self.k)
-        try:
-            backward = np.linalg.inv(forward)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"preconditioner axis factor is not diagonalizable: {exc}"
-            ) from exc
-        cond = np.linalg.norm(forward, 1) * np.linalg.norm(backward, 1)
-        if not cond <= EIGEN_COND_MAX:
-            raise SolverError(
-                "preconditioner axis factor is not diagonalizable: eigenvector "
-                f"condition estimate |Q|_1 |Q^-1|_1 = {cond:.1e} exceeds {EIGEN_COND_MAX:.0e}"
-            )
-        for arr in (values, forward, backward):
-            arr.setflags(write=False)
-        return values, forward, backward
-
-    @functools.cached_property
-    def eigenbasis(self) -> tuple:
-        """(Q^-1 W, E Q), read-only: the factors of the 2D Jacobian in the
-        eigen-coordinates of K, built from the eigenpairs, once per factor."""
-        _, forward, backward = self.eigenpairs
-        products = backward @ self.w, self.e @ forward
-        for arr in products:
-            arr.setflags(write=False)
-        return products
 
     @property
     def nbytes(self) -> int:
-        """Bytes kept alive once complete: W, the E it references, K and,
-        where a 2D solve can use them (n <= MAX_N_2D), at most m + 2 m^2
-        complex eigenpair values and the 2 m (m + 1) of Q^-1 W and E Q."""
-        m = self.w.shape[0]
-        eigen = 16 * m * (4 * m + 3) if m <= MAX_N_2D + 1 else 0
-        return self.w.nbytes + self.e.nbytes + 8 * m * m + eigen
+        return sum(arr.nbytes for arr in self)
 
 
-@dataclass(frozen=True)
-class _AxisPlan:
-    """Problem- and route-independent parts of one axis; every array is
-    read-only."""
-
-    rule_c: MhfRule
-    rule_q: MhfRule  # degree n+1: one node more than rule_c
-
-    @functools.cached_property
-    def basis(self) -> LagrangeBasis:
-        """Interpolation basis at the collocation nodes, built on first use:
-        a solution needs it, the residual certificate does not."""
-        return LagrangeBasis.from_mhf_rule(self.rule_c)
-
-    @functools.cached_property
-    def e(self) -> np.ndarray:
-        """Damped cardinals of rule_c at the nodes of rule_q, built on first
-        use: the kernel factor reads it only once the node gap is checked.
-        The mhf route's cardinals (logits, damping scale alpha) and the
-        smoothed route's (z, scale one) differ only by an affine change of
-        variable, which the product form and the Gaussian factor both
-        cancel, so both take E in closed form from the Gauss-Hermite rules."""
-        e = _gauss_cardinal_rows(self.rule_c.hermite, self.rule_q.hermite)
-        e.setflags(write=False)
-        return e
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes kept alive: both mapped rules with their Gauss-Hermite rules,
-        E and the barycentric weights of the basis, built or not."""
-        m = self.rule_c.nodes.size
-        return self.rule_c.nbytes + self.rule_q.nbytes + 8 * m * (m + 1) + self.rule_c.nodes.nbytes
-
-
-def _build_axis_plan(alpha: float, n: int) -> _AxisPlan:
-    """Build the rules of one axis anew; the quadrature rule has degree n+1."""
-    return _AxisPlan(mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n)),
-                     mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1)))
-
-
-def _kernel_factor(kernel: KernelSpec, axis: int, plan: _AxisPlan, method: str,
-                   get: Callable) -> _KernelFactor:
-    """W = theta * coeffs for the kernel on one axis, coeffs the quadrature
-    coefficients of the plan's quadrature rule by the method's route; taken
-    from get under the axis's (kind, mu), the kernel's factor function, the
-    plan and the method, not the problem."""
-
-    mu = kernel.mu[axis] if kernel.kind == "algebraic" else None
-    basis = plan.rule_c.basis
-    key = ("kernel", basis.alpha, basis.degree, method, kernel.kind, mu, kernel.factor)
-
-    def build() -> _KernelFactor:
-        coeffs = _quad_coeffs(plan.rule_q, method)
-        w = _theta_matrix(kernel, plan.rule_q, plan.rule_c, axis) * coeffs[None, :]
-        w.setflags(write=False)
-        return _KernelFactor(w, plan.e, key)
-
-    return get(key, build)
+def _eigenbasis(w: np.ndarray, e: np.ndarray) -> _Eigenbasis:
+    """The _Eigenbasis of K = W E.  A singular Q, or one whose condition
+    estimate |Q|_1 |Q^-1|_1 exceeds EIGEN_COND_MAX, raises SolverError: the
+    2D solve's coordinates would lose that axis's digits."""
+    values, forward = np.linalg.eig(w @ e)
+    try:
+        backward = np.linalg.inv(forward)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(
+            f"preconditioner axis factor is not diagonalizable: {exc}"
+        ) from exc
+    cond = np.linalg.norm(forward, 1) * np.linalg.norm(backward, 1)
+    if not cond <= EIGEN_COND_MAX:
+        raise SolverError(
+            "preconditioner axis factor is not diagonalizable: eigenvector "
+            f"condition estimate |Q|_1 |Q^-1|_1 = {cond:.1e} exceeds {EIGEN_COND_MAX:.0e}"
+        )
+    basis = _Eigenbasis(values, forward, backward, backward @ w, e @ forward)
+    for arr in basis:
+        arr.setflags(write=False)
+    return basis
 
 
 @dataclass
@@ -420,7 +359,7 @@ class _Discretization:
     dimension: int
     lam: float
     g: np.ndarray
-    kernels: tuple  # per axis _KernelFactor; axes with one exponent share one
+    keys: tuple  # per axis kernel key; axes with one exponent share one
     w: tuple
     e: tuple
     kron_w: tuple  # w and e as _kron_apply takes them, made per build
@@ -475,24 +414,29 @@ def _build(problem: ProblemSpec, config: SolverConfig,
            get: Callable = memo.get) -> _Discretization:
     """The discrete system, built axis by axis; 1D is the one-axis case.
 
-    get(key, build) supplies the axis plan and kept kernel factors: the
-    memo's for solve and assemble_nystrom; verify_residual passes one that
-    reads a dict of its own, which lives for the one call.
+    get(key, build) supplies each axis's kernel factor W, the cardinal
+    factor E and the interpolation basis: the memo's for solve and
+    assemble_nystrom; verify_residual passes one that reads a dict of its
+    own, which lives for the one call.  W is asked for first, so a solve
+    that the node-gap check refuses builds no E.
     """
     dim = problem.dimension
     config.check_dimension(dim)
-    # one plan for both axes; through it one kernel factor unless the
-    # exponents differ
-    plan = get(("plan", config.alpha, config.n),
-               functools.partial(_build_axis_plan, config.alpha, config.n))
-    kernels = tuple(_kernel_factor(problem.kernel, axis, plan, config.method, get)
-                    for axis in range(dim))
-    w = tuple(k.w for k in kernels)
+    alpha, n = config.alpha, config.n
+    # both axes share the rules, E and the basis, and one kernel factor
+    # unless the exponents differ
+    rule_c = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n))
+    rule_q = mhf_gauss_rule(MhfBasis(alpha=alpha, degree=n + 1))
+    keys = tuple(_kernel_key(problem.kernel, axis, config) for axis in range(dim))
+    w = tuple(get(key, functools.partial(_kernel_matrix, problem.kernel, axis, rule_q,
+                                         rule_c, config.method))
+              for axis, key in enumerate(keys))
     # per axis: cardinal factor, quadrature nodes, and collocation nodes
     # with their complements
     e, quad_nodes, nodes, complements = (
         (arr,) * dim
-        for arr in (plan.e, plan.rule_q.nodes, plan.rule_c.nodes, plan.rule_c.nodes_complement)
+        for arr in (get(("cardinals", n), functools.partial(_cardinals, rule_c, rule_q)),
+                    rule_q.nodes, rule_c.nodes, rule_c.nodes_complement)
     )
     kron_w, kron_e = _kron_pair(w), _kron_pair(e)
     quad_coords = _open_grid(quad_nodes)
@@ -503,15 +447,16 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         g = forcing_on_grid(problem, nodes).ravel()
 
     def interp(values: np.ndarray):
+        basis = get(("basis", alpha, n), functools.partial(LagrangeBasis.from_mhf_rule, rule_c))
         if dim == 1:
-            return Interpolant1D(basis=plan.basis, values=values)
-        return tensor_interpolant(plan.basis, plan.basis, values)
+            return Interpolant1D(basis=basis, values=values)
+        return tensor_interpolant(basis, basis, values)
 
     return _Discretization(
         dimension=dim,
         lam=problem.lam,
         g=g,
-        kernels=kernels,
+        keys=keys,
         w=w,
         e=e,
         kron_w=kron_w,
@@ -531,7 +476,7 @@ def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatri
     """
     disc = _build(problem, config)
     return NystromMatrix(
-        # a copy: the 1D factor may be the read-only one the plan keeps
+        # a copy: the 1D factor may be the read-only one the memo keeps
         weights=disc.w[0].copy() if disc.dimension == 1 else np.kron(*disc.w),
         colloc_points=disc.colloc_points,
         quad_points=tuple(a.ravel() for a in np.broadcast_arrays(*disc.quad_coords)),
@@ -598,10 +543,9 @@ class _FastDiagonalization:
     With K = W E = Q diag(l) Q^-1 per axis, t = (Qx (x) Qy)^-1 v takes
     J = lam I - (Wx (x) Wy) D (Ex (x) Ey) to
     lam I - (Qx^-1 Wx (x) Qy^-1 Wy) D (Ex Qx (x) Ey Qy), and the inverse of
-    lam I - c Kx (x) Ky to the elementwise 1 / (lam - c lx_i ly_j).  The
-    eigenpairs and the two products are the kernel factors' own: made once
-    per distinct (W, E) pair, so two axes that share a kernel factor share
-    them, and kept with a kernel factor the memo keeps, so a repeated solve
+    lam I - c Kx (x) Ky to the elementwise 1 / (lam - c lx_i ly_j).  Each
+    axis's _Eigenbasis is kept in the memo under ("eigen", *its kernel key),
+    so two axes that share a kernel factor share one, and a repeated solve
     makes none.  The contiguous second-axis transposes that _kron_apply
     takes are made here, once per solve, and are not kept.  Complex
     eigenpairs make t complex; GMRES then runs on its real view
@@ -613,8 +557,9 @@ class _FastDiagonalization:
 
     def __init__(self, disc: _Discretization):
         self.lam = disc.lam
-        (lx, qx, bx), (ly, qy, by) = (k.eigenpairs for k in disc.kernels)
-        (wx, ex), (wy, ey) = (k.eigenbasis for k in disc.kernels)
+        (lx, qx, bx, wx, ex), (ly, qy, by, wy, ey) = (
+            memo.get(("eigen", *key[1:]), functools.partial(_eigenbasis, w, e))
+            for key, w, e in zip(disc.keys, disc.w, disc.e))
         self.forward, self.backward = _kron_pair((qx, qy)), _kron_pair((bx, by))
         self.w, self.e = _kron_pair((wx, wy)), _kron_pair((ex, ey))
         self.products = (lx[:, None] * ly[None, :]).ravel()
@@ -663,19 +608,20 @@ class _JacobianInverse(NamedTuple):
     matrix: np.ndarray
 
 
-def _kept_inverse(lam: float, c: float, kernel: _KernelFactor) -> _JacobianInverse:
-    """(lam I - c K)^-1 for the kernel factor's K, kept in the memo under
-    ("inverse", *kernel key, lam, c) and charged its 8 m^2 bytes.  Built on
-    first use with _checked_factor's typed failures, so a Jacobian that is
-    not finite or is singular raises SolverError and keeps nothing."""
+def _kept_inverse(lam: float, c: float, key: tuple, w: np.ndarray,
+                  e: np.ndarray) -> _JacobianInverse:
+    """(lam I - c K)^-1 with K = W E, kept in the memo under
+    ("inverse", *the kernel key, lam, c) and charged its 8 m^2 bytes.  Built
+    on first use with _checked_factor's typed failures, so a Jacobian that
+    is not finite or is singular raises SolverError and keeps nothing."""
 
     def build() -> np.ndarray:
-        a = lam * np.eye(kernel.w.shape[0]) - c * kernel.k
+        a = lam * np.eye(w.shape[0]) - c * (w @ e)
         inverse = _checked_factor(a, np.linalg.inv)
         inverse.setflags(write=False)
         return inverse
 
-    return _JacobianInverse(memo.get(("inverse", *kernel.key[1:], lam, c), build))
+    return _JacobianInverse(memo.get(("inverse", *key[1:], lam, c), build))
 
 
 def _jacobian_fn(disc: _Discretization, problem: ProblemSpec,
@@ -692,13 +638,13 @@ def _jacobian_fn(disc: _Discretization, problem: ProblemSpec,
     """
     dpsi = problem.nonlinearity.dpsi_du
     if disc.dimension == 1:
-        (w,), (e,), (kernel,) = disc.w, disc.e, disc.kernels
+        (w,), (e,), (key,) = disc.w, disc.e, disc.keys
 
         def jacobian(u: np.ndarray):
             d = np.asarray(dpsi(*disc.quad_coords, quad_values(u)), dtype=float)
             if np.all(d == d.flat[0]):
-                # W diag(d) E = d K, K the kept one
-                return _kept_inverse(disc.lam, float(d.flat[0]), kernel)
+                # W diag(d) E = d K
+                return _kept_inverse(disc.lam, float(d.flat[0]), key, w, e)
             return disc.lam * np.eye(w.shape[0]) - (w * d[None, :]) @ e
 
         return jacobian
@@ -958,14 +904,24 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
 def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> float:
     """Max-norm residual of node values against a freshly built operator.
 
-    Accepts a Solution or a bare node-value array.  The mapped rules,
-    quadrature coefficients, damped cardinal matrix and kernel matrix are
-    rebuilt here, into a dict that lives for this call only, and the memo the
-    solves share is neither read nor written, so this is the independent
-    certificate check.  Only the
-    read-only Gauss-Hermite rules under the mapped rules come from the rule
-    memo that every caller shares.
+    Accepts a Solution or a bare node-value array, which must hold the
+    (n+1)^dim node values of the config; another count raises ValueError
+    before anything is built.  The quadrature coefficients, damped cardinal
+    matrix and kernel matrix are rebuilt here, into a dict that lives for
+    this call only, and the memo the solves share is neither read nor
+    written, so this is the independent certificate check.  Only the
+    mapped rules, with the Gauss-Hermite rules under them, come from the
+    rule memos that every caller shares: pure functions of (alpha, degree)
+    whose arrays cannot be written.
     """
+    values = solution.node_values if isinstance(solution, Solution) else solution
+    u = np.asarray(values, dtype=float).ravel()
+    count = (config.n + 1) ** problem.dimension
+    if u.size != count:
+        raise ValueError(
+            f"expected {count} node values for n={config.n} in {problem.dimension}D, "
+            f"got {u.size}"
+        )
     kept = {}
 
     def get(key, build: Callable):
@@ -974,6 +930,4 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
         return kept[key]
 
     disc = _build(problem, config, get)
-    values = solution.node_values if isinstance(solution, Solution) else solution
-    u = np.asarray(values, dtype=float).ravel()
     return float(np.max(np.abs(_residual_fn(disc, problem, _quad_values(disc))(u))))

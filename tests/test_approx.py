@@ -426,6 +426,22 @@ def test_error_norms_2d_takes_one_scale_per_axis(monkeypatch):
     )
 
 
+def test_error_norms_2d_calls_a_plain_callable_on_the_open_grid():
+    # like exact, a plain callable is called once on (x[:, None], y[None, :])
+    # and broadcast to the tensor grid, so one of x alone works too
+    exact = lambda x, y: np.log1p(x * y) + np.sqrt(y)
+    assert error_norms(exact, exact, (0.5, 0.5), dim=2, degree=4) == (0.0, 0.0)
+    assert error_norms(lambda x, y: 0 * x * y, lambda x, y: 0 * x * y, (0.5, 0.5),
+                       dim=2, degree=4) == (0.0, 0.0)
+    assert error_norms(lambda x, y: np.sqrt(x), lambda x, y: np.sqrt(x), (0.5, 0.5),
+                       dim=2, degree=4) == (0.0, 0.0)
+    norms = error_norms(lambda x, y: exact(x, y) + 0.25, exact, (0.5, 0.7), dim=2, degree=4)
+    assert norms.err_inf == pytest.approx(0.25, abs=1e-15)
+    assert norms.err_l2chi == pytest.approx(
+        0.25 * math.sqrt(SQRT_PI / 0.5 * SQRT_PI / 0.7), rel=1e-12
+    )
+
+
 def test_error_norms_requires_degree_for_plain_callables():
     with pytest.raises(ValueError, match="degree"):
         error_norms(lambda x: x, lambda x: x, 1.0, dim=1)
@@ -545,8 +561,8 @@ def test_both_routes_share_one_memo_entry(empty_memo):
     from mhfie.problem import get_problem
     from mhfie.solver import SolverConfig, solve
 
-    # the two routes share one plan and so one basis; an equal basis built
-    # apart shares the entry too, because the key is the basis content
+    # the two routes share one kept basis; an equal basis built apart
+    # shares the entry too, because the key is the basis content
     prob = get_problem("ex1-log")
     solutions = [solve(prob, SolverConfig(n=24, alpha=0.5, method=m))
                  for m in ("mhf", "smoothed")]
@@ -555,13 +571,13 @@ def test_both_routes_share_one_memo_entry(empty_memo):
     assert apart.basis is not solutions[0].interpolant.basis
     for interp in (*(s.interpolant for s in solutions), apart):
         error_norms(interp, prob.exact_solution, 0.5)
-    # one entry each for the terms on the fixed grid, the norm rule and the
-    # terms at its nodes; the memo also keeps the solves' plan and kernel
-    # factors
+    # one entry each for the terms on the fixed grid and the terms at the
+    # norm rule's nodes; the norm rule is mhf_gauss_rule's, and the memo
+    # also keeps the solves' E, basis, kernel factors and inverses
     assert [key[:2] for key in empty_memo.entries if key[0] == "terms"] == [
         ("terms", "1d"), ("terms", ("rule", 0.5, 64))]
-    assert [key for key in empty_memo.entries if key[0] == "norm-rule"] == [
-        ("norm-rule", 0.5, 64)]
+    assert sorted({key[0] for key in empty_memo.entries}) == [
+        "basis", "cardinals", "inverse", "kernel", "terms"]
 
 
 def _norm_case(dim: int, alpha: float, degree: int):
@@ -590,6 +606,7 @@ def test_cold_warm_and_uncached_error_norms_are_bitwise_equal(dim, alpha, empty_
                                 exact, a, dim=2)
         with monkeypatch.context() as m:
             m.setattr(mhfie.approx, "memo", BoundedMemo(0))
+            mhf_gauss_rule.cache_clear()
             uncached = error_norms(interp, exact, a, dim=dim)
         assert cold == warm == plain == uncached
         assert 0.0 < cold.err_l2chi < math.inf and 0.0 < cold.err_inf < math.inf
@@ -600,18 +617,20 @@ def test_warm_error_norms_build_no_rule_and_no_terms(dim, empty_memo, monkeypatc
     interp, exact, a = _norm_case(dim, 0.5, 16)
     cold = error_norms(interp, exact, a, dim=dim)
     calls = []
-    for name in ("_compute_terms", "mhf_gauss_rule"):
-        fn = getattr(mhfie.approx, name)
-        monkeypatch.setattr(mhfie.approx, name,
+    # no terms are computed, and no rule is built or mapped: the norm rule
+    # is mhf_gauss_rule's
+    for owner, name in ((mhfie.approx, "_compute_terms"), (mhfie.mhf, "_logistic_pair"),
+                        (mhfie.hermite, "_build_rule")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
                             lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
     entries = list(empty_memo.entries)
     assert error_norms(interp, exact, a, dim=dim) == cold
     assert calls == [] and list(empty_memo.entries) == entries
-    # the fixed grid's terms, the norm rule and the terms at its nodes; the
-    # 2D axes share all three
+    # the fixed grid's terms and the terms at the norm rule's nodes; the 2D
+    # axes share both
     assert [key[:2] for key in entries] == [
-        ("terms", "1d" if dim == 1 else "axis-2d"), ("norm-rule", 0.5),
-        ("terms", ("rule", 0.5, 48))]
+        ("terms", "1d" if dim == 1 else "axis-2d"), ("terms", ("rule", 0.5, 48))]
     assert empty_memo.nbytes == sum(v.nbytes for v in empty_memo.entries.values())
     assert empty_memo.nbytes <= empty_memo.cap
 
@@ -620,7 +639,7 @@ def test_a_copy_of_the_rule_nodes_is_evaluated_without_the_memo(empty_memo, monk
     interp = mhf_interpolant(0.5, 12, np.sqrt)
     error_norms(interp, np.sqrt, 0.5)
     entries = dict(empty_memo.entries)
-    nodes = entries[("norm-rule", 0.5, 40)].nodes
+    nodes = mhf_gauss_rule(MhfBasis(0.5, 40)).nodes
     calls = []
     compute = mhfie.approx._compute_terms
     monkeypatch.setattr(mhfie.approx, "_compute_terms",
@@ -635,16 +654,8 @@ def test_a_copy_of_the_rule_nodes_is_evaluated_without_the_memo(empty_memo, monk
                       basis.weights.tobytes(), basis.nodes_x.tobytes())]
     assert np.array_equal(copy, (c @ interp.values) / den) and np.array_equal(copy, same)
     for value in entries.values():
-        for arr in _kept_arrays(value):
-            assert arr is nodes or not np.array_equal(arr, nodes)
-
-
-def _kept_arrays(value) -> list:
-    """The arrays of a memo value: Cauchy terms or a mapped rule."""
-    if isinstance(value, tuple):
-        return list(value)
-    return [value.nodes, value.weights, value.logits, value.nodes_complement,
-            value.hermite.nodes, value.hermite.weights, value.hermite.log_weights]
+        for arr in value:
+            assert not np.array_equal(arr, nodes)
 
 
 def test_memo_holds_at_most_its_byte_cap(empty_memo):

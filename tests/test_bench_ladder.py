@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 import mhfie
+import mhfie._memo
 import mhfie.hermite
 import mhfie.problem
 
@@ -68,3 +69,18 @@ def test_forcing_time_manufactures_every_node_on_fresh_instances(monkeypatch):
     assert fresh == list(tool.FORCING_PROBLEMS) * 2
     # the 5 + 9 nodes share the midpoint: 13 kernel actions per instance
     assert len(actions) == 13 * len(fresh)
+
+
+def test_memo_charge_counts_the_entries_per_tag():
+    tool = _tool()
+    memo = mhfie._memo.memo
+    memo.clear()
+    tool.ladder_point(mhfie, "ex1-log", 8, repeats=1)
+    tool.ladder_point(mhfie, "ex3-alg", 8, repeats=1)
+    charge = tool.memo_charge(mhfie)
+    assert charge["nbytes"] == memo.nbytes == sum(v.nbytes for v in memo.entries.values())
+    # both points are at alpha 0.5 and N=8, so they share E, the basis and
+    # the terms at the norm rule's nodes; each keeps its W and its fixed
+    # grid's terms, the 1D point its inverse and the 2D point its eigenbasis
+    assert charge["entries"] == {"cardinals": 1, "basis": 1, "kernel": 2, "inverse": 1,
+                                 "eigen": 1, "terms": 3}

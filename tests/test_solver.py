@@ -14,7 +14,7 @@ import mhfie.approx
 import mhfie.hermite
 import mhfie.solver
 from mhfie._memo import BoundedMemo, memo
-from mhfie.approx import _damped_rows, error_norms
+from mhfie.approx import _damped_rows, _gauss_cardinal_rows, error_norms
 from mhfie.mhf import MhfBasis, mhf_gauss_rule, mhf_quadrature
 from mhfie.problem import (
     KernelSpec,
@@ -98,6 +98,11 @@ def test_assembled_weights_identical_across_methods():
     np.testing.assert_allclose(wa, wb, rtol=1e-12)
 
 
+def _axis_rules(alpha: float, n: int) -> tuple:
+    """The collocation and quadrature rules of one axis: degrees n and n+1."""
+    return tuple(mhf_gauss_rule(MhfBasis(alpha, degree)) for degree in (n, n + 1))
+
+
 def _route_cardinals(method: str, rule_c, rule_q):
     """_damped_rows on the route's own variable: logits at scale alpha for
     mhf, Hermite nodes at scale one for smoothed."""
@@ -109,12 +114,13 @@ def _route_cardinals(method: str, rule_c, rule_q):
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
 @pytest.mark.parametrize("n", [0, 1, 2, 15, 16, 63, 64, 200, MAX_N_1D])
 def test_default_cardinal_matrix_is_the_closed_form(n, method):
-    # the plan builds one E from the two Gauss-Hermite rules for both
-    # routes; it matches each route's log-magnitude rows within 5.0e-13
-    # max|E| at MAX_N_1D (measured, mhf route)
-    plan = mhfie.solver._build_axis_plan(0.5, n)
-    ref = _route_cardinals(method, plan.rule_c, plan.rule_q)
-    assert np.max(np.abs(plan.e - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # one E is built from the two Gauss-Hermite rules for both routes; it
+    # matches each route's log-magnitude rows within 5.0e-13 max|E| at
+    # MAX_N_1D (measured, mhf route)
+    rule_c, rule_q = _axis_rules(0.5, n)
+    ref = _route_cardinals(method, rule_c, rule_q)
+    e = mhfie.solver._cardinals(rule_c, rule_q)
+    assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_assembly_names_endpoint_clustering_when_families_interlace():
@@ -127,8 +133,8 @@ def test_assembly_names_endpoint_clustering_when_families_interlace():
 
 def test_a_solve_refused_for_its_node_gap_builds_no_cardinal_matrix(fresh_memos,
                                                                     monkeypatch):
-    # the failing solve leaves its plan in the memo without E; the next
-    # solve at the same (alpha, n) builds E once
+    # the failing solve keeps no E; the next solve at the same (alpha, n)
+    # builds E once
     calls = []
     rows = mhfie.solver._gauss_cardinal_rows
     monkeypatch.setattr(mhfie.solver, "_gauss_cardinal_rows",
@@ -162,10 +168,10 @@ def test_kernel_factor_receives_the_stored_complements():
     # at N=400 the quadrature node nearest 1 rounds to 1.0, so only the
     # rule's stored complement keeps ex2-sqrt's (1-s)^(-1/2) finite
     prob = get_problem("ex2-sqrt")
-    plan = mhfie.solver._build_axis_plan(prob.default_alpha, MAX_N_1D)
-    assert plan.rule_q.nodes[-1] == 1.0
-    theta = mhfie.solver._theta_matrix(prob.kernel, plan.rule_q, plan.rule_c)
-    want = plan.rule_q.nodes_complement[-1] ** -0.5
+    rule_c, rule_q = _axis_rules(prob.default_alpha, MAX_N_1D)
+    assert rule_q.nodes[-1] == 1.0
+    theta = mhfie.solver._theta_matrix(prob.kernel, rule_q, rule_c)
+    want = rule_q.nodes_complement[-1] ** -0.5
     assert np.all(theta[:, -1] == want)
 
 
@@ -417,7 +423,8 @@ def test_verify_residual_is_independent_and_sharp():
 
 
 def _read_only_arrays(obj) -> list:
-    """Every array a plan or rule holds, through nested tuples and dataclasses."""
+    """Every array a memo value or rule holds, through nested tuples and
+    dataclasses."""
     if isinstance(obj, np.ndarray):
         return [obj]
     if isinstance(obj, tuple):
@@ -440,6 +447,7 @@ def _solve_and_norms(prob, cfg):
 def _clear_memos():
     memo.clear()
     mhfie.hermite._memoized_rule.cache_clear()
+    mhfie.mhf.mhf_gauss_rule.cache_clear()
 
 
 @pytest.fixture
@@ -450,15 +458,26 @@ def fresh_memos():
     _clear_memos()
 
 
-def _plan_key(cfg: SolverConfig) -> tuple:
-    return (cfg.alpha, cfg.n)
-
-
 def _kept_factors(cfg: SolverConfig) -> dict:
-    """The kernel factors the memo keeps for the plan and route of cfg, by
-    memo key."""
-    return {key: f for key, f in memo.entries.items()
-            if key[0] == "kernel" and key[1:4] == (*_plan_key(cfg), cfg.method)}
+    """The kernel factors W the memo keeps for the discretization and route
+    of cfg, by memo key."""
+    return {key: w for key, w in memo.entries.items()
+            if key[0] == "kernel" and key[1:4] == (cfg.alpha, cfg.n, cfg.method)}
+
+
+def _kept(tag: str) -> dict:
+    """The memo's entries under one key tag, by key."""
+    return {key: value for key, value in memo.entries.items() if key[0] == tag}
+
+
+def _assert_charged_what_it_holds() -> None:
+    """Every memo entry is read-only and charged exactly the nbytes of the
+    arrays it holds, and the memo exactly their sum."""
+    for value in memo.entries.values():
+        held = _read_only_arrays(value)
+        assert held and value.nbytes == sum(arr.nbytes for arr in held)
+        assert not any(arr.flags.writeable for arr in held)
+    assert memo.nbytes == sum(value.nbytes for value in memo.entries.values()) <= memo.cap
 
 
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
@@ -470,38 +489,30 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     _clear_memos()
     cold, cold_norms = _solve_and_norms(prob, cfg)
 
-    def no_rebuild(degree):
-        raise AssertionError(f"rule rebuilt at degree {degree}")
+    def no_rebuild(*args):
+        raise AssertionError(f"rebuilt from {len(args)} arguments")
 
-    def no_plan_rule(basis):
-        raise AssertionError(f"plan rebuilt at degree {basis.degree}")
-
-    def no_rebuild_kernel(*args):
-        raise AssertionError("kernel matrix rebuilt")
-
-    # no Hermite rule is built, and the solve maps no rule: its plan is
-    # memoized; every kernel, one with a factor (ex2-sqrt) included, keeps
-    # its W and, in 2D, its eigenpairs, Q^-1 W and E Q
-    monkeypatch.setattr(mhfie.hermite, "_build_rule", no_rebuild)
-    monkeypatch.setattr(mhfie.solver, "mhf_gauss_rule", no_plan_rule)
-    monkeypatch.setattr(mhfie.solver, "_theta_matrix", no_rebuild_kernel)
-    monkeypatch.setattr(np.linalg, "eig", no_rebuild_kernel)
+    # no Hermite rule is built and no rule is mapped: both rule memos hit;
+    # every kernel, one with a factor (ex2-sqrt) included, keeps its W, the
+    # discretization its E and basis and, in 2D, the kernel its eigenbasis
+    for owner, attr in ((mhfie.hermite, "_build_rule"), (mhfie.mhf, "_logistic_pair"),
+                        (mhfie.solver, "_theta_matrix"), (mhfie.solver, "_gauss_cardinal_rows"),
+                        (mhfie.approx, "_bary_weights"), (np.linalg, "eig")):
+        monkeypatch.setattr(owner, attr, no_rebuild)
     warm, warm_norms = _solve_and_norms(prob, cfg)
     assert np.array_equal(warm.node_values, cold.node_values)
     assert warm.final_residual == cold.final_residual
     assert warm.krylov_iters == cold.krylov_iters
     assert warm_norms == cold_norms
-    plan = memo.entries[("plan", *_plan_key(cfg))]
-    factors = _kept_factors(cfg).values()
-    assert len(factors) == 1
-    rule = mhfie.hermite.hermite_gauss_rule(2 * cfg.n + 16)
-    arrays = (_read_only_arrays(plan) + [plan.e] + _read_only_arrays(plan.basis)
-              + _read_only_arrays(rule))
-    assert len(arrays) >= 20
-    kernel_arrays = [arr for f in factors for arr in (f.w, *f.__dict__.get("eigenpairs", ()),
-                                                      *f.__dict__.get("eigenbasis", ()))]
-    assert len(kernel_arrays) == (1 if prob.dimension == 1 else 6)
-    assert not any(arr.flags.writeable for arr in arrays + kernel_arrays)
+    (key,) = _kept_factors(cfg)
+    kept = [memo.entries[k] for k in (key, ("cardinals", n), ("basis", cfg.alpha, n))]
+    eigen = _kept("eigen")
+    assert list(eigen) == ([] if prob.dimension == 1 else [("eigen", *key[1:])])
+    rules = [mhf_gauss_rule(MhfBasis(cfg.alpha, d)) for d in (n, n + 1, 2 * n + 16)]
+    arrays = [arr for value in kept + list(eigen.values()) + rules
+              for arr in _read_only_arrays(value)]
+    assert len(arrays) == (1 + 1 + 3 + 3 * 7) + (0 if prob.dimension == 1 else 5)
+    assert not any(arr.flags.writeable for arr in arrays)
 
 
 def test_problem_instances_share_one_kept_kernel_factor(fresh_memos):
@@ -519,9 +530,9 @@ def test_problem_instances_share_one_kept_kernel_factor(fresh_memos):
 
 def test_memos_hold_at_most_their_bounds():
     # solves and error norms up a 1D ladder to MAX_N_1D and a 2D ladder to
-    # MAX_N_2D keep plans, kernel factors and Cauchy terms in the one memo,
-    # within its cap, each charged at least the bytes it keeps alive
-    rules = mhfie.hermite._memoized_rule
+    # MAX_N_2D keep E, bases, kernel factors, inverses, eigenbases and
+    # Cauchy terms in the one memo, within its cap, each charged exactly
+    # the bytes it holds; the rule memos keep their counts
     _clear_memos()
     # alpha 3 keeps the nodes at MAX_N_1D apart; ex3-alg solves at its default
     ladders = [("ex1-log", 3.0, list(range(40, MAX_N_1D, 60)) + [MAX_N_1D]),
@@ -529,40 +540,69 @@ def test_memos_hold_at_most_their_bounds():
     for name, alpha, sizes in ladders:
         for n in sizes:
             _solve_and_norms(get_problem(name), SolverConfig(n=n, alpha=alpha))
-            assert memo.nbytes <= memo.cap
-            assert memo.nbytes == sum(v.nbytes for v in memo.entries.values())
+            _assert_charged_what_it_holds()
     # the 1D ladder alone overflows the cap: its first entries are gone
-    assert ("plan", 3.0, 40) not in memo.entries
-    assert {key[0] for key in memo.entries} == {"plan", "kernel", "inverse", "norm-rule",
-                                                "terms"}
-    for key, value in memo.entries.items():
-        if key[0] == "plan":
-            held = _read_only_arrays(value) + [value.e, value.basis.weights]
-        elif key[0] == "kernel":
-            held = [value.w, value.e, value.k, *value.__dict__.get("eigenpairs", ()),
-                    *value.__dict__.get("eigenbasis", ())]
-        elif key[0] == "inverse":
-            # a 1D Jacobian inverse, charged its 8 m^2 bytes, under its
-            # kernel factor's key plus (lam, psi')
-            m = key[2] + 1
-            assert value.shape == (m, m) and value.nbytes == 8 * m * m
-            assert not value.flags.writeable
-            held = [value]
-        elif key[0] == "norm-rule":
-            held = _read_only_arrays(value)
-        else:
-            held = list(value)
-        assert sum(arr.nbytes for arr in held) <= value.nbytes
+    assert ("cardinals", 40) not in memo.entries
+    assert {key[0] for key in memo.entries} == {"cardinals", "basis", "kernel", "inverse",
+                                                "eigen", "terms"}
+    for key, value in _kept("inverse").items():
+        # a 1D Jacobian inverse, charged its 8 m^2 bytes, under its kernel
+        # factor's key plus (lam, psi')
+        m = key[2] + 1
+        assert value.shape == (m, m) and value.nbytes == 8 * m * m
     prob = get_problem("ex1-log")
     sol = solve(prob, SolverConfig(n=4, alpha=prob.default_alpha))
+    rules = (mhfie.hermite._memoized_rule, mhfie.mhf.mhf_gauss_rule)
     for degree in range(mhfie.hermite._RULE_MEMO_SIZE + 4):
         error_norms(sol.interpolant, prob.exact_solution, 0.5, degree=degree)
-        assert rules.cache_info().currsize <= mhfie.hermite._RULE_MEMO_SIZE
-    assert rules.cache_info().currsize == mhfie.hermite._RULE_MEMO_SIZE
+        assert all(r.cache_info().currsize <= mhfie.hermite._RULE_MEMO_SIZE for r in rules)
+    assert all(r.cache_info().currsize == mhfie.hermite._RULE_MEMO_SIZE for r in rules)
 
 
-def _kept_inverses() -> dict:
-    return {key: value for key, value in memo.entries.items() if key[0] == "inverse"}
+def test_a_one_dimensional_ladder_keeps_no_eigenbasis(fresh_memos):
+    # only a 2D solve builds an eigenbasis, and every entry is charged
+    # exactly the arrays it holds: nothing is charged for what may be built
+    for name in ("ex1-log", "ex2-sqrt"):
+        prob = get_problem(name)
+        for n in range(16, 81, 16):
+            for method in ("mhf", "smoothed"):
+                _solve_and_norms(prob, SolverConfig(n=n, alpha=prob.default_alpha,
+                                                    method=method))
+    assert _kept("eigen") == {} and len(_kept("kernel")) == 20
+    _assert_charged_what_it_holds()
+
+
+def test_each_kernel_keeps_one_eigenbasis_charged_its_own_bytes(fresh_memos):
+    # one "eigen" entry per distinct kernel key: ex3-alg's axes share one,
+    # identity-2d's exponents 0.3 and 0.6 make two.  Real eigenpairs are
+    # charged real bytes and the complex mu = 0.6 axis complex ones:
+    # l, Q, Q^-1, Q^-1 W and E Q hold m (4m + 3) numbers
+    n, m = 16, 17
+    for prob in (get_problem("ex3-alg"), _identity_2d()):
+        solve(prob, SolverConfig(n=n, alpha=0.5))
+    eigen = _kept("eigen")
+    assert sorted(key[5] for key in eigen) == [0.3, 0.5, 0.6]
+    assert {key[1:] for key in eigen} == {key[1:] for key in _kept("kernel")}
+    for key, value in eigen.items():
+        size = 16 if key[5] == 0.6 else 8
+        assert np.iscomplexobj(value.values) == (key[5] == 0.6)
+        assert value.nbytes == size * m * (4 * m + 3)
+    _assert_charged_what_it_holds()
+
+
+def test_one_cardinal_matrix_serves_every_alpha(fresh_memos):
+    # E is built in z from the Gauss-Hermite rules of degrees n and n+1, so
+    # solves at two alphas share one entry, bitwise the E of either alpha's
+    # rules and of the Hermite rules alone
+    n = 24
+    for alpha in (0.5, 0.8):
+        solve(get_problem("ex2-sqrt"), SolverConfig(n=n, alpha=alpha))
+    assert list(_kept("cardinals")) == [("cardinals", n)]
+    e = memo.entries[("cardinals", n)]
+    for alpha in (0.5, 0.8):
+        assert np.array_equal(mhfie.solver._cardinals(*_axis_rules(alpha, n)), e)
+    hermite = [mhfie.hermite.hermite_gauss_rule(d) for d in (n, n + 1)]
+    assert e.tobytes() == _gauss_cardinal_rows(*hermite).tobytes()
 
 
 @pytest.mark.parametrize("method", ["mhf", "smoothed"])
@@ -574,7 +614,7 @@ def test_repeated_1d_solve_factors_nothing(name, method, monkeypatch, fresh_memo
     prob = get_problem(name)
     cfg = SolverConfig(n=24, alpha=prob.default_alpha, method=method)
     cold = solve(prob, cfg)
-    (key,) = _kept_inverses()
+    (key,) = _kept("inverse")
     assert key == ("inverse", *_kept_factors(cfg).popitem()[0][1:], prob.lam, 1.0)
 
     def no_factor(*args):
@@ -585,7 +625,7 @@ def test_repeated_1d_solve_factors_nothing(name, method, monkeypatch, fresh_memo
     warm = solve(prob, cfg)
     assert np.array_equal(warm.node_values, cold.node_values)
     assert warm.residual_history == cold.residual_history
-    assert list(_kept_inverses()) == [key]
+    assert list(_kept("inverse")) == [key]
 
 
 @pytest.mark.parametrize("name", ["ex1-log", "ex2-sqrt"])
@@ -597,7 +637,7 @@ def test_poisoned_kept_inverse_sets_only_the_newton_count(name, fresh_memos):
     cfg = SolverConfig(n=24, alpha=prob.default_alpha)
     clean = solve(prob, cfg)
     assert clean.newton_iters == 1
-    (key,) = _kept_inverses()
+    (key,) = _kept("inverse")
     memo.entries[key] = memo.entries[key] * (1.0 + 1e-3)
     poisoned = solve(prob, cfg)
     assert poisoned.newton_iters > clean.newton_iters
@@ -612,25 +652,29 @@ def test_poisoned_kept_inverse_sets_only_the_newton_count(name, fresh_memos):
 ])
 def test_kept_inverse_failures_are_typed(k, match, fresh_memos):
     # the inverse is built with the dense step's checks and messages, and
-    # one that fails is not kept
-    prob = get_problem("ex1-log")
+    # one that fails is not kept.  The kept W = lam [I 0] and E = [I; 0]
+    # make lam I - 1 W E exactly zero, and one NaN in W makes it non-finite;
+    # the forcing is given, so the residual -g is not zero
+    prob = replace(get_problem("ex2-sqrt"), exact_solution=None, exact_solution_c=None)
     cfg = SolverConfig(n=12, alpha=prob.default_alpha)
-    (factor,) = mhfie.solver._build(prob, cfg).kernels
-    poisoned = prob.lam * np.eye(cfg.n + 1)  # lam I - 1 K is exactly zero
+    m = cfg.n + 1
+    w, e = prob.lam * np.eye(m, m + 1), np.eye(m + 1, m)
     if k == "nan":
-        poisoned[3, 5] = math.nan
-    factor.__dict__["k"] = poisoned
+        w[3, 5] = math.nan
+    memo.get(mhfie.solver._kernel_key(prob.kernel, 0, cfg), lambda: w)
+    memo.get(("cardinals", cfg.n), lambda: e)
     for _ in range(2):
         with pytest.raises(SolverError, match=match):
             solve(prob, cfg)
-    assert _kept_inverses() == {}
+    assert _kept("inverse") == {}
 
 
 @pytest.mark.parametrize("name, n", [("ex1-log", 16), ("ex3-alg", 8)])
 def test_solve_certificate_and_norms_build_each_rule_once(name, n, monkeypatch):
-    # the solve's plan, the certificate's fresh plan and the error norms
-    # build only the distinct degrees n, n+1 and 2n+16; every other rule
-    # lookup hits the memo
+    # the solve, the certificate and the error norms build and map only the
+    # distinct degrees n, n+1 and 2n+16; every other mapped-rule lookup (the
+    # certificate's two, and in 2D the second axis's norm rule) hits the
+    # memo, and no Gauss-Hermite lookup is made but for a mapped rule's miss
     prob = get_problem(name)
     cfg = SolverConfig(n=n, alpha=prob.default_alpha)
     built = []
@@ -641,9 +685,46 @@ def test_solve_certificate_and_norms_build_each_rule_once(name, n, monkeypatch):
     sol, _ = _solve_and_norms(prob, cfg)
     assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
     assert sorted(built) == [n, n + 1, 2 * n + 16]
-    # the two hits are the certificate's rules; the 2D axes share theirs
     info = mhfie.hermite._memoized_rule.cache_info()
-    assert (info.misses, info.hits) == (3, 2)
+    assert (info.misses, info.hits) == (3, 0)
+    info = mhfie.mhf.mhf_gauss_rule.cache_info()
+    assert (info.misses, info.hits) == (3, 1 + prob.dimension)
+
+
+def test_warm_verify_residual_maps_no_rule_and_builds_its_own_factors(monkeypatch,
+                                                                     fresh_memos):
+    # the certificate reads the solve's mapped rules and rebuilds E and the
+    # kernel values once each, into its own dict
+    prob = get_problem("ex1-log")
+    cfg = SolverConfig(n=16, alpha=prob.default_alpha)
+    sol = solve(prob, cfg)
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(name) or fn(*args))
+
+    counted(mhfie.mhf, "_logistic_pair")
+    counted(mhfie.solver, "_gauss_cardinal_rows")
+    counted(mhfie.solver, "_theta_matrix")
+    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+    assert sorted(calls) == ["_gauss_cardinal_rows", "_theta_matrix"]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_residual_rejects_node_values_of_the_wrong_length(dim, monkeypatch):
+    # the count is checked before anything is built
+    prob = get_problem("ex1-log" if dim == 1 else "ex3-alg")
+    cfg = SolverConfig(n=8, alpha=0.5)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(mhfie.solver, "_build", no_build)
+    for size in (5, 9**dim + 1):
+        with pytest.raises(ValueError, match=f"expected {9**dim} node values for n=8 "
+                                             f"in {dim}D, got {size}"):
+            verify_residual(prob, cfg, np.zeros(size))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -657,9 +738,8 @@ def test_verify_residual_reads_no_memo(dim, fresh_memos):
     else:
         prob = _identity_2d()
     cfg = SolverConfig(n=16 if dim == 1 else 8, alpha=0.5)
-    plan = mhfie.solver._build_axis_plan(*_plan_key(cfg))
-    plan.__dict__["e"] = plan.e * (1.0 + 1e-6)
-    memo.get(("plan", *_plan_key(cfg)), lambda: plan)
+    e = mhfie.solver._cardinals(*_axis_rules(cfg.alpha, cfg.n)) * (1.0 + 1e-6)
+    memo.get(("cardinals", cfg.n), lambda: e)
     sol = solve(prob, cfg)
     assert sol.final_residual <= cfg.newton_tol
     assert verify_residual(prob, cfg, sol) > cfg.newton_tol
@@ -667,21 +747,21 @@ def test_verify_residual_reads_no_memo(dim, fresh_memos):
 
 @pytest.mark.parametrize("poison", ["w", "eigenpairs"])
 def test_verify_residual_reads_no_kept_kernel_factor(poison, fresh_memos):
-    # a wrong kept factor changes what solve does; the certificate builds its
-    # own factors and reads the same residual.  identity-2d has two kernel
-    # factors (mu 0.3 and 0.6) and a given forcing.
+    # a wrong kept W or eigenbasis changes what solve does; the certificate
+    # builds its own factors and reads the same residual.  identity-2d has
+    # two kernel factors (mu 0.3 and 0.6) and a given forcing.
     prob = _identity_2d()
     cfg = SolverConfig(n=8, alpha=0.5)
     sol = solve(prob, cfg)
     clean = verify_residual(prob, cfg, sol)
     kept = _kept_factors(cfg)
     assert len(kept) == 2
-    for key, factor in kept.items():
+    for key, w in kept.items():
         if poison == "w":
-            memo.entries[key] = replace(factor, w=factor.w * (1.0 + 1e-6))
+            memo.entries[key] = w * (1.0 + 1e-6)
         else:
-            values, forward, backward = factor.eigenpairs
-            factor.__dict__["eigenpairs"] = (1.5 * values, forward, backward)
+            eigen = memo.entries[("eigen", *key[1:])]
+            memo.entries[("eigen", *key[1:])] = eigen._replace(values=1.5 * eigen.values)
     assert verify_residual(prob, cfg, sol) == clean
     poisoned = solve(prob, cfg)
     if poison == "w":
@@ -717,7 +797,7 @@ def test_verify_residual_writes_no_memo(name):
     ("ex3-log", 1), ("ex3-alg", 1), ("identity-2d", 2),
 ])
 def test_each_axis_work_is_done_once(name, eigs, monkeypatch):
-    # both axes share the plan and, in the error norms, one cardinal matrix;
+    # both axes share the rules and E and, in the error norms, one cardinal matrix;
     # axes that share a singular factor share one kernel factor and one
     # eigendecomposition, and a second exponent makes two.  A repeated solve
     # diagonalizes nothing.
@@ -835,17 +915,20 @@ def test_kept_kernel_factors_hold_at_most_their_bound():
     assert list(kept.entries) == ["b", "a"] and kept.nbytes == 80
     kept.get("c", lambda: np.zeros(4))
     assert list(kept.entries) == ["a", "c"] and kept.nbytes == 72
-    # a W at MAX_N_1D with its E and K = W E fits the cap; within MAX_N_2D a
-    # factor is also charged for the eigenpairs, Q^-1 W and E Q a 2D solve
-    # may build, complex at most
-    for n, eigen in ((MAX_N_1D, 0), (MAX_N_2D, 16 * (MAX_N_2D + 1) * (4 * MAX_N_2D + 7))):
-        plan = mhfie.solver._build_axis_plan(2.0, n)
-        factor = mhfie.solver._kernel_factor(KernelSpec(kind="algebraic", mu=(0.5,)), 0, plan,
-                                             "mhf", kept.get)
-        assert not factor.w.flags.writeable
-        k = 8 * (n + 1) ** 2
-        assert factor.nbytes == factor.w.nbytes + plan.e.nbytes + k + eigen < memo.cap
-        assert factor.k.nbytes == k and not factor.k.flags.writeable
+    # a W and an E at MAX_N_1D each fit the cap, charged their own
+    # 8 m (m + 1) bytes; an eigenbasis at MAX_N_2D, complex on the mu = 0.6
+    # axis, is charged its own m (4m + 3) complex numbers
+    kernel = KernelSpec(kind="algebraic", mu=(0.6,))
+    for n in (MAX_N_1D, MAX_N_2D):
+        rule_c, rule_q = _axis_rules(0.5 if n == MAX_N_2D else 2.0, n)
+        w = mhfie.solver._kernel_matrix(kernel, 0, rule_q, rule_c, "mhf")
+        e = mhfie.solver._cardinals(rule_c, rule_q)
+        assert not w.flags.writeable and not e.flags.writeable
+        assert w.nbytes == e.nbytes == 8 * (n + 1) * (n + 2) < memo.cap
+    m = MAX_N_2D + 1
+    eigen = mhfie.solver._eigenbasis(w, e)
+    assert np.iscomplexobj(eigen.values)
+    assert eigen.nbytes == sum(arr.nbytes for arr in eigen) == 16 * m * (4 * m + 3) < memo.cap
 
 
 def test_kept_kernel_factors_stay_consistent_under_threads():
@@ -853,10 +936,10 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
     # keeps three: every factor returned is right, and the byte count
     # matches the entries, which a lost update would break
     kernels = [KernelSpec(kind="algebraic", mu=(0.1 * k,)) for k in range(1, 7)]
-    plan = mhfie.solver._build_axis_plan(0.5, 32)
+    rule_c, rule_q = _axis_rules(0.5, 32)
 
     def factor(k: int, get):
-        return mhfie.solver._kernel_factor(kernels[k], 0, plan, "mhf", get)
+        return get(k, lambda: mhfie.solver._kernel_matrix(kernels[k], 0, rule_q, rule_c, "mhf"))
 
     expected = [factor(k, lambda _, build: build()) for k in range(len(kernels))]
     kept = BoundedMemo(3 * expected[0].nbytes)
@@ -866,7 +949,7 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
         try:
             for i in range(300):
                 k = (i + offset) % len(kernels)
-                if not np.array_equal(factor(k, kept.get).w, expected[k].w):
+                if not np.array_equal(factor(k, kept.get), expected[k]):
                     errors.append(k)
         except Exception as exc:  # recorded, so the main thread sees it
             errors.append(exc)
@@ -886,7 +969,7 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
     assert len(kept.entries) == 3
     assert kept.nbytes == sum(f.nbytes for f in kept.entries.values()) == 3 * expected[0].nbytes
     # a thread that lost the race to build a key gets the instance the
-    # winner kept, so both share one eigendecomposition
+    # winner kept, so both share one array
     first = np.zeros(1)
 
     def lose_race():
@@ -906,8 +989,8 @@ def test_assembled_weights_are_the_callers_to_write():
 
 
 def test_verify_residual_builds_no_interpolation_basis(monkeypatch):
-    # the certificate evaluates the residual only; the memoized plan builds
-    # its basis once, on the first solution that needs it
+    # the certificate evaluates the residual only; the memo keeps the basis
+    # that the first solution needed, under ("basis", alpha, n)
     calls = []
     weights = mhfie.approx._bary_weights
     monkeypatch.setattr(mhfie.approx, "_bary_weights",
@@ -1012,7 +1095,8 @@ def test_complex_eigenpairs_solve_in_the_real_view(method):
     prob = _identity_2d()
     cfg = SolverConfig(n=16, alpha=0.5, method=method)
     disc = mhfie.solver._build(prob, cfg)
-    assert any(np.iscomplexobj(k.eigenpairs[0]) for k in disc.kernels)
+    assert any(np.iscomplexobj(mhfie.solver._eigenbasis(w, e).values)
+               for w, e in zip(disc.w, disc.e))
     sol = solve(prob, cfg)
     np.testing.assert_allclose(
         sol.node_values.ravel(), _dense_newton(prob, cfg, disc),
@@ -1056,9 +1140,9 @@ def test_poisoned_kept_eigenbasis_sets_only_the_counts(name, fresh_memos):
     prob = _identity_2d() if name == "identity-2d" else get_problem(name)
     cfg = SolverConfig(n=8, alpha=0.5)
     clean = solve(prob, cfg)
-    for factor in _kept_factors(cfg).values():
-        products, corner = factor.eigenbasis
-        factor.__dict__["eigenbasis"] = (products * (1.0 + 1e-3), corner)
+    for key in _kept_factors(cfg):
+        eigen = memo.entries[("eigen", *key[1:])]
+        memo.entries[("eigen", *key[1:])] = eigen._replace(w=eigen.w * (1.0 + 1e-3))
     poisoned = solve(prob, cfg)
     assert (poisoned.newton_iters, poisoned.krylov_iters) != (clean.newton_iters,
                                                              clean.krylov_iters)
@@ -1199,9 +1283,10 @@ def test_solver_evaluates_the_complement_aware_exact_solution(name, n):
 
 
 def test_both_routes_and_both_axes_share_one_plan(fresh_memos):
-    # an mhf and a smoothed solve of ex3-alg leave one plan, keyed by
-    # (alpha, n) alone, whose collocation nodes both axes read; the routes
-    # differ only in their kernel factors
+    # an mhf and a smoothed solve of ex3-alg leave one E, keyed by n alone,
+    # and one basis, keyed by (alpha, n), and both axes read the collocation
+    # nodes of one mapped rule; the routes differ only in their kernel
+    # factors
     prob = get_problem("ex3-alg")
     n = 16
     nodes = mhf_gauss_rule(MhfBasis(0.5, n)).nodes
@@ -1211,7 +1296,8 @@ def test_both_routes_and_both_axes_share_one_plan(fresh_memos):
         np.testing.assert_array_equal(sol.nodes_x, nodes)
         assert sol.nodes_y is sol.nodes_x
         assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
-    assert [key for key in memo.entries if key[0] == "plan"] == [("plan", 0.5, n)]
+    assert [key for key in memo.entries if key[0] in ("cardinals", "basis")] == [
+        ("cardinals", n), ("basis", 0.5, n)]
     assert sorted(key[3] for key in memo.entries if key[0] == "kernel") == ["mhf", "smoothed"]
 
 

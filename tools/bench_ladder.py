@@ -26,14 +26,17 @@ run records, under its tag:
   GMRES iterations of each Newton step, empty in 1D).  The best is the
   floor a call can reach; the median is the typical call, which shows a
   stall the best hides.  A point that fails records the stage, the error
-  type and its message instead.
+  type and its message instead;
+- ``memo``: after the ladder, the bytes the package's byte-bounded memo is
+  charged and its entry count per key tag.
 
-The first call of a point builds the axis plans and rules unless an earlier
-point at the same (alpha, N) built them: ex1-log, ex1-alg and ex2-sqrt share
-them, so only the first of the three pays for them cold.  Where the rule is
-memoized, the first ``verify_residual`` and ``error_norms`` calls of a point
-also find the rules that earlier calls built.  An existing --out file keeps
-its other runs; the run with the same tag is replaced.
+The first call of a point builds the rules and the cardinal matrix unless
+an earlier point at the same (alpha, N) built them: ex1-log, ex1-alg and
+ex2-sqrt share them, so only the first of the three pays for them cold.
+Where the rules are memoized, the first ``verify_residual`` and
+``error_norms`` calls of a point also find the rules that earlier calls
+built.  An existing --out file keeps its other runs; the run with the same
+tag is replaced.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -176,6 +180,12 @@ def ladder_point(mhfie, name: str, n: int, repeats: int = POINT_REPEATS) -> dict
     return record
 
 
+def memo_charge(mhfie) -> dict:
+    """The bytes the package's memo is charged and its entries per key tag."""
+    memo = mhfie._memo.memo
+    return {"nbytes": memo.nbytes, "entries": dict(Counter(key[0] for key in memo.entries))}
+
+
 def run(tag: str) -> dict:
     sys.path.insert(0, str(SRC))
     import numpy
@@ -195,6 +205,7 @@ def run(tag: str) -> dict:
         "rule_s": rule_times(mhfie),
         "forcing_s": forcing_time(mhfie),
         "ladder": [ladder_point(mhfie, name, n) for name, ns in LADDER.items() for n in ns],
+        "memo": memo_charge(mhfie),  # after the ladder: entries are evaluated in order
     }
 
 
