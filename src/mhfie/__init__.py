@@ -52,11 +52,9 @@ from .solver import (
     AssemblyError,
     NewtonResult,
     NonConvergenceError,
-    NystromMatrix,
     Solution,
     SolverConfig,
     SolverError,
-    assemble_nystrom,
     newton_driver,
     solve,
     verify_residual,
@@ -101,11 +99,9 @@ __all__ = [
     "AssemblyError",
     "NewtonResult",
     "NonConvergenceError",
-    "NystromMatrix",
     "Solution",
     "SolverConfig",
     "SolverError",
-    "assemble_nystrom",
     "newton_driver",
     "solve",
     "verify_residual",

@@ -466,40 +466,40 @@ def error_norms(approx, exact, alpha, dim: int = 1, degree: Optional[int] = None
     """Sup-norm error on the fixed grid and weighted L2 error by oversampled
     quadrature (mapped rule of degree 2N+16 per axis, one per distinct alpha).
 
-    alpha is a scalar in one dimension, a pair in two; degree defaults to
-    the approximant's own degree when it exposes one.  The approximant is
-    evaluated on the tensor grid of the per-axis points: by eval_grid in
-    2D where it has one, else, like exact, once on their open grid
-    (x[:, None], y[None, :]) and broadcast to the tensor grid (in 1D, by
-    eval or the plain callable on the points themselves).  The norm rules
-    come from mhf_gauss_rule's memo and an interpolant's Cauchy terms at
-    their nodes from the package's memo, so a repeated call costs one
-    product and one call of exact per point set.
+    alpha is one scale for every axis, as the solver takes it, or a sequence
+    of dim scales; degree defaults to the approximant's own degree when it
+    exposes one.  An interpolant is evaluated on the tensor grid of the
+    per-axis points; any other approximant, like exact, is called once on
+    their open grid (x[:, None], y[None, :]) and broadcast to the tensor
+    grid (in 1D, by eval or the plain callable on the points themselves).
+    The norm rules come from mhf_gauss_rule's memo and an interpolant's
+    Cauchy terms at their nodes from the package's memo, so a repeated call
+    costs one product and one call of exact per point set.
     """
     if dim not in (1, 2):
         raise ValueError(f"dim must be 1 or 2, got {dim}")
+    alphas = [float(alpha)] * dim if np.ndim(alpha) == 0 else [float(a) for a in alpha]
+    if len(alphas) != dim:
+        raise ValueError(f"alpha must be a scalar or {dim} scales for dim={dim}, "
+                         f"got {len(alphas)}")
     if degree is None:
         degree = getattr(approx, "degree", None)
         if degree is None:
             raise ValueError("degree must be given for plain-callable approximants")
     # an interpolant evaluates from Cauchy terms under the tags; any other
-    # approximant by its eval_grid in 2D, else on the open grid
+    # approximant on the open grid
     on_grid = getattr(approx, "_on_grid", None)
-    eval_grid = getattr(approx, "eval_grid", None) if dim == 2 else None
     plain = approx if dim == 2 else getattr(approx, "eval", approx)
 
     def diff(axes, tags):
         if on_grid is not None:
             got = on_grid(axes, tags)
-        elif eval_grid is not None:
-            got = eval_grid(*axes)
         else:
             got = np.broadcast_to(plain(*_open_grid(axes)), tuple(a.size for a in axes))
         return np.asarray(got, dtype=float) - np.asarray(exact(*_open_grid(axes)), dtype=float)
 
     grid = (eval_grid_1d(),) if dim == 1 else (eval_grid_axis_2d(),) * 2
     err_inf = float(np.max(np.abs(diff(grid, (None,) * dim))))
-    alphas = [float(a) for a in (alpha if dim == 2 else (alpha,))]
     rule_degree = 2 * degree + 16
     rules = [mhf_gauss_rule(MhfBasis(alpha=a, degree=rule_degree)) for a in alphas]
     axes = tuple(rule.nodes for rule in rules)

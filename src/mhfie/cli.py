@@ -25,7 +25,7 @@ import itertools
 import math
 import sys
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -219,7 +219,7 @@ def _solution_errors(problem, config, solution):
         norms = error_norms(
             solution.interpolant,
             problem.exact_solution,
-            config.alpha if dim == 1 else (config.alpha,) * 2,
+            config.alpha,
             dim=dim,
         )
     except ValueError as exc:
@@ -231,13 +231,17 @@ def _solution_errors(problem, config, solution):
 
 
 def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
-                    alpha: float = None,
+                    alpha: Optional[float] = None,
                     newton_tol: float = SolverConfig.newton_tol,
                     with_colloc: bool = False) -> ConvergenceReport:
-    """Solve at each resolution and collect the error report (rows sorted by N)."""
+    """Solve at each resolution and collect the error report (rows sorted by N).
+
+    alpha None is the problem's default_alpha (SolverConfig.for_problem).
+    """
     problem = get_problem(problem_name)
-    if alpha is None:
-        alpha = problem.default_alpha
+    base = SolverConfig(n=0, alpha=alpha, method=method,
+                        newton_tol=newton_tol).for_problem(problem)
+    alpha = base.alpha
     report = ConvergenceReport(
         problem=problem_name,
         method=method,
@@ -252,12 +256,7 @@ def run_convergence(problem_name: str, n_list, method: str = METHOD_MHF,
         ),
     )
     for n in sorted(n_list):
-        config = SolverConfig(
-            n=n,
-            alpha=alpha,
-            method=method,
-            newton_tol=newton_tol,
-        )
+        config = replace(base, n=n)
         start = time.perf_counter()
         try:
             solution = solve(problem, config)
@@ -354,22 +353,21 @@ def _cmd_quad_test(args) -> int:
 
 def _solver_args(args) -> tuple:
     """The named problem and the SolverConfig fields every solver command
-    shares: alpha (the problem's default_alpha unless given) and newton_tol."""
+    shares: alpha (None for the problem's default_alpha) and newton_tol."""
     if args.problem is None:
         raise UsageError("a problem name is required (--problem)")
     try:
         problem = get_problem(args.problem)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from None
-    alpha = problem.default_alpha if args.alpha is None else args.alpha
-    return problem, dict(alpha=alpha, newton_tol=args.newton_tol)
+    return problem, dict(alpha=args.alpha, newton_tol=args.newton_tol)
 
 
 def _checked_config(problem, **fields) -> SolverConfig:
-    """SolverConfig for the problem; a setting it rejects, or an n above the
-    problem's dimension limit, is a usage error."""
+    """SolverConfig for the problem, alpha resolved; a setting it rejects,
+    or an n above the problem's dimension limit, is a usage error."""
     try:
-        config = SolverConfig(**fields)
+        config = SolverConfig(**fields).for_problem(problem)
         config.check_dimension(problem.dimension)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

@@ -94,24 +94,15 @@ def hermite_eval_scaled(n: int, z: float) -> float:
     and arguments far beyond the raw recurrence (n up to 10^4, |z| up to
     10^2 and beyond; tested against mpmath at n = 10^4, z = 100).  It
     returns 0.0 only where h_n(z) itself underflows, as for n = 3, z = 50.
-    The recurrence runs to its last row only, and the row scale
-    sqrt(2^n / n!) / pi^(1/4) is applied once, from n! split exactly into a
-    mantissa and an integer exponent, as _table applies it per row.
+    The value is row n of _table, whose row scales carry n! as a mantissa
+    and an integer exponent, so neither over- nor underflows alone.
     """
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     z = float(z)
     if not math.isfinite(z):
         raise ValueError(f"evaluation point must be finite, got {z}")
-    _, q, e = collections.deque(_hermite_rows(n, np.array([z])), maxlen=1).pop()
-    factorial = math.factorial(n)
-    shift = factorial.bit_length() - 1
-    # s_n^2 = 2^n / (n! sqrt(pi)) = m 2^f; the int quotient is correctly rounded
-    m, f = 1.0 / (SQRT_PI * (factorial / (1 << shift))), n - shift
-    half = f >> 1
-    total = int(e[0]) + half
-    scale = math.exp((total * _LN2_HI - 0.5 * z * z) + total * _LN2_LO)
-    return float(q[0]) * scale * math.sqrt(math.ldexp(m, f - 2 * half))
+    return float(_table(n, np.array([z]), -0.5 * z * z)[n, 0])
 
 
 def _rescale_stride(nmax: int, z: np.ndarray) -> int:

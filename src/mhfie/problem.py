@@ -335,6 +335,10 @@ class ProblemSpec:
     solutions such as log(s)log(1-s) stay finite when s rounds to 1; the
     separable factors a_r, b_r use the same (s, 1-s) signature, and the
     kernel's factor the same pairs, (s, 1-s, x, 1-x).
+
+    default_alpha is the map scale a SolverConfig without one takes
+    (SolverConfig.for_problem); every registry problem keeps the default,
+    0.5.
     """
 
     name: str
@@ -346,7 +350,7 @@ class ProblemSpec:
     exact_solution: Optional[Callable] = None
     exact_solution_c: Optional[Callable] = None
     psi_u_separable: Optional[Sequence[tuple]] = None
-    default_alpha: float = 1.0
+    default_alpha: float = 0.5
     # per-axis kernel actions of the manufactured forcing; init=False, so
     # every instance, one made by dataclasses.replace included, starts empty
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -528,7 +532,6 @@ def _make_ex1_log() -> ProblemSpec:
         nonlinearity=Nonlinearity.identity(1),
         exact_solution=_log_endpoint_solution,
         exact_solution_c=_log_endpoint_solution_c,
-        default_alpha=0.5,
     )
 
 
@@ -541,7 +544,6 @@ def _make_ex1_alg() -> ProblemSpec:
         nonlinearity=Nonlinearity.identity(1),
         exact_solution=_sqrt_endpoint_solution,
         exact_solution_c=_sqrt_endpoint_solution_c,
-        default_alpha=0.5,
     )
 
 
@@ -559,7 +561,6 @@ def _make_ex2_sqrt() -> ProblemSpec:
         forcing=lambda x: np.sqrt(x) - 0.5 * math.pi,
         exact_solution=np.sqrt,
         exact_solution_c=lambda s, oms: np.sqrt(s),
-        default_alpha=0.5,
     )
 
 
@@ -586,7 +587,6 @@ def _make_ex3_log() -> ProblemSpec:
                 lambda t, omt: ac(t, omt) ** 2,
             ),
         ),
-        default_alpha=0.5,
     )
 
 
@@ -605,7 +605,6 @@ def _make_ex3_alg() -> ProblemSpec:
         psi_u_separable=(
             (lambda s, oms: pc(s, oms) ** 2, lambda t, omt: pc(t, omt) ** 2),
         ),
-        default_alpha=0.5,
     )
 
 

@@ -60,7 +60,8 @@ mapped rules, the kernel factor, the cardinal factor, the quadrature
 coordinates and the collocation nodes, so the one-dimensional system is
 the one-axis case of the two-dimensional one.
 
-Both axes use one map scale alpha, as in the paper.  The mapped rules come
+Both axes use one map scale alpha, as in the paper; unless the config sets
+one, it is the problem's default_alpha.  The mapped rules come
 from mhf_gauss_rule's memo, pure functions of (alpha, degree).  The
 package's one byte-bounded memo (mhfie._memo) keeps each other array the
 solve reuses as its own complete, read-only entry: E under ("cardinals", n),
@@ -94,7 +95,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -119,9 +120,7 @@ __all__ = [
     "NonConvergenceError",
     "SolverConfig",
     "NewtonResult",
-    "NystromMatrix",
     "Solution",
-    "assemble_nystrom",
     "newton_driver",
     "solve",
     "verify_residual",
@@ -174,11 +173,13 @@ class SolverConfig:
 
     n is the degree of the collocation rule (n+1 nodes); the quadrature rule
     always has degree n+1.  alpha is the map scale of every axis, checked
-    against the rule's own range (see the module docstring).
+    against the rule's own range (see the module docstring).  None, the
+    default, stands for the problem's default_alpha: for_problem resolves
+    it, and solve and verify_residual resolve it before they build.
     """
 
     n: int
-    alpha: float = 1.0
+    alpha: Optional[float] = None
     method: str = METHOD_MHF
     newton_tol: float = 1e-12
     newton_max_iter: int = 50
@@ -186,7 +187,8 @@ class SolverConfig:
     def __post_init__(self):
         if _as_integer(self.n, "n") < 0:
             raise ValueError(f"n must be nonnegative, got {self.n}")
-        _check_alpha(self.alpha)
+        if self.alpha is not None:
+            _check_alpha(self.alpha)
         if self.method not in (METHOD_MHF, METHOD_SMOOTHED):
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 < self.newton_tol < math.inf:
@@ -200,21 +202,12 @@ class SolverConfig:
         if self.n > limit:
             raise ValueError(f"n={self.n} exceeds limit {limit} in {dim}D")
 
-
-@dataclass(frozen=True)
-class NystromMatrix:
-    """Quadrature-weighted kernel matrix W.
-
-    Rows follow collocation points, columns quadrature points; in two
-    dimensions both indices are composite (x-major / s-major flattening) so
-    weights is always a plain dense matrix (in 2D the Kronecker product of
-    the per-axis factors, formed for the caller only).
-    """
-
-    weights: np.ndarray
-    colloc_points: tuple
-    quad_points: tuple
-    dimension: int
+    def for_problem(self, problem: ProblemSpec) -> SolverConfig:
+        """This config with alpha resolved: problem.default_alpha if alpha
+        is None, else the config itself."""
+        if self.alpha is not None:
+            return self
+        return replace(self, alpha=problem.default_alpha)
 
 
 @dataclass(frozen=True)
@@ -414,11 +407,12 @@ def _build(problem: ProblemSpec, config: SolverConfig,
            get: Callable = memo.get) -> _Discretization:
     """The discrete system, built axis by axis; 1D is the one-axis case.
 
-    get(key, build) supplies each axis's kernel factor W, the cardinal
-    factor E and the interpolation basis: the memo's for solve and
-    assemble_nystrom; verify_residual passes one that reads a dict of its
-    own, which lives for the one call.  W is asked for first, so a solve
-    that the node-gap check refuses builds no E.
+    config.alpha must be resolved (SolverConfig.for_problem), so no memo key
+    holds None.  get(key, build) supplies each axis's kernel factor W, the
+    cardinal factor E and the interpolation basis: the memo's for solve;
+    verify_residual passes one that reads a dict of its own, which lives
+    for the one call.  W is asked for first, so a solve that the node-gap
+    check refuses builds no E.
     """
     dim = problem.dimension
     config.check_dimension(dim)
@@ -465,22 +459,6 @@ def _build(problem: ProblemSpec, config: SolverConfig,
         colloc_points=nodes,
         interp_from_values=interp,
         shape=(config.n + 1,) * dim,
-    )
-
-
-def assemble_nystrom(problem: ProblemSpec, config: SolverConfig) -> NystromMatrix:
-    """Quadrature-weighted kernel matrix for the problem at this config.
-
-    In two dimensions the dense Kronecker product is formed here, on request;
-    the solvers only ever apply its factors.
-    """
-    disc = _build(problem, config)
-    return NystromMatrix(
-        # a copy: the 1D factor may be the read-only one the memo keeps
-        weights=disc.w[0].copy() if disc.dimension == 1 else np.kron(*disc.w),
-        colloc_points=disc.colloc_points,
-        quad_points=tuple(a.ravel() for a in np.broadcast_arrays(*disc.quad_coords)),
-        dimension=disc.dimension,
     )
 
 
@@ -872,9 +850,12 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> Solution:
     """Damped Newton solve from g / lam: dense steps in 1D, GMRES in 2D.
 
     config.method picks the discretization route; a linear problem takes
-    one full step.  final_residual is the last entry of residual_history,
-    which newton_driver leaves at or below newton_tol.
+    one full step.  An alpha of None is the problem's default_alpha, and
+    Solution.config is the resolved config.  final_residual is the last
+    entry of residual_history, which newton_driver leaves at or below
+    newton_tol.
     """
+    config = config.for_problem(problem)
     disc = _build(problem, config)
     quad_values = _quad_values(disc)
     result = newton_driver(
@@ -906,7 +887,8 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
 
     Accepts a Solution or a bare node-value array, which must hold the
     (n+1)^dim node values of the config; another count raises ValueError
-    before anything is built.  The quadrature coefficients, damped cardinal
+    before anything is built.  An alpha of None is the problem's
+    default_alpha, as in solve.  The quadrature coefficients, damped cardinal
     matrix and kernel matrix are rebuilt here, into a dict that lives for
     this call only, and the memo the solves share is neither read nor
     written, so this is the independent certificate check.  Only the
@@ -929,5 +911,5 @@ def verify_residual(problem: ProblemSpec, config: SolverConfig, solution) -> flo
             kept[key] = build()
         return kept[key]
 
-    disc = _build(problem, config, get)
+    disc = _build(problem, config.for_problem(problem), get)
     return float(np.max(np.abs(_residual_fn(disc, problem, _quad_values(disc))(u))))

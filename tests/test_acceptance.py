@@ -146,7 +146,7 @@ def test_discretizations_agree_on_node_values(capsys):
         prob = get_problem(name)
         sizes = (4, 8, 16) if prob.dimension == 2 else (4, 8, 16, 32)
         for n in sizes:
-            cfg = SolverConfig(n=n, alpha=prob.default_alpha, newton_tol=1e-12)
+            cfg = SolverConfig(n=n, newton_tol=1e-12)
             gap = float(
                 np.max(
                     np.abs(
@@ -242,7 +242,7 @@ def test_residual_certificates(capsys):
     for name in problem_names():
         prob = get_problem(name)
         n = 8 if prob.dimension == 2 else 24
-        cfg = SolverConfig(n=n, alpha=prob.default_alpha)
+        cfg = SolverConfig(n=n)
         sol = solve(prob, cfg)
         res = verify_residual(prob, cfg, sol)
         if res > worst:

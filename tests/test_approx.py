@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -426,6 +425,20 @@ def test_error_norms_2d_takes_one_scale_per_axis(monkeypatch):
     )
 
 
+def test_error_norms_take_one_scale_for_every_axis():
+    # a scalar is the one alpha of every axis, as the solver takes it, and
+    # gives the norms of the pair bitwise; a sequence of another length
+    # than dim is refused
+    interp, exact, _ = _norm_case(2, 0.5, 8)
+    assert error_norms(interp, exact, 0.5, dim=2) == error_norms(interp, exact, (0.5, 0.5),
+                                                                 dim=2)
+    with pytest.raises(ValueError, match="dim=2"):
+        error_norms(interp, exact, (0.5,), dim=2)
+    interp, exact, _ = _norm_case(1, 0.5, 8)
+    with pytest.raises(ValueError, match="dim=1"):
+        error_norms(interp, exact, (0.5, 0.5))
+
+
 def test_error_norms_2d_calls_a_plain_callable_on_the_open_grid():
     # like exact, a plain callable is called once on (x[:, None], y[None, :])
     # and broadcast to the tensor grid, so one of x alone works too
@@ -602,8 +615,8 @@ def test_cold_warm_and_uncached_error_norms_are_bitwise_equal(dim, alpha, empty_
         if dim == 1:
             plain = error_norms(lambda x: interp.eval(x), exact, a, degree=degree)
         else:
-            plain = error_norms(SimpleNamespace(eval_grid=interp.eval_grid, degree=degree),
-                                exact, a, dim=2)
+            plain = error_norms(lambda x, y: interp.eval_grid(x.ravel(), y.ravel()),
+                                exact, a, dim=2, degree=degree)
         with monkeypatch.context() as m:
             m.setattr(mhfie.approx, "memo", BoundedMemo(0))
             mhf_gauss_rule.cache_clear()

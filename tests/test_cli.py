@@ -92,7 +92,7 @@ def test_solve_prints_summary(capsys):
     assert main(["solve", "--problem", "ex2-sqrt", "--n", "12"]) == 0
     out = capsys.readouterr().out
     assert "problem=ex2-sqrt" in out
-    assert "N=12 alpha=" in out
+    assert "N=12 alpha=0.5\n" in out
     assert "err_inf=" in out
     assert "newton_iters=1" in out
 
@@ -122,8 +122,7 @@ def test_solve_dump_writes_the_2d_tensor_grid(tmp_path, capsys):
     assert header == ["x", "y", "u"]
     axis = eval_grid_axis_2d()
     assert len(rows) == len(axis) ** 2
-    problem = get_problem("ex3-log")
-    solution = solve(problem, SolverConfig(n=8, alpha=problem.default_alpha))
+    solution = solve(get_problem("ex3-log"), SolverConfig(n=8))
     np.testing.assert_array_equal(
         [float(r[2]) for r in rows], solution.interpolant.eval_grid(axis, axis).ravel()
     )

@@ -20,13 +20,11 @@ SCRIPT = textwrap.dedent(
 
     for name, n in (("ex1-log", 16), ("ex3-alg", 8)):
         problem = mhfie.get_problem(name)
-        alpha = problem.default_alpha
-        config = mhfie.SolverConfig(n=n, alpha=alpha)
+        config = mhfie.SolverConfig(n=n)
         solution = mhfie.solve(problem, config)
         assert mhfie.verify_residual(problem, config, solution) <= config.newton_tol
-        scales = alpha if problem.dimension == 1 else (alpha, alpha)
         norms = mhfie.error_norms(
-            solution.interpolant, problem.exact_solution, scales,
+            solution.interpolant, problem.exact_solution, solution.config.alpha,
             dim=problem.dimension, degree=n,
         )
         assert math.isfinite(norms.err_inf) and math.isfinite(norms.err_l2chi)

@@ -31,7 +31,6 @@ from mhfie.solver import (
     NonConvergenceError,
     SolverConfig,
     SolverError,
-    assemble_nystrom,
     newton_driver,
     solve,
     verify_residual,
@@ -46,6 +45,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match=r"alpha must be in \(0, 100\.0\]"):
             SolverConfig(n=4, alpha=alpha)
     assert SolverConfig(n=4, alpha=100.0).alpha == 100.0
+    # no alpha stands for the problem's, which for_problem resolves
+    assert SolverConfig(n=0).alpha is None
+    prob = get_problem("ex1-log")
+    assert SolverConfig(n=0).for_problem(prob) == SolverConfig(n=0, alpha=prob.default_alpha)
     with pytest.raises(ValueError, match="method"):
         SolverConfig(n=4, method="spline")
     for tol in (0.0, -1e-12, math.inf, math.nan):
@@ -80,10 +83,10 @@ def test_row_sums_converge_to_smooth_integral():
     prob = get_problem("ex1-log")
     errs = []
     for n in (14, 62, 254):
-        ny = assemble_nystrom(prob, SolverConfig(n=n, alpha=1.0))
-        xs = ny.colloc_points[0]
+        disc = mhfie.solver._build(prob, SolverConfig(n=n, alpha=1.0))
+        xs = disc.colloc_points[0]
         exact = np.array([exact_smooth_integral("log", x) for x in xs])
-        errs.append(float(np.max(np.abs(ny.weights.sum(axis=1) - exact))))
+        errs.append(float(np.max(np.abs(disc.w[0].sum(axis=1) - exact))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 0.06
     assert errs[2] < 0.5 * errs[0]
@@ -91,10 +94,8 @@ def test_row_sums_converge_to_smooth_integral():
 
 def test_assembled_weights_identical_across_methods():
     prob = get_problem("ex1-alg")
-    wa = assemble_nystrom(prob, SolverConfig(n=12, alpha=0.7)).weights
-    wb = assemble_nystrom(
-        prob, SolverConfig(n=12, alpha=0.7, method="smoothed")
-    ).weights
+    (wa,) = mhfie.solver._build(prob, SolverConfig(n=12, alpha=0.7)).w
+    (wb,) = mhfie.solver._build(prob, SolverConfig(n=12, alpha=0.7, method="smoothed")).w
     np.testing.assert_allclose(wa, wb, rtol=1e-12)
 
 
@@ -127,7 +128,7 @@ def test_assembly_names_endpoint_clustering_when_families_interlace():
     # The families interlace, but at alpha = 0.5 the nodes x[92] and s[93]
     # cluster at x = 1 to within 8.7e-13.
     with pytest.raises(AssemblyError, match="lower n or raise alpha") as info:
-        assemble_nystrom(get_problem("ex1-log"), SolverConfig(n=92, alpha=0.5))
+        mhfie.solver._build(get_problem("ex1-log"), SolverConfig(n=92, alpha=0.5))
     assert "interlace" not in str(info.value)
 
 
@@ -161,7 +162,7 @@ def test_assembly_rejects_nonfinite_kernel():
         forcing=lambda x: x,
     )
     with pytest.raises(AssemblyError, match="finite"):
-        assemble_nystrom(bad, SolverConfig(n=4))
+        mhfie.solver._build(bad, SolverConfig(n=4, alpha=1.0))
 
 
 def test_kernel_factor_receives_the_stored_complements():
@@ -344,7 +345,7 @@ def test_two_dimensional_error_norms_infer_the_degree():
 
 
 def test_two_dimensional_weights_are_kronecker():
-    w2 = assemble_nystrom(get_problem("ex3-alg"), SolverConfig(n=4, alpha=0.5)).weights
+    w2 = np.kron(*mhfie.solver._build(get_problem("ex3-alg"), SolverConfig(n=4, alpha=0.5)).w)
     axis = ProblemSpec(
         name="axis",
         dimension=1,
@@ -353,7 +354,7 @@ def test_two_dimensional_weights_are_kronecker():
         nonlinearity=Nonlinearity.identity(1),
         forcing=lambda x: np.ones_like(np.asarray(x, dtype=float)),
     )
-    w1 = assemble_nystrom(axis, SolverConfig(n=4, alpha=0.5)).weights
+    (w1,) = mhfie.solver._build(axis, SolverConfig(n=4, alpha=0.5)).w
     rng = np.random.default_rng(7)
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
@@ -438,8 +439,7 @@ def _read_only_arrays(obj) -> list:
 
 def _solve_and_norms(prob, cfg):
     sol = solve(prob, cfg)
-    alpha = cfg.alpha if prob.dimension == 1 else (cfg.alpha, cfg.alpha)
-    norms = error_norms(sol.interpolant, prob.exact_solution, alpha,
+    norms = error_norms(sol.interpolant, prob.exact_solution, sol.config.alpha,
                         dim=prob.dimension, degree=cfg.n)
     return sol, norms
 
@@ -515,6 +515,26 @@ def test_memoized_plans_and_rules_are_bitwise_identical(name, n, method, monkeyp
     assert not any(arr.flags.writeable for arr in arrays)
 
 
+@pytest.mark.parametrize("name", ["ex1-log", "ex1-alg", "ex2-sqrt", "ex3-log", "ex3-alg"])
+def test_a_config_without_alpha_solves_at_the_problems(name, fresh_memos):
+    # solve and verify_residual resolve alpha before they build: the
+    # resolved config is the solution's, the results are bitwise those of
+    # the explicit alpha, and every memo key that names an alpha names the
+    # problem's, never None
+    prob = get_problem(name)
+    implicit, explicit = SolverConfig(n=16), SolverConfig(n=16, alpha=prob.default_alpha)
+    first = solve(prob, implicit)
+    keys = list(memo.entries)
+    second = solve(prob, explicit)
+    assert list(memo.entries) == keys
+    assert all(key[1] == prob.default_alpha for key in keys if key[0] != "cardinals")
+    assert first.config == second.config and first.config.alpha == prob.default_alpha
+    assert np.array_equal(first.node_values, second.node_values)
+    assert first.residual_history == second.residual_history
+    assert first.krylov_iters == second.krylov_iters
+    assert verify_residual(prob, implicit, first) == verify_residual(prob, explicit, first)
+
+
 def test_problem_instances_share_one_kept_kernel_factor(fresh_memos):
     # ex2-sqrt's factor is one module-level function, so two instances (one
     # per forcing, say) leave one kernel entry per (alpha, n, method)
@@ -551,7 +571,7 @@ def test_memos_hold_at_most_their_bounds():
         m = key[2] + 1
         assert value.shape == (m, m) and value.nbytes == 8 * m * m
     prob = get_problem("ex1-log")
-    sol = solve(prob, SolverConfig(n=4, alpha=prob.default_alpha))
+    sol = solve(prob, SolverConfig(n=4))
     rules = (mhfie.hermite._memoized_rule, mhfie.mhf.mhf_gauss_rule)
     for degree in range(mhfie.hermite._RULE_MEMO_SIZE + 4):
         error_norms(sol.interpolant, prob.exact_solution, 0.5, degree=degree)
@@ -566,8 +586,7 @@ def test_a_one_dimensional_ladder_keeps_no_eigenbasis(fresh_memos):
         prob = get_problem(name)
         for n in range(16, 81, 16):
             for method in ("mhf", "smoothed"):
-                _solve_and_norms(prob, SolverConfig(n=n, alpha=prob.default_alpha,
-                                                    method=method))
+                _solve_and_norms(prob, SolverConfig(n=n, method=method))
     assert _kept("eigen") == {} and len(_kept("kernel")) == 20
     _assert_charged_what_it_holds()
 
@@ -634,7 +653,7 @@ def test_poisoned_kept_inverse_sets_only_the_newton_count(name, fresh_memos):
     # iteration still reaches the tolerance, at the same answer, and the
     # certificate, which builds no inverse, agrees
     prob = get_problem(name)
-    cfg = SolverConfig(n=24, alpha=prob.default_alpha)
+    cfg = SolverConfig(n=24)
     clean = solve(prob, cfg)
     assert clean.newton_iters == 1
     (key,) = _kept("inverse")
@@ -676,7 +695,7 @@ def test_solve_certificate_and_norms_build_each_rule_once(name, n, monkeypatch):
     # certificate's two, and in 2D the second axis's norm rule) hits the
     # memo, and no Gauss-Hermite lookup is made but for a mapped rule's miss
     prob = get_problem(name)
-    cfg = SolverConfig(n=n, alpha=prob.default_alpha)
+    cfg = SolverConfig(n=n)
     built = []
     build = mhfie.hermite._build_rule
     monkeypatch.setattr(mhfie.hermite, "_build_rule",
@@ -696,7 +715,7 @@ def test_warm_verify_residual_maps_no_rule_and_builds_its_own_factors(monkeypatc
     # the certificate reads the solve's mapped rules and rebuilds E and the
     # kernel values once each, into its own dict
     prob = get_problem("ex1-log")
-    cfg = SolverConfig(n=16, alpha=prob.default_alpha)
+    cfg = SolverConfig(n=16)
     sol = solve(prob, cfg)
     calls = []
 
@@ -836,7 +855,7 @@ def test_inexact_newton_steps_cut_krylov_iterations():
     for name, iters in newton.items():
         prob = get_problem(name)
         for n in (8, 16, 24, 32, 48, 64, 80):
-            sol = solve(prob, SolverConfig(n=n, alpha=prob.default_alpha))
+            sol = solve(prob, SolverConfig(n=n))
             assert sol.newton_iters == iters
             assert sol.final_residual <= 1e-13
             total += sum(sol.krylov_iters)
@@ -857,7 +876,7 @@ def test_krylov_counts_on_the_ex3_ladder():
         prob = get_problem(name)
         for n, steps in counts.items():
             for method in ("mhf", "smoothed"):
-                cfg = SolverConfig(n=n, alpha=prob.default_alpha, method=method)
+                cfg = SolverConfig(n=n, method=method)
                 assert solve(prob, cfg).krylov_iters == steps, (name, n, method)
 
 
@@ -979,15 +998,6 @@ def test_kept_kernel_factors_stay_consistent_under_threads():
     assert kept.get("race", lose_race) is first
 
 
-def test_assembled_weights_are_the_callers_to_write():
-    prob = get_problem("ex1-log")
-    cfg = SolverConfig(n=16, alpha=prob.default_alpha)
-    before = solve(prob, cfg)
-    assemble_nystrom(prob, cfg).weights[:] = 0.0
-    after = solve(prob, cfg)
-    np.testing.assert_array_equal(after.node_values, before.node_values)
-
-
 def test_verify_residual_builds_no_interpolation_basis(monkeypatch):
     # the certificate evaluates the residual only; the memo keeps the basis
     # that the first solution needed, under ("basis", alpha, n)
@@ -997,7 +1007,7 @@ def test_verify_residual_builds_no_interpolation_basis(monkeypatch):
                         lambda t: calls.append(t.size) or weights(t))
     memo.clear()
     prob = get_problem("ex1-alg")
-    cfg = SolverConfig(n=12, alpha=prob.default_alpha)
+    cfg = SolverConfig(n=12)
     sol = solve(prob, cfg)
     solve(prob, cfg)
     assert calls == [13]
@@ -1053,8 +1063,7 @@ def _identity_2d() -> ProblemSpec:
 
 def _dense_newton(problem, config, disc):
     """Newton on the dense W and E = kron(Ex, Ey), as the solver did before."""
-    w = assemble_nystrom(problem, config).weights
-    e = np.kron(*disc.e)
+    w, e = np.kron(*disc.w), np.kron(*disc.e)
     s, t = (a.ravel() for a in np.broadcast_arrays(*disc.quad_coords))
     nl = problem.nonlinearity
     u = disc.g / disc.lam
@@ -1211,13 +1220,12 @@ def test_one_dimensional_solve_at_max_n():
 @pytest.mark.parametrize("name", ["ex3-log", "ex3-alg"])
 def test_two_dimensional_solve_at_max_n(name):
     prob = get_problem(name)
-    cfg = SolverConfig(n=MAX_N_2D, alpha=prob.default_alpha)
+    cfg = SolverConfig(n=MAX_N_2D)
     sol = solve(prob, cfg)
     assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
     assert np.max(np.abs(sol.node_values - sol.node_values.T)) <= 1e-10
     norms = error_norms(
-        sol.interpolant, prob.exact_solution, (cfg.alpha, cfg.alpha), dim=2,
-        degree=cfg.n,
+        sol.interpolant, prob.exact_solution, sol.config.alpha, dim=2, degree=cfg.n,
     )
     ref = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     assert norms.err_inf < json.loads(ref.read_text())["err_inf"][name]["48"]
@@ -1269,8 +1277,7 @@ def test_solver_evaluates_the_complement_aware_exact_solution(name, n):
     prob = get_problem(name)
     exact_c = prob.exact_solution_c
     doubled = replace(prob, exact_solution_c=lambda *a: 2.0 * exact_c(*a))
-    cfg = SolverConfig(n=n, alpha=prob.default_alpha)
-    sol = solve(doubled, cfg)
+    sol = solve(doubled, SolverConfig(n=n))
     rule = mhf_gauss_rule(MhfBasis(prob.default_alpha, n))
     x, xc = rule.nodes, rule.nodes_complement
     if prob.dimension == 1:

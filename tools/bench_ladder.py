@@ -151,6 +151,9 @@ def ladder_point(mhfie, name: str, n: int, repeats: int = POINT_REPEATS) -> dict
     """Times of solve, verify_residual and error_norms at one point with the
     solve's Newton and Krylov counts, or its failure."""
     problem = mhfie.get_problem(name)
+    # alpha and the error norms' scales stay explicit: a copy of this script
+    # run in an older checkout meets a SolverConfig whose own alpha default
+    # is 1.0 and an error_norms that takes only a pair in 2D
     alpha = problem.default_alpha
     config = mhfie.SolverConfig(n=n, alpha=alpha)
     scales = alpha if problem.dimension == 1 else (alpha, alpha)
