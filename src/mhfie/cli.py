@@ -32,9 +32,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .approx import error_norms, eval_grid_1d, eval_grid_axis_2d
+from .approx import _open_grid, error_norms, eval_grid_1d, eval_grid_axis_2d
 from .mhf import MhfBasis, mhf_gauss_rule, mhf_unit_weights
-from .problem import OracleError, get_problem, problem_names, tanh_sinh
+from .problem import OracleError, exact_values, get_problem, problem_names, tanh_sinh
 from .solver import (
     METHOD_MHF,
     METHOD_SMOOTHED,
@@ -209,23 +209,19 @@ class ConvergenceReport:
 def _solution_errors(problem, config, solution):
     """Sup, weighted L2 and collocation-node errors against the exact solution.
 
-    An exact solution that cannot be evaluated where the error norms need
-    it (a quadrature node that rounds to 1) raises SolverError.
+    An error norm that fails (error_norms' ValueError) raises SolverError.
+    The node error takes the rule's complements, as the solve does.
     """
     if problem.exact_solution is None:
         return float("nan"), float("nan"), float("nan")
     dim = problem.dimension
     try:
-        norms = error_norms(
-            solution.interpolant,
-            problem.exact_solution,
-            config.alpha,
-            dim=dim,
-        )
+        norms = error_norms(solution.interpolant, problem.exact_solution, config.alpha, dim=dim)
     except ValueError as exc:
         raise SolverError(f"error norms at n={config.n}: {exc}") from exc
     axes = (solution.nodes_x, solution.nodes_y)[:dim]
-    exact = problem.exact_solution(*np.meshgrid(*axes, indexing="ij"))
+    complement = mhf_gauss_rule(MhfBasis(config.alpha, config.n)).nodes_complement
+    exact = exact_values(problem, _open_grid(axes), _open_grid((complement,) * dim))
     colloc = float(np.max(np.abs(solution.node_values - exact)))
     return norms.err_inf, norms.err_l2chi, colloc
 

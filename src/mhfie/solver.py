@@ -71,10 +71,10 @@ the first Solution; an axis's kernel factor W = theta * coeffs under
 ("kernel", alpha, n, method, kind, mu, factor), shared by the problems and
 the axes that share these; the 1D inverses above; and the _Eigenbasis of
 the first 2D solve under ("eigen", *the kernel key).  W is built before E,
-so a solve the node-gap check refuses builds no E.  problem._axis_theta
-gives the kernel values; the solver reads only whether a diagonal type is
-present.  Only a process that repeats a key gains, such as a study of
-several problems or forcings at one discretization.
+so a solve whose kernel values are not finite builds no E.  The kernel
+values come from problem._axis_theta; the solver reads only whether a
+diagonal type is present.  Only a process that repeats a key gains, such
+as a study of several problems or forcings at one discretization.
 
 verify_residual neither reads nor writes that memo: it builds its
 quadrature coefficients, E and kernel factors anew, into a dict of its own
@@ -131,7 +131,6 @@ METHOD_SMOOTHED = "smoothed"
 
 MAX_N_1D = 400
 MAX_N_2D = 80
-NODE_GAP = 1e-12
 # GMRES on the 2D Newton steps: stop at the largest of forcing * |rhs|,
 # GMRES_RTOL * |rhs| and GMRES_ATOL_FACTOR * newton_tol (2-norms in the
 # eigen-coordinates of the axis operators, where GMRES runs).  The
@@ -151,7 +150,7 @@ EIGEN_COND_MAX = 1e8
 
 
 class AssemblyError(RuntimeError):
-    """The discrete operator could not be built (e.g. node coincidence)."""
+    """The discrete operator could not be built (e.g. a kernel value is not finite)."""
 
 
 class SolverError(RuntimeError):
@@ -215,6 +214,7 @@ class Solution:
     problem_name: str
     config: SolverConfig
     node_values: np.ndarray
+    # at alpha 0.5 the last node is 1.0 from N = 181; exact values need nodes_complement
     nodes_x: np.ndarray
     nodes_y: Optional[np.ndarray]
     interpolant: object
@@ -245,29 +245,26 @@ def _theta_matrix(kernel: KernelSpec, rule_q: MhfRule, rule_c: MhfRule,
                   axis: int = 0) -> np.ndarray:
     """Kernel values theta(s_k, x_i) on quadrature x collocation nodes.
 
-    The node gap is checked only where the kernel has a diagonal factor.
+    Each gap |x - s| keeps its digits: rows with x < 1/2 (the first half of
+    a symmetric rule) subtract the nodes, the others the stored complements.
+    A value that is not finite, as where nodes or complements underflow to
+    0, raises AssemblyError.
     """
-    x = rule_c.nodes[:, None]
-    s = rule_q.nodes[None, :]
-    gap = np.abs(x - s)
+    x, s, xc, sc = rule_c.nodes, rule_q.nodes, rule_c.nodes_complement, rule_q.nodes_complement
+    gap = np.empty((x.size, s.size))  # kind "none" reads only its shape
     if kernel.kind != "none":
-        gmin = float(np.min(gap))
-        if gmin <= NODE_GAP:
-            i, k = np.unravel_index(int(np.argmin(gap)), gap.shape)
-            # Rules of consecutive degrees interlace; their nodes still meet
-            # where the map clusters them at an endpoint.
-            raise AssemblyError(
-                f"collocation node x[{i}]={float(rule_c.nodes[i])!r} and quadrature node "
-                f"s[{k}]={float(rule_q.nodes[k])!r} are {gmin:.2e} apart; nodes cluster "
-                "at an endpoint; lower n or raise alpha"
-            )
-    theta = _axis_theta(kernel, axis, gap, s, rule_q.nodes_complement[None, :],
-                        x, rule_c.nodes_complement[:, None])
+        h = x.size // 2
+        np.subtract(x[:h, None], s, out=gap[:h])
+        np.subtract(xc[h:, None], sc, out=gap[h:])
+        np.abs(gap, out=gap)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        theta = _axis_theta(kernel, axis, gap, s[None, :], sc[None, :],
+                            x[:, None], xc[:, None])
     if not np.all(np.isfinite(theta)):
         i, k = np.unravel_index(int(np.argmax(~np.isfinite(theta))), theta.shape)
-        raise AssemblyError(
-            f"kernel value is not finite at collocation node {i}, quadrature node {k}"
-        )
+        raise AssemblyError(f"kernel value is not finite at x[{i}]={float(x[i])!r}, "
+                            f"s[{k}]={float(s[k])!r}; nodes cluster at an endpoint; "
+                            "lower n or raise alpha")
     return theta
 
 
@@ -411,8 +408,8 @@ def _build(problem: ProblemSpec, config: SolverConfig,
     holds None.  get(key, build) supplies each axis's kernel factor W, the
     cardinal factor E and the interpolation basis: the memo's for solve;
     verify_residual passes one that reads a dict of its own, which lives
-    for the one call.  W is asked for first, so a solve that the node-gap
-    check refuses builds no E.
+    for the one call.  W is asked for first, so a solve whose kernel values
+    are not finite builds no E.
     """
     dim = problem.dimension
     config.check_dimension(dim)

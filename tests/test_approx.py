@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -646,6 +647,30 @@ def test_warm_error_norms_build_no_rule_and_no_terms(dim, empty_memo, monkeypatc
         ("terms", "1d" if dim == 1 else "axis-2d"), ("terms", ("rule", 0.5, 48))]
     assert empty_memo.nbytes == sum(v.nbytes for v in empty_memo.entries.values())
     assert empty_memo.nbytes <= empty_memo.cap
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_norm_rule_that_drops_nothing_is_passed_as_it_is(dim):
+    # the interpolant gets the rule's own nodes, so its Cauchy terms are
+    # kept under the rule's tag and the 2D axes are one array; at degree 91
+    # the norm rule (degree 198) has nodes that round to 1, and the counted
+    # ones are one array below 1, shared by the axes too
+    for degree, drops in ((16, False), (91, True)):
+        interp, exact, a = _norm_case(dim, 0.5, degree)
+        seen = []
+        recording = SimpleNamespace(
+            degree=degree,
+            _on_grid=lambda axes, tags: seen.append(axes) or interp._on_grid(axes, tags))
+        assert error_norms(recording, exact, a, dim=dim) == error_norms(interp, exact, a,
+                                                                        dim=dim)
+        axes = seen[1]
+        nodes = mhf_gauss_rule(MhfBasis(0.5, 2 * degree + 16)).nodes
+        assert bool(nodes[-1] == 1.0) == drops
+        if drops:
+            assert np.array_equal(axes[0], nodes[nodes < 1.0])
+        else:
+            assert axes[0] is nodes
+        assert all(axis is axes[0] for axis in axes)
 
 
 def test_a_copy_of_the_rule_nodes_is_evaluated_without_the_memo(empty_memo, monkeypatch):

@@ -18,7 +18,7 @@ def _tool():
     return module
 
 
-def test_ladder_points_record_times_or_the_failure():
+def test_ladder_points_record_times_or_the_failure(monkeypatch):
     tool = _tool()
     # a linear 1D problem takes one dense step; ex3-alg three GMRES steps
     counts = {"ex1-log": (1, []), "ex3-alg": (3, [2, 3, 3])}
@@ -31,7 +31,11 @@ def test_ladder_points_record_times_or_the_failure():
             assert point[f"{stage}_median_s"] == point[f"{stage}_s"]  # one call
         assert point["certificate"] <= mhfie.SolverConfig(n=8).newton_tol
         assert point["err_inf"] >= 0.0
-    # ex1-log at N=92 and alpha 0.5 fails to assemble (ROADMAP item 4)
+    # every ladder point solves, so a failing solve is injected
+    def refused(problem, config):
+        raise mhfie.AssemblyError("nodes cluster at an endpoint; lower n or raise alpha")
+
+    monkeypatch.setattr(mhfie, "solve", refused)
     failed = tool.ladder_point(mhfie, "ex1-log", 92, repeats=1)["failed"]
     assert failed["stage"] == "solve" and failed["error"] == "AssemblyError"
     assert "lower n or raise alpha" in failed["message"]

@@ -318,24 +318,42 @@ def test_converge_marks_failed_rows(tmp_path, capsys, monkeypatch):
 
 
 def test_solve_reports_an_error_norm_failure(capsys):
-    # the solve succeeds, but at alpha 0.5 nodes of the degree-216 rule of
-    # the error norms round to x = 1, where the norms cannot be evaluated
-    assert main(["solve", "--problem", "ex2-sqrt", "--n", "100"]) == 1
+    # the solve succeeds, but at alpha 0.1 nodes of the degree-48 rule of
+    # the error norms that round to x = 1 hold 5.5e-8 of its weight, which
+    # the norms cannot leave out
+    assert main(["solve", "--problem", "ex2-sqrt", "--n", "16", "--alpha", "0.1"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("solver failure: ") and "n=100" in err
+    assert err.startswith("solver failure: ") and "n=16" in err and "raise alpha" in err
 
 
 def test_converge_marks_an_error_norm_failure_as_a_failed_row(tmp_path, capsys):
+    # at alpha 0.15 the norm rule's nodes at x = 1 hold 0.07 eps of its
+    # weight at N = 4 and 8 eps at N = 16 (alpha 0.1 loses weight at every N)
     out = tmp_path / "report.csv"
     rc = main(
-        ["converge", "--problem", "ex2-sqrt", "--n-list", "16,100", "--out", str(out)]
+        ["converge", "--problem", "ex2-sqrt", "--n-list", "4,16", "--alpha", "0.15",
+         "--out", str(out)]
     )
     capsys.readouterr()
     assert rc == 1
     kept, failed = ConvergenceReport.from_csv_text(out.read_text()).rows
-    assert kept.n == 16 and kept.newton_iters == 1 and math.isfinite(kept.err_inf)
-    assert failed.n == 100 and failed.newton_iters == -1
+    assert kept.n == 4 and kept.newton_iters == 1 and math.isfinite(kept.err_inf)
+    assert failed.n == 16 and failed.newton_iters == -1
     assert math.isnan(failed.err_inf) and math.isnan(failed.err_l2chi)
+
+
+@pytest.mark.parametrize("name", ["ex1-log", "ex1-alg", "ex2-sqrt"])
+def test_converge_reports_every_1d_problem_up_to_max_n(name, tmp_path, capsys):
+    # the node error takes the exact solution with the rule's complements:
+    # from N = 181 at alpha 0.5 collocation nodes round to x = 1
+    out = tmp_path / "report.csv"
+    rc = main(["converge", "--problem", name, "--n-list", "16,92,200,400",
+               "--with-colloc", "--out", str(out)])
+    capsys.readouterr()
+    assert rc == 0
+    rows = ConvergenceReport.from_csv_text(out.read_text()).rows
+    assert [row.n for row in rows] == [16, 92, 200, 400]
+    assert all(row.err_colloc <= 1e-13 and math.isfinite(row.err_inf) for row in rows)
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,8 +79,8 @@ def test_row_sums_converge_to_smooth_integral():
     # with u = 1 the quadrature row sums approximate the exactly known
     # integral of the log kernel; the weak singularity makes this converge
     # slowly, which is precisely why forcing is synthesized through the
-    # discrete operator for the convergence experiments.  At alpha = 0.5 the
-    # node families meet at x = 1 from n = 92, so the ladder runs at alpha = 1
+    # discrete operator for the convergence experiments.  The ladder runs at
+    # alpha = 1, where its bounds were set
     prob = get_problem("ex1-log")
     errs = []
     for n in (14, 62, 254):
@@ -124,27 +125,35 @@ def test_default_cardinal_matrix_is_the_closed_form(n, method):
     assert np.max(np.abs(e - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+# At alpha = 0.01 and N = 64 the outer nodes of both rules, and the
+# complements of the nodes nearest 1, underflow to 0, so the kernel is not
+# finite there
+CLUSTERED = SolverConfig(n=64, alpha=0.01)
+
+
 def test_assembly_names_endpoint_clustering_when_families_interlace():
-    # The families interlace, but at alpha = 0.5 the nodes x[92] and s[93]
-    # cluster at x = 1 to within 8.7e-13.
-    with pytest.raises(AssemblyError, match="lower n or raise alpha") as info:
-        mhfie.solver._build(get_problem("ex1-log"), SolverConfig(n=92, alpha=0.5))
+    # The families interlace, but where the map clusters them their outer
+    # nodes and complements underflow to 0; the refusal names the fix, and
+    # no RuntimeWarning of the kernel's log escapes before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssemblyError, match="lower n or raise alpha") as info:
+            mhfie.solver._build(get_problem("ex1-log"), CLUSTERED)
     assert "interlace" not in str(info.value)
 
 
-def test_a_solve_refused_for_its_node_gap_builds_no_cardinal_matrix(fresh_memos,
-                                                                    monkeypatch):
-    # the failing solve keeps no E; the next solve at the same (alpha, n)
+def test_a_refused_solve_builds_no_cardinal_matrix(fresh_memos, monkeypatch):
+    # the failing solve keeps no E; the next good solve at the same n
     # builds E once
     calls = []
     rows = mhfie.solver._gauss_cardinal_rows
     monkeypatch.setattr(mhfie.solver, "_gauss_cardinal_rows",
                         lambda *rules: calls.append(1) or rows(*rules))
-    cfg = SolverConfig(n=92, alpha=0.5)
     with pytest.raises(AssemblyError):
-        solve(get_problem("ex1-log"), cfg)
+        solve(get_problem("ex1-log"), CLUSTERED)
     assert calls == []
-    assert solve(get_problem("ex2-sqrt"), cfg).final_residual <= cfg.newton_tol
+    cfg = SolverConfig(n=CLUSTERED.n)
+    assert solve(get_problem("ex1-log"), cfg).final_residual <= cfg.newton_tol
     assert calls == [1]
 
 
@@ -1207,14 +1216,54 @@ def test_ill_conditioned_eigenvectors_are_refused_before_any_krylov_iteration(
 
 
 def test_one_dimensional_solve_at_max_n():
-    # ex1-* at MAX_N_1D still meet the node-gap AssemblyError at alpha 0.5
-    prob = get_problem("ex2-sqrt")
-    cfg = SolverConfig(n=MAX_N_1D, alpha=0.5)
-    sol = solve(prob, cfg)
-    assert sol.node_values.shape == (MAX_N_1D + 1,)
-    assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
-    with pytest.raises(ValueError, match="exceeds limit"):
-        solve(prob, replace(cfg, n=MAX_N_1D + 1))
+    # every 1D problem solves and reports at MAX_N_1D on both routes, where
+    # nodes of both rules and of the norm rule round to x = 1
+    for name in ("ex1-log", "ex1-alg", "ex2-sqrt"):
+        prob = get_problem(name)
+        for method in ("mhf", "smoothed"):
+            cfg = SolverConfig(n=MAX_N_1D, alpha=0.5, method=method)
+            sol = solve(prob, cfg)
+            assert sol.node_values.shape == (MAX_N_1D + 1,)
+            assert verify_residual(prob, cfg, sol) <= cfg.newton_tol
+            norms = error_norms(sol.interpolant, prob.exact_solution, cfg.alpha)
+            assert math.isfinite(norms.err_l2chi) and norms.err_inf <= 1e-10
+        with pytest.raises(ValueError, match="exceeds limit"):
+            solve(prob, replace(cfg, n=MAX_N_1D + 1))
+
+
+@pytest.mark.parametrize("method", ["mhf", "smoothed"])
+@pytest.mark.parametrize("name", ["ex1-log", "ex1-alg"])
+def test_symmetric_kernels_give_flip_symmetric_operators(name, method):
+    # theta(s, x) = theta(1-s, 1-x) and the rules are symmetric, so
+    # J K J = K for K = W E and J the flip; each kernel gap is taken from
+    # the side of 1/2 where it keeps its digits, so that holds to rounding
+    # where nodes near 1 round (|JKJ - K|_F / |K|_F read 2.1e-11 at N = 80
+    # for ex1-alg with gaps from the nodes alone)
+    prob = get_problem(name)
+    for n in (16, 32, 63, 64, 80, 91, 92, 128, MAX_N_1D):
+        disc = mhfie.solver._build(prob, SolverConfig(n=n, alpha=0.5, method=method),
+                                   lambda key, build: build())
+        k = disc.w[0] @ disc.e[0]
+        assert np.linalg.norm(k[::-1, ::-1] - k) <= 1e-14 * np.linalg.norm(k), n
+
+
+@pytest.mark.parametrize("name", ["ex1-log", "ex1-alg", "ex2-sqrt"])
+def test_error_norms_count_only_nodes_below_one(name):
+    # from N = 83 at alpha 0.5 nodes of the norm rule round to x = 1; they
+    # carry no weight that counts and are left out
+    prob = get_problem(name)
+    for n in (83, 91):
+        sol = solve(prob, SolverConfig(n=n))
+        norms = error_norms(sol.interpolant, prob.exact_solution, sol.config.alpha)
+        assert math.isfinite(norms.err_inf) and math.isfinite(norms.err_l2chi)
+    # at alpha 0.1 and N = 16 those nodes hold 5.5e-8 of the weight, at
+    # alpha 0.2 6.2e-25
+    sol = solve(prob, SolverConfig(n=16, alpha=0.1))
+    with pytest.raises(ValueError, match=r"degree 48 at alpha=0\.1 .*raise alpha"):
+        error_norms(sol.interpolant, prob.exact_solution, 0.1)
+    sol = solve(prob, SolverConfig(n=16, alpha=0.2))
+    norms = error_norms(sol.interpolant, prob.exact_solution, 0.2)
+    assert math.isfinite(norms.err_inf) and math.isfinite(norms.err_l2chi)
 
 
 @pytest.mark.parametrize("name", ["ex3-log", "ex3-alg"])
@@ -1314,7 +1363,7 @@ def test_error_messages_print_coordinates_as_plain_numbers():
     rule = mhf_gauss_rule(MhfBasis(0.5, 7))
     pole = rule.nodes[2]
     failures = [
-        (AssemblyError, lambda: solve(prob, SolverConfig(n=92, alpha=0.5))),
+        (AssemblyError, lambda: solve(prob, CLUSTERED)),
         (ValueError, lambda: mhf_quadrature(rule, lambda x: np.where(x == pole, np.inf, x))),
         (ValueError, lambda: kernel_eval(prob.kernel, pole, pole)),
     ]
