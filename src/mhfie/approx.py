@@ -22,6 +22,7 @@ from .mhf import (
     MhfBasis,
     MhfRule,
     _check_unit_interval,
+    _logit,
     _values_at_nodes,
     log_gamma_n,
     map_to_unit,
@@ -114,10 +115,21 @@ def _bary_weights(t: np.ndarray) -> np.ndarray:
 
 
 def _node_hits(nodes: np.ndarray, points: np.ndarray) -> tuple:
-    """(point indices, node indices) of the points equal to an ascending node."""
+    """(point indices, node indices) of the points equal to an ascending node.
+
+    Where several nodes round to one value (x = 1.0 at alpha 0.5 from
+    N = 181), the k-th point of that value takes the k-th of those nodes,
+    or the last, so the nodes themselves hit one each.
+    """
     idx = np.minimum(np.searchsorted(nodes, points), nodes.size - 1)
     rows = np.flatnonzero(nodes[idx] == points)
-    return rows, idx[rows]
+    cols = idx[rows]
+    if cols.size > 1:
+        order = np.argsort(cols, kind="stable")
+        ranked = cols[order]
+        cols[order] = ranked + np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+        cols = np.minimum(cols, np.searchsorted(nodes, points[rows], side="right") - 1)
+    return rows, cols
 
 
 def _damped_rows(nodes: np.ndarray, points: np.ndarray, scale: float) -> np.ndarray:
@@ -187,19 +199,21 @@ def _gauss_cardinal_rows(colloc: HermiteRule, quad: HermiteRule) -> np.ndarray:
 def _differences(basis: LagrangeBasis, x) -> tuple:
     """Differences t - t_j at the points x, and the points that hit a node.
 
-    Hits are tested both in t and against the stored original nodes, so a
-    point equal to a node is recognized even where the logit transform of it
-    rounds away from the stored logit.  Returns (d, rows, cols): the
-    differences, with the hit entries set to one, and (point, node) index
-    pairs of the hits, the x-hits last.
+    A point equal to a stored node in x hits it wherever that node rounds,
+    x = 1.0 included, and takes the node's stored logit; every other point
+    must lie in (0,1) and hits a node when its logit equals the stored one.
+    Returns (d, rows, cols): the differences, with the hit entries set to
+    one, and the (point, node) index pairs of the hits.
     """
-    pts = _check_unit_interval(np.atleast_1d(np.asarray(x, dtype=float)))
-    t = np.log(pts) - np.log1p(-pts)
+    pts = np.array(x, dtype=float, ndmin=1)  # a copy
+    rows, cols = _node_hits(basis.nodes_x, pts)
+    pts[rows] = 0.5  # in (0,1); a hit takes its node's logit
+    t = _logit(_check_unit_interval(pts))
+    t[rows] = basis.nodes_t[cols]
     d = t[:, None] - basis.nodes_t[None, :]
-    t_rows, t_cols = _node_hits(basis.nodes_t, t)
-    d[t_rows, t_cols] = 1.0
-    x_rows, x_cols = _node_hits(basis.nodes_x, pts)
-    return d, np.concatenate([t_rows, x_rows]), np.concatenate([t_cols, x_cols])
+    rows, cols = _node_hits(basis.nodes_t, t)
+    d[rows, cols] = 1.0
+    return d, rows, cols
 
 
 class _CauchyTerms(NamedTuple):
@@ -250,14 +264,14 @@ def _compute_terms(basis: LagrangeBasis, x) -> _CauchyTerms:
     d, rows, cols = _differences(basis, x)
     c = np.divide(basis.weights[None, :], d, out=d)
     den = np.sum(c, axis=1)
+    den[rows] = 1.0  # hit rows are unit rows below, never cancelled
     cancelled = np.flatnonzero((den == 0.0) | ~np.isfinite(den))
     if cancelled.size:
         pts = np.atleast_1d(np.asarray(x, dtype=float))[cancelled]
-        c[cancelled] = _damped_rows(basis.nodes_t, np.log(pts) - np.log1p(-pts), 0.0)
+        c[cancelled] = _damped_rows(basis.nodes_t, _logit(pts), 0.0)
         den[cancelled] = 1.0
     c[rows] = 0.0
     c[rows, cols] = 1.0
-    den[rows] = 1.0
     terms = _CauchyTerms(c, den)
     for arr in terms:
         arr.setflags(write=False)
@@ -400,7 +414,7 @@ class MhfSeries:
 
     def eval(self, x):
         pts = _check_unit_interval(np.atleast_1d(np.asarray(x, dtype=float)))
-        z = self.basis.alpha * (np.log(pts) - np.log1p(-pts))
+        z = self.basis.alpha * _logit(pts)
         table = hermite_orthonormal_table(self.degree, z)
         out = self.normalized @ table
         return float(out[0]) if np.ndim(x) == 0 else out

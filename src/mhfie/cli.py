@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .approx import _open_grid, error_norms, eval_grid_1d, eval_grid_axis_2d
-from .mhf import MhfBasis, mhf_gauss_rule, mhf_unit_weights
+from .mhf import MhfBasis, _log_logistic_pair, mhf_gauss_rule, mhf_unit_weights
 from .problem import OracleError, exact_values, get_problem, problem_names, tanh_sinh
 from .solver import (
     METHOD_MHF,
@@ -314,16 +314,12 @@ def _quad_oracle(integrand: str, alpha: float, k: int) -> float:
 
 
 def _quad_value(integrand: str, rule, k: int) -> float:
-    t = rule.logits
     if integrand == "moments":
-        return float((t**k) @ rule.weights)
+        return float((rule.logits**k) @ rule.weights)
     # weight -log(x(1-x)) from the logits, unit-weight quadrature coefficients
-    w = np.logaddexp(0.0, -t) + np.logaddexp(0.0, t)
-    if integrand == "sqrt-logweight":
-        f = np.sqrt(rule.nodes)
-    else:
-        f = -np.logaddexp(0.0, -t)  # log(x)
-    return float((f * w) @ mhf_unit_weights(rule))
+    log_x, log_xc = _log_logistic_pair(rule.logits)
+    f = np.sqrt(rule.nodes) if integrand == "sqrt-logweight" else log_x
+    return float((f * (-log_x - log_xc)) @ mhf_unit_weights(rule))
 
 
 def _cmd_quad_test(args) -> int:

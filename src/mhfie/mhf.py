@@ -12,7 +12,9 @@ orthogonal on (0,1) under the weight
 with norms gamma_n = sqrt(pi) 2^n n! / alpha.  Pulling the Gauss-Hermite
 rule through the inverse map x = sigma(z/alpha) (sigma the logistic) yields
 a quadrature on (0,1) whose nodes cluster at both endpoints, exact for
-polynomials of degree 2N+1 in log(x/(1-x)) against chi.
+polynomials of degree 2N+1 in log(x/(1-x)) against chi.  The map's
+coordinates are computed here only: _logit, _logistic_pair and
+_log_logistic_pair.
 """
 
 from __future__ import annotations
@@ -107,10 +109,19 @@ def _logistic_pair(t) -> tuple:
     return np.where(positive, big, small), np.where(positive, small, big)
 
 
+def _log_logistic_pair(t) -> tuple:
+    """(log x, log(1-x)) at x = sigma(t), as -log(1 + exp(-/+t)), without overflow."""
+    return -np.logaddexp(0.0, -t), -np.logaddexp(0.0, t)
+
+
+def _logit(x):
+    """t = log(x/(1-x)) of points x in (0,1), unchecked, as log x - log1p(-x)."""
+    return np.log(x) - np.log1p(-x)
+
+
 def map_to_real(alpha: float, x):
     """Forward map z = alpha*(log x - log(1-x)); x must lie in (0,1)."""
-    x = _check_unit_interval(x)
-    out = alpha * (np.log(x) - np.log1p(-x))
+    out = alpha * _logit(_check_unit_interval(x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -128,8 +139,7 @@ def weight_chi(alpha: float, x):
     endpoints.
     """
     x = _check_unit_interval(x)
-    t = np.log(x) - np.log1p(-x)
-    out = np.exp(-(alpha * t) ** 2 - np.log(x) - np.log1p(-x))
+    out = np.exp(-(alpha * _logit(x)) ** 2 - np.log(x) - np.log1p(-x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -218,17 +228,9 @@ def mhf_unit_weights(rule: MhfRule) -> np.ndarray:
     cancels the Gaussian in the Hermite weights never materializes, so the
     computation survives arbitrarily large rule degrees.
     """
-    t = rule.logits
-    alpha = rule.basis.alpha
-    log_sigma = -np.logaddexp(0.0, -t)
-    log_sigma_c = -np.logaddexp(0.0, t)
-    return np.exp(
-        rule.hermite.log_weights
-        - math.log(alpha)
-        + (alpha * t) ** 2
-        + log_sigma
-        + log_sigma_c
-    )
+    t, alpha = rule.logits, rule.basis.alpha
+    log_x, log_xc = _log_logistic_pair(t)
+    return np.exp(rule.hermite.log_weights - math.log(alpha) + (alpha * t) ** 2 + log_x + log_xc)
 
 
 def mhf_pseudo_deriv(basis: MhfBasis, n: int, x) -> float:

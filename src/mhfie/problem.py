@@ -218,27 +218,57 @@ def _axis_theta(kernel: KernelSpec, axis: int, gap, s, oms, x, omx):
     return val
 
 
-def kernel_eval(spec: KernelSpec, s, x, t=None, y=None):
+def _complement(x, comp=None):
+    """1 - x: the given complement comp, else 1.0 - x."""
+    return 1.0 - x if comp is None else comp
+
+
+def _kernel_gap(s, x, s_comp=None, x_comp=None):
+    """|x - s|; given complements (a missing one is _complement's), it is
+    |(1-x) - (1-s)| where x >= 1/2, so gaps near 1 keep their digits.  An
+    ascending column x against a row s (the solver's) splits at one row."""
+    if s_comp is None and x_comp is None:
+        return np.abs(x - s)
+    oms, omx = _complement(s, s_comp), _complement(x, x_comp)
+    low = np.asarray(x) < 0.5
+    h = np.count_nonzero(low)
+    if np.ndim(s) != 1 or low.shape != (low.size, 1) or np.count_nonzero(low[:h]) != h:
+        return np.abs(np.where(low, x - s, omx - oms))
+    gap = np.empty((low.size, np.size(s)))
+    np.subtract(x[:h], s, out=gap[:h])
+    np.subtract(omx[h:], oms, out=gap[h:])
+    return np.abs(gap, out=gap)
+
+
+def kernel_eval(spec: KernelSpec, s, x, t=None, y=None,
+                s_comp=None, x_comp=None, t_comp=None, y_comp=None):
     """Point evaluation of the kernel; guards the diagonal singularity.
 
-    The arguments may be arrays that broadcast together.  Where the kernel
-    has a diagonal factor, a gap |x-s| (or |y-t|) below 1e-14 raises, naming
-    the first offending pair.  The factor receives (s, 1-s, x, 1-x).
+    The arguments may be arrays that broadcast together.  s_comp, x_comp,
+    t_comp and y_comp are optional values of 1-s, 1-x, 1-t and 1-y, as
+    manufactured_forcing takes them: given on an axis, its gap follows the
+    solver's rule (_kernel_gap), so at the solver's nodes and complements
+    it gives the solver's values; a complement not given is 1.0 minus its
+    point.  Where the kernel has a diagonal factor, a gap of at most
+    DIAG_GUARD times the pair's smaller distance to an endpoint raises,
+    naming the first offending pair.  The factor receives (s, 1-s, x, 1-x).
     """
     if spec.dimension == 2 and (t is None or y is None):
         raise ValueError("two-dimensional kernels require s, t, x, y")
-    sources, targets = (s, t)[: spec.dimension], (x, y)[: spec.dimension]
+    axes = tuple(zip((s, t), (x, y), (s_comp, t_comp), (x_comp, y_comp)))
     val = 1.0
-    for axis, pair in enumerate(zip(sources, targets)):
-        si, xi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in pair))
-        gap = np.abs(xi - si)
-        if spec.kind != "none" and np.any(gap < DIAG_GUARD):
-            at = np.argmax(gap < DIAG_GUARD)
-            raise ValueError(
-                f"kernel is singular at the diagonal on axis {axis}: "
-                f"s={float(si.flat[at])!r}, x={float(xi.flat[at])!r}"
-            )
-        val = val * _axis_theta(spec, axis, gap, si, 1.0 - si, xi, 1.0 - xi)
+    for axis, (si, xi, sc, xc) in enumerate(axes[: spec.dimension]):
+        si, xi = np.broadcast_arrays(np.asarray(si, dtype=float), np.asarray(xi, dtype=float))
+        oms, omx = (np.asarray(_complement(v, c), dtype=float) for v, c in ((si, sc), (xi, xc)))
+        gap = _kernel_gap(si, xi, sc, xc)
+        near = np.minimum(np.minimum(si, oms), np.minimum(xi, omx))
+        bad = (spec.kind != "none") & (gap <= DIAG_GUARD * near)
+        if np.any(bad):
+            at = np.argmax(bad)
+            s_at, x_at = (float(np.broadcast_to(v, bad.shape).flat[at]) for v in (si, xi))
+            raise ValueError(f"kernel is singular at the diagonal on axis {axis}: "
+                             f"s={s_at!r}, x={x_at!r}")
+        val = val * _axis_theta(spec, axis, gap, si, oms, xi, omx)
     return val
 
 
@@ -382,10 +412,10 @@ def _kernel_action_1d(kernel: KernelSpec, func, x: float, tol: float = 1e-12,
     The integral is split at s = x; on each piece the diagonal factor is
     evaluated from the offset r = |s - x| directly.  func and the kernel's
     factor receive both s and 1-s, each at full precision near its
-    endpoint, and must accept arrays.  x_comp is 1-x, taken as 1.0 - x when
-    not given; it is the factor's 1-x and the length of the right piece.
+    endpoint, and must accept arrays.  x_comp is 1-x (_complement when not
+    given); it is the factor's 1-x and the length of the right piece.
     """
-    one_minus_x = 1.0 - x if x_comp is None else x_comp
+    one_minus_x = _complement(x, x_comp)
 
     def piece(r, s, oms):
         return (_axis_theta(kernel, axis, r, s, oms, x, one_minus_x)
@@ -439,18 +469,12 @@ def manufactured_forcing(spec: ProblemSpec, x, y=None, tol: float = 1e-12,
     """
     if spec.exact_solution is None:
         raise ValueError("manufactured forcing requires an exact solution")
-    if spec.dimension == 1:
-        if y is not None:
-            raise ValueError("one-dimensional problems take a single coordinate")
-        x = float(x)
-        point, comps = (x,), (1.0 - x if x_comp is None else float(x_comp),)
-    else:
-        if y is None:
-            raise ValueError("two-dimensional problems need both coordinates")
-        x, y = float(x), float(y)
-        point = (x, y)
-        comps = (1.0 - x if x_comp is None else float(x_comp),
-                 1.0 - y if y_comp is None else float(y_comp))
+    if spec.dimension == 1 and y is not None:
+        raise ValueError("one-dimensional problems take a single coordinate")
+    if spec.dimension == 2 and y is None:
+        raise ValueError("two-dimensional problems need both coordinates")
+    point = tuple(float(v) for v in (x, y)[: spec.dimension])
+    comps = tuple(float(_complement(v, c)) for v, c in zip(point, (x_comp, y_comp)))
     cache, total = spec._cache, 0.0
     for r, factors in enumerate(_forcing_terms(spec)):
         term = 1.0

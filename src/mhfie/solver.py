@@ -110,7 +110,8 @@ from .approx import (
 )
 from .hermite import _as_integer
 from .mhf import MhfBasis, MhfRule, _check_alpha, mhf_gauss_rule, mhf_unit_weights
-from .problem import KernelSpec, ProblemSpec, _axis_theta, exact_values, forcing_on_grid
+from .problem import (KernelSpec, ProblemSpec, _axis_theta, _kernel_gap, exact_values,
+                      forcing_on_grid)
 
 __all__ = [
     "METHOD_MHF",
@@ -245,18 +246,13 @@ def _theta_matrix(kernel: KernelSpec, rule_q: MhfRule, rule_c: MhfRule,
                   axis: int = 0) -> np.ndarray:
     """Kernel values theta(s_k, x_i) on quadrature x collocation nodes.
 
-    Each gap |x - s| keeps its digits: rows with x < 1/2 (the first half of
-    a symmetric rule) subtract the nodes, the others the stored complements.
-    A value that is not finite, as where nodes or complements underflow to
-    0, raises AssemblyError.
+    Each gap |x - s| keeps its digits: it comes from the stored complements
+    by the shared rule (problem._kernel_gap).  A value that is not finite,
+    as where nodes or complements underflow to 0, raises AssemblyError.
     """
     x, s, xc, sc = rule_c.nodes, rule_q.nodes, rule_c.nodes_complement, rule_q.nodes_complement
-    gap = np.empty((x.size, s.size))  # kind "none" reads only its shape
-    if kernel.kind != "none":
-        h = x.size // 2
-        np.subtract(x[:h, None], s, out=gap[:h])
-        np.subtract(xc[h:, None], sc, out=gap[h:])
-        np.abs(gap, out=gap)
+    gap = (np.empty((x.size, s.size)) if kernel.kind == "none"  # kind "none" reads its shape
+           else _kernel_gap(s, x[:, None], sc, xc[:, None]))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         theta = _axis_theta(kernel, axis, gap, s[None, :], sc[None, :],
                             x[:, None], xc[:, None])

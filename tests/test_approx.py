@@ -70,6 +70,40 @@ def test_node_hits_return_stored_values_exactly():
     assert interp.eval(rule.nodes[3]) == values[3]
 
 
+@pytest.mark.parametrize("n", [200, 400])
+def test_interpolants_evaluate_at_their_own_nodes_up_to_max_n(n):
+    # at alpha 0.5 the last 3 (N = 200) and 47 (N = 400) collocation nodes
+    # round to x = 1.0, and a few more pairs below 1 coincide: the k-th
+    # copy of such a value is read as the k-th of its nodes
+    solution = solve(get_problem("ex1-log"), SolverConfig(n=n, alpha=0.5))
+    nodes = solution.nodes_x
+    assert np.count_nonzero(nodes == 1.0) == {200: 3, 400: 47}[n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = solution.interpolant.eval(nodes)
+        cards = cardinal_matrix(solution.interpolant.basis, nodes)
+    assert np.array_equal(got, solution.node_values)
+    assert np.array_equal(cards, np.eye(n + 1))
+    # a lone 1.0 is the first node there; points off the nodes stay in (0, 1)
+    first = int(np.argmax(nodes == 1.0))
+    assert solution.interpolant.eval(1.0) == solution.node_values[first]
+    with pytest.raises(ValueError, match="interpolation node"):
+        solution.interpolant.eval_deriv(1.0)
+    for outside in (0.0, 1.5, -1e-300):
+        with pytest.raises(ValueError, match="open interval"):
+            solution.interpolant.eval(np.array([0.5, outside]))
+
+
+def test_points_outside_the_unit_interval_raise_unless_they_are_nodes():
+    rule = mhf_gauss_rule(MhfBasis(alpha=0.8, degree=12))
+    interp = Interpolant1D(basis=LagrangeBasis.from_mhf_rule(rule), values=rule.nodes)
+    for bad in (0.0, 1.0, 2.0, np.nan):
+        with pytest.raises(ValueError, match="open interval"):
+            interp.eval(bad)
+        with pytest.raises(ValueError, match="open interval"):
+            cardinal_matrix(interp.basis, np.array([rule.nodes[0], bad]))
+
+
 def _damped_rows_loop(nodes, points, scale):
     """Point-by-point form of _damped_rows, kept as the reference for its array code."""
     logd = np.empty(nodes.size)

@@ -8,13 +8,20 @@ import mpmath
 import numpy as np
 import pytest
 
+import mhfie.approx
+import mhfie.cli
+import mhfie.mhf
+import mhfie.solver
 from mhfie import MhfBasis, mhf_gauss_rule
 from mhfie import problem as problem_module
+from mhfie.approx import Interpolant1D, LagrangeBasis, project
+from mhfie.mhf import map_to_real, weight_chi
 from mhfie.problem import (
     KernelSpec,
     Nonlinearity,
     OracleError,
     ProblemSpec,
+    _kernel_gap,
     exact_smooth_integral,
     forcing_on_grid,
     get_problem,
@@ -23,6 +30,7 @@ from mhfie.problem import (
     problem_names,
     tanh_sinh,
 )
+from mhfie.solver import _quad_coeffs, _theta_matrix
 
 # closed forms for integrals over (0,1) with the -log(r(1-r)) weight
 SQRT_LOGWEIGHT = 20.0 / 9.0 - 4.0 * math.log(2.0) / 3.0  # f = sqrt(r)
@@ -272,6 +280,127 @@ def test_kernel_eval_two_dimensional_product():
     assert got == pytest.approx(0.25**-0.5 * 0.25**-0.25, rel=1e-13)
     with pytest.raises(ValueError, match="require"):
         kernel_eval(spec, 0.25, 0.5)
+
+
+def test_kernel_eval_with_complements_gives_the_solvers_kernel_values():
+    # ex1-alg at N = 400: the last collocation and quadrature nodes both
+    # round to 1.0; their complements are 8.2e-25 and 7.7e-25
+    kernel = get_problem("ex1-alg").kernel
+    rule_c, rule_q = mhf_gauss_rule(MhfBasis(0.5, 400)), mhf_gauss_rule(MhfBasis(0.5, 401))
+    theta = _theta_matrix(kernel, rule_q, rule_c)
+    s, x = rule_q.nodes[-1], rule_c.nodes[-1]
+    got = kernel_eval(kernel, s, x, s_comp=rule_q.nodes_complement[-1],
+                      x_comp=rule_c.nodes_complement[-1])
+    assert s == x == 1.0 and got == theta[-1, -1] and 4.1e12 < got < 4.3e12
+    with pytest.raises(ValueError, match="diagonal"):
+        kernel_eval(kernel, s, x)
+    # every entry, both kinds: kernel_eval broadcasts, the solver splits rows
+    for name in ("ex1-alg", "ex1-log"):
+        kernel = get_problem(name).kernel
+        got = kernel_eval(kernel, rule_q.nodes, rule_c.nodes[:, None],
+                          s_comp=rule_q.nodes_complement,
+                          x_comp=rule_c.nodes_complement[:, None])
+        assert np.array_equal(got, _theta_matrix(kernel, rule_q, rule_c))
+    # in 2D, each axis takes its own complements
+    kernel = get_problem("ex3-alg").kernel
+    rule_c, rule_q = mhf_gauss_rule(MhfBasis(0.5, 48)), mhf_gauss_rule(MhfBasis(0.5, 49))
+    theta = _theta_matrix(kernel, rule_q, rule_c)
+    sc, xc = rule_q.nodes_complement, rule_c.nodes_complement
+    got = kernel_eval(kernel, rule_q.nodes[-1], rule_c.nodes[-1], rule_q.nodes[-2],
+                      rule_c.nodes[-3], s_comp=sc[-1], x_comp=xc[-1], t_comp=sc[-2],
+                      y_comp=xc[-3])
+    assert got == theta[-1, -1] * theta[-3, -2]
+
+
+def test_kernel_gap_splits_rows_as_it_splits_entries():
+    rule_c, rule_q = mhf_gauss_rule(MhfBasis(0.5, 64)), mhf_gauss_rule(MhfBasis(0.5, 65))
+    x, xc = rule_c.nodes[:, None], rule_c.nodes_complement[:, None]
+    rows = _kernel_gap(rule_q.nodes, x, rule_q.nodes_complement, xc)
+    entries = _kernel_gap(rule_q.nodes[None, :], x, rule_q.nodes_complement[None, :], xc)
+    assert np.array_equal(rows, entries)
+    # rows that do not ascend take the entrywise split
+    flipped = _kernel_gap(rule_q.nodes, x[::-1], rule_q.nodes_complement, xc[::-1])
+    assert np.array_equal(flipped, rows[::-1])
+    # the middle node x = 0.5 takes the complements
+    mid = rule_c.nodes.size // 2
+    assert rule_c.nodes[mid] == 0.5
+    assert np.array_equal(rows[mid], np.abs(rule_c.nodes_complement[mid] - rule_q.nodes_complement))
+
+
+def test_kernel_eval_guard_is_relative_to_the_distance_to_an_endpoint():
+    alg = KernelSpec(kind="algebraic", mu=(0.5,), dimension=1)
+    # a gap of 1e-20 between points 1e-20 from an endpoint is no diagonal
+    assert kernel_eval(alg, 1e-20, 2e-20) == pytest.approx(1e10, rel=1e-12)
+    assert kernel_eval(alg, 1.0, 1.0, s_comp=1e-20, x_comp=2e-20) == pytest.approx(
+        1e10, rel=1e-12)
+    for s, x in ((1e-20, 1e-20 * (1.0 + 1e-15)), (0.5, 0.5 + 1e-15), (0.3, 0.3)):
+        with pytest.raises(ValueError, match="diagonal"):
+            kernel_eval(alg, s, x)
+        with pytest.raises(ValueError, match="diagonal"):
+            kernel_eval(alg, s, x, s_comp=1.0 - s, x_comp=1.0 - x)
+
+
+def test_each_endpoint_coordinate_has_one_home(monkeypatch, capsys):
+    """Each shared formula reaches its callers through its one function, and
+    the independent references (the smoothed route's coefficients, the
+    reference integrator's offsets) never see it."""
+    rule = mhf_gauss_rule(MhfBasis(0.5, 24))
+    rule_q = mhf_gauss_rule(MhfBasis(0.5, 25))
+    interp = Interpolant1D(LagrangeBasis.from_mhf_rule(rule), np.cos(rule.logits))
+    series = project(MhfBasis(0.5, 12), rule, np.sqrt)
+    pts = np.array([1e-9, 0.3, 0.7, 1.0 - 1e-12])
+    log_with_factor = KernelSpec(kind="log", factor=problem_module._sqrt_endpoint_factor)
+    comps = dict(s_comp=1.0 - pts[::-1], x_comp=1.0 - pts)
+
+    def quad_test():
+        mhfie.cli.main(["quad-test", "--integrand", "log-logweight", "--n-list", "8,16",
+                        "--out", "-"])
+        return [line for line in capsys.readouterr().out.splitlines() if line[:1] != "#"]
+
+    probes = {
+        "map_to_real": lambda: map_to_real(0.5, pts),
+        "weight_chi": lambda: weight_chi(0.5, pts),
+        "interpolant": lambda: interp.eval(pts),
+        "series": lambda: series.eval(pts),
+        "mhf coeffs": lambda: _quad_coeffs(rule, "mhf"),
+        "smoothed coeffs": lambda: _quad_coeffs(rule, "smoothed"),
+        "quad-test": quad_test,
+        "kernel_eval": lambda: kernel_eval(log_with_factor, pts[::-1], pts),
+        "kernel_eval gap": lambda: kernel_eval(get_problem("ex1-alg").kernel, pts[::-1],
+                                               pts, **comps),
+        "theta": lambda: _theta_matrix(get_problem("ex1-log").kernel, rule_q, rule),
+        "forcing": lambda: [manufactured_forcing(get_problem(name), 0.7)
+                            for name in ("ex1-alg", "ex2-sqrt")],
+    }
+    before = {name: probe() for name, probe in probes.items()}
+
+    def shifted(f, by):
+        return lambda *args: f(*args) + by
+
+    perturbed = {
+        "_logit": (shifted(mhfie.mhf._logit, 1e-3), (mhfie.mhf, mhfie.approx)),
+        "_log_logistic_pair": (
+            lambda t, f=mhfie.mhf._log_logistic_pair: tuple(v + 1e-3 for v in f(t)),
+            (mhfie.mhf, mhfie.cli)),
+        "_kernel_gap": (shifted(problem_module._kernel_gap, 1e-3),
+                        (problem_module, mhfie.solver)),
+        # a given complement is kept, so only the 1.0 - x default moves
+        "_complement": (lambda x, comp=None, f=problem_module._complement:
+                        f(x) + 1e-3 if comp is None else comp, (problem_module,)),
+    }
+    sees = {
+        "_logit": {"map_to_real", "weight_chi", "interpolant", "series"},
+        "_log_logistic_pair": {"mhf coeffs", "quad-test"},
+        "_kernel_gap": {"kernel_eval", "kernel_eval gap", "theta"},
+        "_complement": {"kernel_eval", "forcing"},
+    }
+    for func, (patched, modules) in perturbed.items():
+        with monkeypatch.context() as m:
+            for module in modules:
+                m.setattr(module, func, patched)
+            changed = {name for name, probe in probes.items()
+                       if not np.array_equal(probe(), before[name])}
+        assert changed == sees[func], func
 
 
 def test_kernel_eval_factor_receives_complements():
